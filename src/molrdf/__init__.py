@@ -1,6 +1,6 @@
 """Centre-of-mass radial distribution functions from DL_POLY-style trajectories."""
 
-from .errors import AnalysisError, InputError, NoFramesError, UnfoldError
+from .errors import AnalysisError, InputError, NoFramesError
 from .geometry import CellTensor
 from .rdf_engine import PairHistogram, RdfTable, accumulate_frame, finalize, merge
 from .synthetic import SyntheticConfig, generate_dataset
@@ -16,7 +16,7 @@ from .trajectory_io import (
     write_pop,
     write_rdf,
 )
-from .unfolding import MoleculeSnapshot, center_of_mass, unfold_molecule
+from .unfolding import centers_of_mass, unfold
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "Frame",
     "HistoryReader",
     "InputError",
-    "MoleculeSnapshot",
     "MoleculeSpec",
     "NoFramesError",
     "PairHistogram",
@@ -35,15 +34,14 @@ __all__ = [
     "SiteSpec",
     "SyntheticConfig",
     "Topology",
-    "UnfoldError",
     "accumulate_frame",
-    "center_of_mass",
+    "centers_of_mass",
     "finalize",
     "generate_dataset",
     "merge",
     "parse_directives",
     "parse_field",
-    "unfold_molecule",
+    "unfold",
     "write_pop",
     "write_rdf",
     "__version__",

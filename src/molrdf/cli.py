@@ -35,7 +35,7 @@ from .trajectory_io import (
     write_pop,
     write_rdf,
 )
-from .unfolding import MoleculeSnapshot, center_of_mass, unfold_molecule
+from .unfolding import centers_of_mass
 
 logger = logging.getLogger(__name__)
 
@@ -62,32 +62,31 @@ class AnalysisSummary:
         )
 
 
-def _frame_coms(frame: Frame, topology: Topology, ranges, masses_by_type):
+def _frame_coms(frame: Frame, topology: Topology, masses_by_type):
     """0-based type indices and centres of mass of all massive molecules."""
     types = []
     coms = []
-    for t, k, sl in ranges:
-        masses = masses_by_type[t]
-        if masses.sum() <= 0.0:
+    start = 0
+    for t, (mol, masses) in enumerate(zip(topology.molecules, masses_by_type)):
+        stop = start + mol.count * mol.n_sites
+        block = frame.positions[start:stop].reshape(mol.count, mol.n_sites, 3)
+        start = stop
+        type_coms = centers_of_mass(block, masses, frame.cell)
+        if type_coms is None:
             continue
-        snap = MoleculeSnapshot(frame.positions[sl], masses)
-        whole, _ = unfold_molecule(
-            snap, frame.cell, label=f"{topology.molecules[t].name}#{k + 1}"
-        )
-        types.append(t)
-        coms.append(center_of_mass(whole))
+        types.append(np.full(mol.count, t, dtype=np.int64))
+        coms.append(type_coms)
     if not coms:
         return np.empty(0, dtype=np.int64), np.empty((0, 3))
-    return np.array(types, dtype=np.int64), np.array(coms)
+    return np.concatenate(types), np.concatenate(coms)
 
 
 def _accumulate_batch(args) -> PairHistogram:
     frames, topology, rmax, dr = args
-    ranges = topology.site_ranges()
     masses_by_type = [m.masses for m in topology.molecules]
     hist = PairHistogram.create(topology.n_types, rmax, dr)
     for frame in frames:
-        types, coms = _frame_coms(frame, topology, ranges, masses_by_type)
+        types, coms = _frame_coms(frame, topology, masses_by_type)
         accumulate_frame(hist, types, coms, frame.cell)
     return hist
 

@@ -9,9 +9,5 @@ class InputError(AnalysisError):
     """Fatal problem with an input file, a directive value, or a cell tensor."""
 
 
-class UnfoldError(AnalysisError):
-    """A molecule could not be made whole (too large for the periodic cell)."""
-
-
 class NoFramesError(AnalysisError):
     """The frame selection left nothing to process."""

@@ -1,97 +1,68 @@
 """Make molecules whole across periodic boundaries and take their centres of mass.
 
 Trajectory positions are wrapped into the cell site by site, so a molecule
-straddling a boundary appears torn apart.  Sites are mended in declaration
-order: each one is pulled to the minimum-image position relative to its
-predecessor, and the sweep repeats until nothing moves.  Each site moves at
-most once per sweep and a correction shortens the cumulative span along the
-chain, so N sites need at most N sweeps; the loop allows two extra before
-concluding the molecule cannot fit in the cell (span above half a cell
-length, where the minimum image is no longer the right image).
+straddling a boundary appears torn apart.  All copies of a molecule type share
+one site layout, so they are mended together, in one in-order pass over the
+site axis of a ``(count, n_sites, 3)`` array: each bond between consecutive
+sites is folded to its minimum image in reduced coordinates, and every site
+is moved by the whole lattice vectors folded out of the bonds before it.  The
+first site stays put, so a molecule that needed no fold keeps its input
+positions exactly.  There is no repeat sweep: after the pass every bond is
+already its minimum image.
+
+Limit: a bond whose true length exceeds half the cell cannot be recovered
+from wrapped positions, because the minimum image of any bond is at most half
+a cell long.  Such a bond is folded to the wrong image and the molecule's
+centre of mass comes out wrong, without notice.  The molecule as a whole may
+span more than half the cell, as long as every bond between consecutive
+sites (in FIELD order) stays below half.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import UnfoldError
-from .geometry import CellTensor, min_image_displacement, to_real, to_reduced
-
-DEFAULT_TOL = 1e-6
+from .geometry import CellTensor, nint, to_reduced
 
 
-@dataclass(frozen=True, eq=False)
-class MoleculeSnapshot:
-    """Site positions and masses of one molecule in one frame."""
+def unfold(positions: np.ndarray, cell: CellTensor) -> np.ndarray:
+    """Return the copies of one molecule type with all their sites on one image.
 
-    positions: np.ndarray  # (n_sites, 3), Angstrom
-    masses: np.ndarray  # (n_sites,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError(f"positions must be (n, 3), got {self.positions.shape}")
-        if self.masses.shape != (self.positions.shape[0],):
-            raise ValueError("one mass per site required")
-        if np.any(self.masses < 0):
-            raise ValueError("site masses must be non-negative")
-
-
-def _unfold_sweeps(s: np.ndarray, imcon: int, tol: float, label: str) -> int:
-    """Mend reduced coordinates in place; return the number of sweeps used."""
-    n = len(s)
-    max_sweeps = n + 2
-    sweeps = 0
-    while True:
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise UnfoldError(
-                f"molecule {label} still fragmented after {max_sweeps} sweeps; "
-                "it likely spans more than half the cell"
-            )
-        changed = False
-        for i in range(1, n):
-            b = s[i] - s[i - 1]
-            d = min_image_displacement(s[i - 1], s[i], imcon)
-            if abs(b @ b - d @ d) > tol:
-                s[i] = s[i - 1] + d
-                changed = True
-        if not changed:
-            return sweeps
-
-
-def unfold_molecule(
-    mol: MoleculeSnapshot,
-    cell: CellTensor,
-    tol: float = DEFAULT_TOL,
-    label: str = "?",
-) -> tuple[MoleculeSnapshot, int]:
-    """Return the molecule with all sites on the same periodic image.
-
-    The tolerance is compared against the squared-length change of the
-    site-to-site bond vector in reduced coordinates; positions that are
-    already whole come back untouched.  Also returns the number of sweeps
-    taken (1 means nothing needed fixing).
+    ``positions`` is ``(count, n_sites, 3)`` in Angstrom, one row per copy,
+    sites in declaration order.  In the result every site differs from its
+    input by a whole lattice vector, and every bond between consecutive
+    sites is its minimum image.  When nothing needs a fold (always so for a
+    non-periodic cell or single-site molecules) the input array itself comes
+    back.
     """
-    if cell.imcon == 0:
-        return mol, 1
-    s = to_reduced(mol.positions, cell)
-    sweeps = _unfold_sweeps(s, cell.imcon, tol, label)
-    if sweeps == 1:
-        return mol, 1
-    return MoleculeSnapshot(to_real(s, cell), mol.masses), sweeps
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 3 or positions.shape[2] != 3:
+        raise ValueError(f"positions must be (count, n_sites, 3), got {positions.shape}")
+    if cell.imcon == 0 or positions.shape[1] < 2:
+        return positions
+    folds = nint(np.diff(to_reduced(positions, cell), axis=1))
+    folds *= cell.periodic
+    if not folds.any():
+        return positions
+    whole = positions.copy()
+    whole[:, 1:] -= np.cumsum(folds, axis=1) @ cell.matrix
+    return whole
 
 
-def center_of_mass(mol: MoleculeSnapshot) -> np.ndarray | None:
-    """Mass-weighted mean position, or None when the molecule carries no mass.
+def centers_of_mass(
+    positions: np.ndarray, masses: np.ndarray, cell: CellTensor
+) -> np.ndarray | None:
+    """Centres of mass ``(count, 3)`` of the whole copies of one molecule type.
 
-    Massless sites still matter for unfolding (they link the chain) but
-    contribute nothing here.
+    ``positions`` is ``(count, n_sites, 3)`` as for :func:`unfold` and
+    ``masses`` holds one non-negative mass per site.  Returns None when the
+    type carries no mass.  Massless sites still link the chain while the
+    molecule is mended but carry no weight here.
     """
-    total = mol.masses.sum()
+    masses = np.asarray(masses, dtype=float)
+    if masses.min(initial=0.0) < 0.0:
+        raise ValueError("site masses must be non-negative")
+    total = masses.sum()
     if total <= 0.0:
         return None
-    return (mol.masses @ mol.positions) / total
+    return (masses @ unfold(positions, cell)) / total

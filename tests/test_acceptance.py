@@ -31,7 +31,7 @@ from molrdf.trajectory_io import (
     parse_directives,
     parse_field,
 )
-from molrdf.unfolding import MoleculeSnapshot, center_of_mass, unfold_molecule
+from molrdf.unfolding import centers_of_mass, unfold
 
 
 def test_spike_benchmark_end_to_end(tmp_path, capsys):
@@ -152,7 +152,8 @@ def test_unfold_round_trip_100_molecules():
     length = 20.0
     cell = CellTensor.cubic(length)
     rng = np.random.default_rng(606)
-    max_sweeps_seen = 0
+    mended = 0
+    worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 21))
         # All sites inside a radius-4.5 ball: well under a quarter cell.
@@ -160,12 +161,22 @@ def test_unfold_round_trip_100_molecules():
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         positions = directions * 4.5 * np.cbrt(rng.uniform(0, 1, n))[:, None]
         positions += rng.uniform(-30, 30, 3)
+        masses = rng.uniform(1.0, 20.0, n)
 
         shifts = rng.integers(-5, 6, (n, 3)) * length
-        mol = MoleculeSnapshot(positions + shifts, np.ones(n))
-        whole, sweeps = unfold_molecule(mol, cell)
-        assert sweeps <= n
-        max_sweeps_seen = max(max_sweeps_seen, sweeps)
+        observed = (positions + shifts)[None]
+        whole = unfold(observed, cell)[0]
+        mended += not np.array_equal(whole, observed[0])
+
+        # Every site moved by the same lattice vector, so the centre of mass
+        # is the true one up to that vector.
+        offset = whole - positions
+        np.testing.assert_allclose(offset, np.broadcast_to(offset[0], offset.shape), atol=1e-9)
+        np.testing.assert_allclose(offset[0], length * np.round(offset[0] / length), atol=1e-9)
+        com = centers_of_mass(observed, masses, cell)[0]
+        true_com = masses @ positions / masses.sum()
+        d = com - true_com
+        worst = max(worst, np.abs(d - length * np.round(d / length)).max())
 
         def dists(pts):
             return np.sort(
@@ -176,11 +187,13 @@ def test_unfold_round_trip_100_molecules():
                 ]
             )
 
-        np.testing.assert_allclose(dists(whole.positions), dists(positions), atol=1e-9)
+        np.testing.assert_allclose(dists(whole), dists(positions), atol=1e-9)
+    assert worst < 1e-9
+    assert mended > 90
 
     print(
         "PASS unfold round-trip: 100 molecules restored to 1e-9 A, "
-        f"max sweeps = {max_sweeps_seen}"
+        f"{mended} needed mending, COM off the true one by {worst:.1e} A modulo the lattice"
     )
 
 
@@ -298,12 +311,12 @@ def test_zero_mass_site_filtering(caplog):
     for mol in topo.molecules[:2]:
         positions = rng.uniform(-4, 4, (6, 3))
         masses = mol.masses
-        com = center_of_mass(MoleculeSnapshot(positions, masses))
+        com = centers_of_mass(positions[None], masses, CellTensor(np.zeros((3, 3)), 0))[0]
         massive = masses > 0
         expected = (masses[massive] @ positions[massive]) / masses[massive].sum()
         np.testing.assert_allclose(com, expected, atol=1e-12)
 
-    assert center_of_mass(MoleculeSnapshot(rng.uniform(0, 1, (2, 3)), np.zeros(2))) is None
+    assert centers_of_mass(rng.uniform(0, 1, (1, 2, 3)), np.zeros(2), CellTensor.cubic(20.0)) is None
 
     hist = PairHistogram.create(3, rmax=5.0, dr=0.5)
     cell = CellTensor.cubic(20.0)
@@ -318,7 +331,7 @@ def test_zero_mass_site_filtering(caplog):
 
 
 def test_four_way_merge_equals_single_pass(tmp_path):
-    generate_dataset(SyntheticConfig(n_frames=80), tmp_path)
+    ds = generate_dataset(SyntheticConfig(n_frames=80), tmp_path)
     topo = parse_field((tmp_path / "FIELD").read_text())
     masses = [m.masses for m in topo.molecules]
     with HistoryReader(tmp_path / "HISTORY") as reader:
@@ -326,11 +339,18 @@ def test_four_way_merge_equals_single_pass(tmp_path):
     assert len(frames) == 80
 
     def com_arrays(frame):
-        coms = []
-        for sl, m in zip((slice(0, 8), slice(8, 16)), masses):
-            whole, _ = unfold_molecule(MoleculeSnapshot(frame.positions[sl], m), frame.cell)
-            coms.append(center_of_mass(whole))
+        coms = [
+            centers_of_mass(frame.positions[sl][None], m, frame.cell)[0]
+            for sl, m in zip((slice(0, 8), slice(8, 16)), masses)
+        ]
         return np.array([0, 1]), np.array(coms)
+
+    # The mended centres are the true ones up to a lattice vector.
+    length = ds.cell.matrix[0, 0]
+    for frame, true in zip(frames, ds.unwrapped_frames):
+        true_coms = [m @ true[sl] / m.sum() for sl, m in zip((slice(0, 8), slice(8, 16)), masses)]
+        d = com_arrays(frame)[1] - true_coms
+        np.testing.assert_allclose(d, length * np.round(d / length), atol=1e-9)
 
     single = PairHistogram.create(2, rmax=12.5, dr=0.1)
     for frame in frames:

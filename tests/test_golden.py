@@ -1,0 +1,164 @@
+"""Golden RDF/POP files: the analysis must reproduce them byte for byte.
+
+Each case writes a small CONTROL/FIELD/HISTORY triple from a fixed seed into
+a temporary directory, runs the analysis there and compares the RDF and POP
+files with the ones stored under ``tests/golden/<case>/``.  Molecules are
+placed anywhere in the cell and every site is wrapped on its own, so most
+frames hold molecules torn across the boundary.
+
+The stored files were written by the per-molecule unfolding of molrdf 0.1.0.
+Rewrite them only for an intended change of output::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from molrdf.cli import run_analysis
+from molrdf.synthetic import SyntheticConfig, generate_dataset
+from molrdf.trajectory_io import HistoryReader
+
+GOLDEN = Path(__file__).parent / "golden"
+
+TRICLINIC = [[18.0, 0.0, 0.0], [2.5, 17.0, 0.0], [-1.5, 2.0, 19.0]]
+
+
+def _rotation(rng):
+    """A random rotation from three uniform angles (uniform draws only, so the
+    inputs do not depend on how numpy samples other distributions)."""
+    a, b, c = rng.uniform(0.0, 2.0 * np.pi, 3)
+    rz = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]])
+    ry = np.array([[np.cos(b), 0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0, np.cos(b)]])
+    rx = np.array([[1, 0, 0], [0, np.cos(c), -np.sin(c)], [0, np.sin(c), np.cos(c)]])
+    return rz @ ry @ rx
+
+
+def _chain(rng, n_sites, bond):
+    """Freely jointed chain of ``n_sites`` sites, first site at the origin."""
+    steps = rng.uniform(-1.0, 1.0, (n_sites - 1, 3))
+    steps *= bond / np.linalg.norm(steps, axis=1)[:, None]
+    return np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+
+
+# name, site masses, copies, rigid template (True) or fresh chain per frame
+MOLECULES = {
+    "rigid": [
+        ("Tri", [15.9994, 1.008, 1.008], 24, True),
+        ("Chain", [12.0, 14.0, 14.0, 14.0, 14.0, 15.0], 10, False),
+    ],
+    "groups": [
+        ("Lipid", [30.0, 31.0, 16.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 10, False),
+        ("Linker", [12.0, 0.0, 0.0, 0.0, 14.0], 12, False),
+        ("Water", [15.9994, 1.008, 1.008], 24, True),
+        ("Ghost", [0.0, 0.0], 16, True),
+    ],
+}
+
+# case: (molecules, imcon, cell matrix, rmax, dr, smooth, frames)
+CASES = {
+    "orthorhombic": ("rigid", 2, np.diag([17.0, 19.0, 21.0]), 8.0, 0.1, False, 4),
+    "triclinic": ("rigid", 3, np.array(TRICLINIC), 8.0, 0.2, False, 4),
+    "slab": ("rigid", 6, np.diag([18.0, 20.0, 40.0]), 8.5, 0.1, False, 4),
+    "groups": ("groups", 1, 20.0 * np.eye(3), 9.0, 0.15, False, 4),
+    "smooth": ("groups", 3, np.array(TRICLINIC), 8.0, 0.1, True, 4),
+}
+
+
+def _wrap(positions, matrix, imcon):
+    """Wrap every site into the origin-centred cell along its periodic axes."""
+    s = positions @ np.linalg.inv(matrix)
+    axes = 2 if imcon == 6 else 3
+    s[:, :axes] -= np.floor(s[:, :axes] + 0.5)
+    return s @ matrix
+
+
+def write_inputs(case: str, directory: Path, seed: int = 7) -> None:
+    """Write the CONTROL, FIELD and HISTORY of ``case`` into ``directory``."""
+    kind, imcon, matrix, rmax, dr, smooth, n_frames = CASES[case]
+    molecules = MOLECULES[kind]
+    rng = np.random.default_rng(seed)
+
+    control = ["golden case " + case, "finish", "polyana", f"  rmax {rmax}", f"  dr {dr}"]
+    if smooth:
+        control.append("  smooth")
+    control.append("end polyana")
+    (directory / "CONTROL").write_text("\n".join(control) + "\n")
+
+    field = ["golden case " + case, "UNITS internal", f"MOLECULES {len(molecules)}"]
+    for name, masses, count, _ in molecules:
+        field += [name, f"NUMMOLS {count}", f"ATOMS {len(masses)}"]
+        field += [f"{name[0]}{i + 1} {m:.4f} 0.0" for i, m in enumerate(masses)]
+        field.append("FINISH")
+    field.append("CLOSE")
+    (directory / "FIELD").write_text("\n".join(field) + "\n")
+
+    templates = [_chain(rng, len(m), 1.2) if rigid else None for _, m, _, rigid in molecules]
+    natoms = sum(len(m) * count for _, m, count, _ in molecules)
+    lines = ["golden case " + case, f"{0:10d}{imcon:10d}{natoms:10d}"]
+    for step in range(1, n_frames + 1):
+        sites = []
+        for (_, masses, count, rigid), template in zip(molecules, templates):
+            for _ in range(count):
+                shape = template if rigid else _chain(rng, len(masses), 1.5)
+                centre = rng.uniform(-0.5, 0.5, 3) @ matrix
+                if imcon == 6:
+                    centre[2] = rng.uniform(-6.0, 6.0)
+                sites.append(centre + shape @ _rotation(rng).T)
+        wrapped = _wrap(np.vstack(sites), matrix, imcon)
+        lines.append(f"timestep{step:10d}{natoms:10d}{0:10d}{imcon:10d}{0.001:12.6f}")
+        lines += [f"{x:20.10f}{y:20.10f}{z:20.10f}" for x, y, z in matrix]
+        for i, (x, y, z) in enumerate(wrapped):
+            lines.append(f"S{i + 1:<7d}{i + 1:10d}{1.0:12.6f}{0.0:12.6f}")
+            lines.append(f"{x:20.10f}{y:20.10f}{z:20.10f}")
+    (directory / "HISTORY").write_text("\n".join(lines) + "\n")
+
+
+def write_spike(directory: Path) -> None:
+    generate_dataset(SyntheticConfig(n_frames=60, seed=31), directory)
+
+
+def _analyse(case: str, directory: Path) -> tuple[bytes, bytes]:
+    if case == "spike":
+        write_spike(directory)
+    else:
+        write_inputs(case, directory)
+    summary = run_analysis(directory)
+    return summary.rdf_path.read_bytes(), summary.pop_path.read_bytes()
+
+
+ALL_CASES = ["spike", *CASES]
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_output_matches_golden(case, tmp_path):
+    rdf, pop = _analyse(case, tmp_path)
+    assert rdf == (GOLDEN / case / "RDF").read_bytes()
+    assert pop == (GOLDEN / case / "POP").read_bytes()
+
+
+def test_inputs_tear_molecules(tmp_path):
+    """The inputs must exercise unfolding: some 3-site molecule of the first
+    frame has wrapped sites more than half the cell apart."""
+    write_inputs("triclinic", tmp_path)
+    with HistoryReader(tmp_path / "HISTORY") as reader:
+        frame = next(iter(reader))
+    spans = np.ptp(frame.positions[:72].reshape(24, 3, 3), axis=1)
+    assert (spans.max(axis=1) > 9.0).any()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for case in ALL_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            rdf, pop = _analyse(case, Path(tmp))
+        (GOLDEN / case).mkdir(parents=True, exist_ok=True)
+        (GOLDEN / case / "RDF").write_bytes(rdf)
+        (GOLDEN / case / "POP").write_bytes(pop)
+        print(f"wrote {GOLDEN / case}", file=sys.stderr)

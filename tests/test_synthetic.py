@@ -12,7 +12,7 @@ from molrdf.synthetic import (
     random_unit_vector,
 )
 from molrdf.trajectory_io import HistoryReader, parse_directives, parse_field
-from molrdf.unfolding import MoleculeSnapshot, center_of_mass, unfold_molecule
+from molrdf.unfolding import centers_of_mass
 
 
 class TestConfig:
@@ -133,23 +133,30 @@ class TestGeneratedFiles:
             assert len(list(reader)) == 2
 
     def test_com_distance_survives_file_round_trip(self, tmp_path):
-        """Wrap, write, parse and unfold must preserve the pegged separation."""
+        """Wrap, write, parse and unfold must preserve the pegged separation
+        and give the true centres of mass up to a lattice vector."""
         cfg = SyntheticConfig(n_frames=15)
         ds = generate_dataset(cfg, tmp_path)
         masses = [m.masses for m in ds.topology.molecules]
+        sites = (slice(0, 8), slice(8, 16))
         with HistoryReader(ds.history_path) as reader:
-            for frame in reader:
-                coms = []
-                for sl, m in zip((slice(0, 8), slice(8, 16)), masses):
-                    mol = MoleculeSnapshot(frame.positions[sl], m)
-                    whole, sweeps = unfold_molecule(mol, frame.cell)
-                    assert sweeps <= 8
-                    coms.append(center_of_mass(whole))
-                # Each molecule unfolds in its own periodic image, so fold
-                # the separation back per axis before measuring it.
-                d = coms[1] - coms[0]
-                d -= cfg.cell_length * np.floor(d / cfg.cell_length + 0.5)
-                assert np.linalg.norm(d) == pytest.approx(cfg.distance, abs=1e-9)
+            frames = list(reader)
+        assert len(frames) == len(ds.unwrapped_frames)
+        for frame, true in zip(frames, ds.unwrapped_frames):
+            coms = [
+                centers_of_mass(frame.positions[sl][None], m, frame.cell)[0]
+                for sl, m in zip(sites, masses)
+            ]
+            for com, sl, m in zip(coms, sites, masses):
+                off = com - m @ true[sl] / m.sum()
+                np.testing.assert_allclose(
+                    off, cfg.cell_length * np.round(off / cfg.cell_length), atol=1e-9
+                )
+            # Each molecule unfolds in its own periodic image, so fold
+            # the separation back per axis before measuring it.
+            d = coms[1] - coms[0]
+            d -= cfg.cell_length * np.floor(d / cfg.cell_length + 0.5)
+            assert np.linalg.norm(d) == pytest.approx(cfg.distance, abs=1e-9)
 
     def test_first_molecule_actually_fragments(self, tmp_path):
         """The benchmark must exercise unfolding, not just binning."""
