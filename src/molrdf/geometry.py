@@ -191,6 +191,18 @@ def cell_volume(cell: CellTensor) -> float:
     return float(abs(np.linalg.det(cell.matrix)))
 
 
+def perpendicular_heights(cell: CellTensor) -> np.ndarray:
+    """Distance between the two faces of the cell spanned by the other two
+    lattice vectors, one per lattice vector: ``1 / |inv(C)[:, k]|``.
+
+    A displacement of Cartesian length r changes reduced coordinate k by at
+    most ``r / h_k``.
+    """
+    if cell.inverse is None:
+        raise InputError("perpendicular heights undefined for a non-periodic cell")
+    return 1.0 / np.linalg.norm(cell.inverse, axis=0)
+
+
 def min_image_cutoff(cell: CellTensor) -> float:
     """Largest pair distance for which the minimum-image fold is unbiased.
 
@@ -199,16 +211,10 @@ def min_image_cutoff(cell: CellTensor) -> float:
     inscribed-circle radius of the (a, b) parallelogram for slabs, and
     infinity when nothing is periodic.
     """
-    a, b, c = cell.matrix
     if cell.imcon == 0:
         return np.inf
     if cell.imcon == 6:
+        a, b, _ = cell.matrix
         area = np.linalg.norm(np.cross(a, b))
         return 0.5 * min(area / np.linalg.norm(a), area / np.linalg.norm(b))
-    volume = cell_volume(cell)
-    heights = [
-        volume / np.linalg.norm(np.cross(b, c)),
-        volume / np.linalg.norm(np.cross(c, a)),
-        volume / np.linalg.norm(np.cross(a, b)),
-    ]
-    return 0.5 * min(heights)
+    return 0.5 * float(perpendicular_heights(cell).min())

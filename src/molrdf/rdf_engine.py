@@ -19,19 +19,38 @@ cumulative sum of h(n) is the coordination population.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NoFramesError
-from .geometry import CellTensor, cell_volume, min_image_cutoff, nint, periodic_mask, to_reduced
+from .geometry import (
+    CellTensor,
+    cell_volume,
+    min_image_cutoff,
+    nint,
+    periodic_mask,
+    perpendicular_heights,
+    to_reduced,
+)
 from .trajectory_io import Topology
 
 logger = logging.getLogger(__name__)
 
 # Pair index chunks are capped so per-frame scratch arrays stay modest.
 _CHUNK_PAIRS = 2_000_000
+
+# Linked-cell search: every cell is at least rc / _CELL_REACH high across each
+# pair of faces, so a molecule's partners lie within +-_CELL_REACH cells.
+_CELL_REACH = 3
+# Cells per axis are capped to keep cell keys small; wider cells only add
+# candidates.
+_MAX_CELLS = 1024
+# Relative padding of the search radius, so rounding cannot lose a pair.
+_PAD = 1e-9
 
 SMOOTH_KERNEL = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
 
@@ -83,6 +102,162 @@ def _pair_strips(n: int):
         )
 
 
+def _half_cube(reach: int) -> np.ndarray:
+    """Cell offsets within +-reach, one of each pair +-o, without (0, 0, 0)."""
+    r = np.arange(-reach, reach + 1)
+    cube = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    # Lexicographic order: the offsets after the centre are the positive ones.
+    return cube[len(cube) // 2 + 1 :]
+
+
+_HALF_CUBE = _half_cube(_CELL_REACH)
+
+
+@functools.lru_cache(maxsize=32)
+def _stencil(shape: tuple, widths: tuple | None, reach: float) -> np.ndarray:
+    """Half stencil of a grid with ``shape`` cells: the offsets of _HALF_CUBE
+    that fit in the grid and, for an orthogonal cell whose cells have edges
+    ``widths``, whose nearest corners lie within ``reach``.
+
+    Cached because the cell, and with it the stencil, rarely changes from
+    frame to frame; the returned array is read-only.
+    """
+    offsets = _HALF_CUBE[(np.abs(_HALF_CUBE) < np.array(shape)).all(axis=1)]
+    if widths is not None:
+        gap = np.maximum(np.abs(offsets) - 1, 0) * np.array(widths)
+        offsets = offsets[(gap**2).sum(axis=1) <= reach**2]
+    offsets.flags.writeable = False
+    return offsets
+
+
+class _CellGrid(NamedTuple):
+    """Linked cells over a frame: cell index = floor((s - lo) * scale)."""
+
+    shape: np.ndarray  # cells along each axis
+    offsets: np.ndarray  # half stencil of cell offsets to visit
+    lo: np.ndarray  # reduced coordinates of the grid's corner
+    scale: np.ndarray  # cells per unit of reduced coordinate
+    periodic: np.ndarray  # axes along which the grid wraps
+
+
+def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None:
+    """Lay linked cells for pairs closer than ``rc`` over the frame, or
+    return None where the cell search cannot be used.
+
+    ``pos`` are reduced coordinates, unwrapped or not.  Non-periodic cells
+    get no grid, and neither do cells too thin to hold 2 * _CELL_REACH + 1
+    cells along a periodic axis: this keeps the single-image semantics of
+    the minimum-image fold when rmax exceeds ``min_image_cutoff``.
+    """
+    if cell.imcon == 0 or len(pos) < 2:
+        return None
+    periodic = cell.periodic
+    reach = rc * (1.0 + _PAD)
+    heights = perpendicular_heights(cell)
+    # Reduced extent to cover: the cell along periodic axes, the frame's own
+    # span along the slab normal, which is never wrapped.
+    lo = np.zeros(3)
+    extent = np.ones(3)
+    if not periodic.all():
+        lo[~periodic] = pos[:, ~periodic].min(axis=0)
+        extent[~periodic] = pos[:, ~periodic].max(axis=0) - lo[~periodic]
+    shape = np.floor(extent * heights * _CELL_REACH / reach)
+    shape = np.clip(shape, 1, _MAX_CELLS).astype(np.int64)
+    if (shape[periodic] < 2 * _CELL_REACH + 1).any():
+        return None
+    m = cell.matrix
+    orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
+    widths = tuple(extent * heights / shape) if orthogonal else None
+    offsets = _stencil(tuple(shape.tolist()), widths, reach)
+    scale = shape / np.where(extent > 0.0, extent, 1.0)
+    return _CellGrid(shape, offsets, lo, scale, periodic)
+
+
+def _cell_search_pays(n: int, grid: _CellGrid) -> bool:
+    """Whether the cell search is expected to beat testing all pairs.
+
+    Molecules spread evenly over the cells meet (2H + 1) / n_cells of all
+    pairs through a stencil of H offsets, and each molecule looks up H + 1
+    cells.  Below about 2 (H + 1) molecules those look-ups alone cost more
+    than testing every pair.
+    """
+    pairs = n * (n - 1) / 2
+    h = len(grid.offsets)
+    candidates = pairs * (2 * h + 1) / grid.shape.prod()
+    return candidates <= 0.5 * pairs and n * (h + 1) <= pairs
+
+
+def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
+    """Candidate i < j pairs of a linked-cell grid, in chunks of bounded size.
+
+    Every molecule meets the molecules after it in its own cell and all
+    molecules in the cells of the half stencil around it, so each pair of
+    neighbouring cells is visited once.
+    """
+    shape, offsets, periodic = grid.shape, grid.offsets, grid.periodic
+    cells = np.floor((pos - grid.lo) * grid.scale).astype(np.int64)
+    cells[:, periodic] %= shape[periodic]
+    np.minimum(cells, shape - 1, out=cells)  # a point on the slab's top face
+    # Cell keys are sums of one term per axis.  The terms of the cells
+    # _CELL_REACH beyond either end wrap along periodic axes; past the ends
+    # of the slab normal they are negative enough that no key matches.
+    stride = np.array([shape[1] * shape[2], shape[2], 1])
+    terms = []
+    for axis in range(3):
+        c = np.arange(-_CELL_REACH, shape[axis] + _CELL_REACH)
+        term = (c % shape[axis]) * stride[axis]
+        if not periodic[axis]:
+            term[(c < 0) | (c >= shape[axis])] = -shape.prod()
+        terms.append(term)
+    key = cells @ stride
+    order = np.argsort(key, kind="stable")
+    occupied, first, count = np.unique(key[order], return_index=True, return_counts=True)
+    home = np.repeat(np.arange(len(occupied)), count)  # occupied cell of each sorted molecule
+    cell_end = (first + count)[home]
+    where = cells[order[first]] + _CELL_REACH  # index into the key terms
+    n = len(pos)
+    rows = len(offsets) + 1
+    per_chunk = max(1, _CHUNK_PAIRS // rows)
+    for p0 in range(0, n, per_chunk):
+        p = np.arange(p0, min(p0 + per_chunk, n))
+        c0, c1 = home[p[0]], home[p[-1]] + 1
+        near_key = sum(
+            terms[axis][where[c0:c1, axis, None] + offsets[:, axis]] for axis in range(3)
+        )
+        slot = np.minimum(np.searchsorted(occupied, near_key), len(occupied) - 1)
+        hit = occupied[slot] == near_key
+        mine = home[p] - c0
+        starts = np.column_stack([p + 1, first[slot][mine]])
+        sizes = np.column_stack([cell_end[p] - p - 1, np.where(hit, count[slot], 0)[mine]])
+        yield from _expand_rows(np.repeat(p, rows), starts.ravel(), sizes.ravel(), order)
+
+
+def _expand_rows(owners, starts, sizes, order):
+    """Pairs (owner, start + k) for k < size of every row, as original
+    indices ordered i < j, in chunks of about _CHUNK_PAIRS pairs."""
+    ends = np.cumsum(sizes)
+    r0 = 0
+    while r0 < len(sizes):
+        base = ends[r0] - sizes[r0]
+        r1 = max(r0 + 1, int(np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
+        size = sizes[r0:r1]
+        total = int(ends[r1 - 1] - base)
+        if total:
+            i = order[np.repeat(owners[r0:r1], size)]
+            shift = starts[r0:r1] - (ends[r0:r1] - size - base)
+            j = order[np.repeat(shift, size) + np.arange(total)]
+            yield np.minimum(i, j), np.maximum(i, j)
+        r0 = r1
+
+
+def _candidate_pairs(pos: np.ndarray, cell: CellTensor, rc: float):
+    """Index chunks (i, j), i < j, holding every pair closer than ``rc``."""
+    grid = _cell_grid(pos, cell, rc)
+    if grid is None or not _cell_search_pays(len(pos), grid):
+        return _pair_strips(len(pos))
+    return _cell_pairs(pos, grid)
+
+
 def accumulate_frame(
     hist: PairHistogram,
     types: np.ndarray,
@@ -93,7 +268,9 @@ def accumulate_frame(
 
     ``types`` holds the 0-based type index of each molecule and ``coms`` the
     matching positions.  Distances use the minimum-image convention along the
-    periodic directions of the cell.
+    periodic directions of the cell.  Candidate pairs come from a linked-cell
+    search where that pays, from all pairs otherwise; every candidate's
+    distance is computed the same way, so the choice never moves a count.
     """
     coms = np.asarray(coms, dtype=float)
     types = np.asarray(types, dtype=np.int64)
@@ -115,17 +292,20 @@ def accumulate_frame(
 
     if cell.imcon > 0:
         pos = to_reduced(coms, cell)
-        mask = periodic_mask(cell.imcon)
+        # The periodic axes lead: all three, or the first two of a slab.
+        folded = int(periodic_mask(cell.imcon).sum())
     else:
         pos = coms
-        mask = None
 
-    n = len(pos)
     nbins = hist.counts.shape[2]
-    for i_arr, j_arr in _pair_strips(n):
-        d = pos[j_arr] - pos[i_arr]
-        if mask is not None:
-            d[:, mask] -= nint(d[:, mask])
+    n_types = hist.n_types
+    # A pair gets a bin exactly when r / dr < nbins - 1/2.
+    rc = (nbins - 0.5) * hist.dr
+    flat = np.zeros(hist.counts.size, dtype=np.int64)
+    for i_arr, j_arr in _candidate_pairs(pos, cell, rc):
+        d = np.take(pos, j_arr, axis=0) - np.take(pos, i_arr, axis=0)
+        if cell.imcon > 0:
+            d[:, :folded] -= nint(d[:, :folded])
             d = d @ cell.matrix
         r = np.linalg.norm(d, axis=1)
         # Acceptance is by bin, not by raw distance: a pair counts whenever
@@ -133,13 +313,12 @@ def accumulate_frame(
         # instead of being cut in half at the boundary.
         idx = nint(r / hist.dr).astype(np.int64)
         keep = idx < nbins
-        if not np.any(keep):
-            continue
-        idx = idx[keep]
         ti = types[i_arr[keep]]
         tj = types[j_arr[keep]]
-        np.add.at(hist.counts, (ti, tj, idx), 1)
-        np.add.at(hist.counts, (tj, ti, idx), 1)
+        flat += np.bincount((ti * n_types + tj) * nbins + idx[keep], minlength=flat.size)
+    counts = flat.reshape(hist.counts.shape)
+    hist.counts += counts
+    hist.counts += counts.transpose(1, 0, 2)
 
     hist.frames_used += 1
     hist.volume_sum += cell_volume(cell)

@@ -108,20 +108,6 @@ class Topology:
     def total_sites(self) -> int:
         return sum(m.count * m.n_sites for m in self.molecules)
 
-    def site_ranges(self) -> list[tuple[int, int, slice]]:
-        """(type index, molecule index within type, site slice) per molecule.
-
-        Type indices are 0-based here; they become 1-based labels only in the
-        output files.
-        """
-        out = []
-        offset = 0
-        for t, mol in enumerate(self.molecules):
-            for k in range(mol.count):
-                out.append((t, k, slice(offset, offset + mol.n_sites)))
-                offset += mol.n_sites
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class Frame:

@@ -8,6 +8,7 @@ from molrdf.geometry import (
     min_image_cutoff,
     min_image_displacement,
     nint,
+    perpendicular_heights,
     periodic_mask,
     to_real,
     to_reduced,
@@ -199,5 +200,47 @@ class TestMinImageCutoff:
             widths.append(vol / area)
         assert min_image_cutoff(cell) == pytest.approx(min(widths) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_triclinic_agrees_with_volume_over_face_area(self, seed):
+        """The heights from the inverse's columns match volume / face area,
+        the determinant and cross-product form used before."""
+        rng = np.random.default_rng(seed)
+        m = np.diag(rng.uniform(5.0, 40.0, 3)) + np.tril(rng.uniform(-8.0, 8.0, (3, 3)), -1)
+        cell = CellTensor(m, imcon=3)
+        a, b, c = m
+        vol = abs(np.linalg.det(m))
+        old = 0.5 * min(
+            vol / np.linalg.norm(np.cross(b, c)),
+            vol / np.linalg.norm(np.cross(c, a)),
+            vol / np.linalg.norm(np.cross(a, b)),
+        )
+        assert min_image_cutoff(cell) == pytest.approx(old, rel=1e-12, abs=0.0)
+
+    def test_slab_keeps_in_plane_width(self):
+        """imcon 6 ignores the non-periodic c vector, however short it is."""
+        cell = CellTensor(np.array([[10.0, 0.0, 0.0], [4.0, 12.0, 0.0], [0.0, 0.0, 1.0]]), imcon=6)
+        assert min_image_cutoff(cell) == pytest.approx(5.0 * 12.0 / np.hypot(4.0, 12.0))
+
     def test_unbounded_without_periodicity(self):
         assert min_image_cutoff(CellTensor(np.zeros((3, 3)), 0)) == np.inf
+
+
+class TestPerpendicularHeights:
+    def test_orthorhombic_edges(self):
+        cell = CellTensor.orthorhombic(10.0, 24.0, 18.0)
+        np.testing.assert_allclose(perpendicular_heights(cell), [10.0, 24.0, 18.0], rtol=1e-15)
+
+    def test_bounds_reduced_displacement(self):
+        """No displacement of length r moves reduced coordinate k by more
+        than r / h_k, and the bound is reached along the face normal."""
+        cell = CellTensor(TRICLINIC, imcon=3)
+        h = perpendicular_heights(cell)
+        d = np.random.default_rng(3).normal(size=(1000, 3))
+        ds = np.abs(to_reduced(d, cell))
+        assert (ds <= np.linalg.norm(d, axis=1)[:, None] / h * (1 + 1e-12)).all()
+        normals = cell.inverse.T / np.linalg.norm(cell.inverse, axis=0)[:, None]
+        np.testing.assert_allclose(np.abs(np.diag(to_reduced(normals, cell))), 1.0 / h)
+
+    def test_needs_periodic_cell(self):
+        with pytest.raises(InputError):
+            perpendicular_heights(CellTensor(np.eye(3), 0))

@@ -6,8 +6,10 @@ files with the ones stored under ``tests/golden/<case>/``.  Molecules are
 placed anywhere in the cell and every site is wrapped on its own, so most
 frames hold molecules torn across the boundary.
 
-The stored files were written by the per-molecule unfolding of molrdf 0.1.0.
-Rewrite them only for an intended change of output::
+The stored files were written by the per-molecule unfolding of molrdf 0.1.0;
+those of the ``cells_*`` cases, which are large enough for the linked-cell
+pair search, by the all-pairs pair kernel.  Rewrite them only for an intended
+change of output::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from molrdf import rdf_engine
 from molrdf.cli import run_analysis
 from molrdf.synthetic import SyntheticConfig, generate_dataset
 from molrdf.trajectory_io import HistoryReader
@@ -58,6 +61,11 @@ MOLECULES = {
         ("Water", [15.9994, 1.008, 1.008], 24, True),
         ("Ghost", [0.0, 0.0], 16, True),
     ],
+    # ~1000 molecules: enough for the linked-cell pair search to be chosen
+    "liquid": [
+        ("Tri", [15.9994, 1.008, 1.008], 700, True),
+        ("Chain", [12.0, 14.0, 14.0, 14.0, 14.0, 15.0], 300, False),
+    ],
 }
 
 # case: (molecules, imcon, cell matrix, rmax, dr, smooth, frames)
@@ -67,6 +75,8 @@ CASES = {
     "slab": ("rigid", 6, np.diag([18.0, 20.0, 40.0]), 8.5, 0.1, False, 4),
     "groups": ("groups", 1, 20.0 * np.eye(3), 9.0, 0.15, False, 4),
     "smooth": ("groups", 3, np.array(TRICLINIC), 8.0, 0.1, True, 4),
+    "cells_cubic": ("liquid", 1, 28.0 * np.eye(3), 8.0, 0.1, False, 3),
+    "cells_triclinic": ("liquid", 3, 1.6 * np.array(TRICLINIC), 7.5, 0.1, False, 3),
 }
 
 
@@ -140,6 +150,17 @@ def test_output_matches_golden(case, tmp_path):
     rdf, pop = _analyse(case, tmp_path)
     assert rdf == (GOLDEN / case / "RDF").read_bytes()
     assert pop == (GOLDEN / case / "POP").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["cells_cubic", "cells_triclinic"])
+def test_cells_cases_use_the_cell_search(case, tmp_path, monkeypatch):
+    searched = []
+    cell_pairs = rdf_engine._cell_pairs
+    monkeypatch.setattr(
+        rdf_engine, "_cell_pairs", lambda *args: searched.append(1) or cell_pairs(*args)
+    )
+    _analyse(case, tmp_path)
+    assert len(searched) == CASES[case][-1]
 
 
 def test_inputs_tear_molecules(tmp_path):

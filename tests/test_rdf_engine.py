@@ -1,11 +1,15 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from molrdf import rdf_engine
 from molrdf.errors import InputError, NoFramesError
-from molrdf.geometry import CellTensor
+from molrdf.geometry import CellTensor, min_image_cutoff, perpendicular_heights, to_reduced
 from molrdf.rdf_engine import (
     PairHistogram,
     accumulate_frame,
@@ -17,6 +21,7 @@ from molrdf.rdf_engine import (
     smooth_curve,
 )
 from molrdf.trajectory_io import MoleculeSpec, SiteSpec, Topology
+from test_unfolding import _cell_for as make_cell
 
 
 def point_topology(counts, masses=None):
@@ -346,3 +351,174 @@ class TestSmoothCurve:
         out = smooth_curve(y)
         for k in range(3):
             np.testing.assert_allclose(out[k], smooth_curve(y[k]), atol=0)
+
+
+def _all_pairs(pos, cell, rc):
+    return rdf_engine._pair_strips(len(pos))
+
+
+def _cell_search(pos, cell, rc):
+    return rdf_engine._cell_pairs(pos, rdf_engine._cell_grid(pos, cell, rc))
+
+
+def counts_with(search, types, coms, cell, rmax, dr, n_types=2):
+    """Histogram of one frame with the pair search replaced by ``search``."""
+    hist = PairHistogram.create(n_types, rmax, dr)
+    with mock.patch.object(rdf_engine, "_candidate_pairs", search):
+        accumulate_frame(hist, types, coms, cell)
+    return hist.counts
+
+
+def search_radius(rmax, dr):
+    return (n_bins(rmax, dr) - 0.5) * dr
+
+
+class TestCellSearchProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        imcon=st.sampled_from([1, 2, 3, 6]),
+        n=st.integers(50, 600),
+        lengths=st.tuples(*[st.floats(20.0, 45.0)] * 3),
+        tilts=st.tuples(*[st.floats(-0.45, 0.45)] * 3),
+        across=st.integers(5, 16),
+        frac=st.floats(0.05, 0.95),
+        bins=st.integers(20, 200),
+        near_cutoff=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cell_search_equals_all_pairs(
+        self, imcon, n, lengths, tilts, across, frac, bins, near_cutoff, seed
+    ):
+        """The linked-cell histogram is the all-pairs histogram, for unwrapped
+        positions, points on cell faces and at reduced +-0.5.  A grid is laid
+        exactly when seven cells fit across every periodic direction, so
+        never with rmax just below min_image_cutoff."""
+        cell = make_cell(imcon, lengths, tilts)
+        periodic = cell.periodic
+        rng = np.random.default_rng(seed)
+        heights = perpendicular_heights(cell)
+        if near_cutoff:
+            rmax = min_image_cutoff(cell) * (1.0 - 1e-6)
+        else:
+            # rc = rmax + dr/2 fits ``across`` cells of rc/3 across the
+            # narrowest periodic direction.
+            rmax = 3.0 * heights[periodic].min() / (across + frac) / (1.0 + 0.5 / bins)
+        dr = rmax / bins
+        rc = search_radius(rmax, dr)
+
+        s = rng.uniform(-0.5, 0.5, (n, 3))
+        if imcon == 6:
+            s[:, 2] = rng.uniform(-0.5, 0.5, n) * rng.uniform(0.0, 2.0)
+        shape = np.floor(heights * 3 / (rc * (1 + 1e-9))).astype(int)
+        fits = (shape[periodic] >= 7).all()
+        face = rng.random(n) < 0.2  # on a face of the grid's cells
+        for axis in np.flatnonzero(periodic):
+            s[face, axis] = rng.integers(0, max(shape[axis], 1), face.sum()) / max(shape[axis], 1)
+        half = rng.random((n, 3)) < 0.05  # at reduced +-0.5
+        s[half] = rng.choice([-0.5, 0.5], half.sum())
+        # Unwrapped by up to three cells along the periodic axes.
+        s[:, periodic] += rng.integers(-3, 4, (n, periodic.sum())) * (rng.random((n, 1)) < 0.3)
+        coms = s @ cell.matrix
+        types = rng.integers(0, 2, n)
+
+        oracle = counts_with(_all_pairs, types, coms, cell, rmax, dr)
+        grid = rdf_engine._cell_grid(to_reduced(coms, cell), cell, rc)
+        assert (grid is not None) == fits
+        assert not (near_cutoff and fits)
+        if fits:
+            np.testing.assert_array_equal(
+                counts_with(_cell_search, types, coms, cell, rmax, dr), oracle
+            )
+        hist = PairHistogram.create(2, rmax, dr)
+        accumulate_frame(hist, types, coms, cell)
+        np.testing.assert_array_equal(hist.counts, oracle)
+
+    def test_exact_faces_and_half_cell_points(self):
+        """Cubic cell of 32 with 8 cells a side: every coordinate is a
+        multiple of 4, so all points sit exactly on cell faces, edges or
+        corners, at reduced -0.5 and +0.5 too, and some lie whole cells
+        outside the box."""
+        rng = np.random.default_rng(5)
+        cell = CellTensor.cubic(32.0)
+        rmax, dr = 11.0, 0.1
+        coms = 4.0 * rng.integers(-4, 5, (600, 3)) + 32.0 * rng.integers(-3, 4, (600, 3))
+        types = rng.integers(0, 2, 600)
+        grid = rdf_engine._cell_grid(to_reduced(coms, cell), cell, search_radius(rmax, dr))
+        assert list(grid.shape) == [8, 8, 8]
+        np.testing.assert_array_equal(
+            counts_with(_cell_search, types, coms, cell, rmax, dr),
+            counts_with(_all_pairs, types, coms, cell, rmax, dr),
+        )
+
+
+class TestCandidatePairs:
+    def liquid_frame(self, n, edge, seed=0):
+        rng = np.random.default_rng(seed)
+        cell = CellTensor.cubic(edge)
+        return to_reduced(rng.uniform(0.0, edge, (n, 3)), cell), cell
+
+    def test_liquid_sized_frame_takes_cell_search(self):
+        pos, cell = self.liquid_frame(1800, 40.0)
+        pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        assert pairs.__name__ == "_cell_pairs"
+        assert sum(len(i) for i, _ in pairs) < 0.5 * 1800 * 1799 / 2
+
+    def test_two_molecules_test_all_pairs(self):
+        pos, cell = self.liquid_frame(2, 30.0)
+        pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        assert pairs.__name__ == "_pair_strips"
+
+    def test_two_hundred_chains_test_all_pairs(self):
+        """Triclinic cell of about 38 with rmax 12: the full stencil of 343
+        cells meets more than half of the 9 x 8 x 8 grid."""
+        rng = np.random.default_rng(1)
+        cell = CellTensor(38.0 * np.array([[1.0, 0, 0], [0.22, 0.96, 0], [-0.12, 0.17, 0.93]]), 3)
+        pos = rng.uniform(0.0, 1.0, (200, 3))
+        grid = rdf_engine._cell_grid(pos, cell, search_radius(12.0, 0.2))
+        assert list(grid.shape) == [9, 8, 8] and len(grid.offsets) == 171
+        pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.0, 0.2))
+        assert pairs.__name__ == "_pair_strips"
+
+    def test_few_molecules_in_a_wide_cell_test_all_pairs(self):
+        """Few enough molecules that looking up their stencil costs more
+        than testing every pair."""
+        pos, cell = self.liquid_frame(200, 100.0)
+        assert rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1)) is not None
+        pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        assert pairs.__name__ == "_pair_strips"
+
+    def test_no_grid_without_periodicity(self):
+        pos = np.random.default_rng(2).uniform(0.0, 100.0, (2000, 3))
+        assert rdf_engine._cell_grid(pos, CellTensor(np.zeros((3, 3)), 0), 5.0) is None
+
+    @pytest.mark.parametrize("imcon, thickness", [(3, 4.0), (6, 1.0), (6, 0.4), (6, 0.05)])
+    def test_candidates_unique_ordered_and_complete(self, imcon, thickness):
+        """Also for slabs thin enough that the normal holds fewer than seven
+        cells, which must not wrap."""
+        rng = np.random.default_rng(3)
+        cell = make_cell(imcon, (30.0, 32.0, 34.0), (0.3, -0.2, 0.25))
+        pos = rng.uniform(-2.0, 2.0, (700, 3))
+        pos[:, 2] *= thickness / 4.0
+        rc = search_radius(8.0, 0.1)
+        chunks = list(_cell_search(pos, cell, rc))
+        i = np.concatenate([c[0] for c in chunks])
+        j = np.concatenate([c[1] for c in chunks])
+        assert (i < j).all()
+        assert len(np.unique(i * 700 + j)) == len(i)
+        d = pos[None, :, :] - pos[:, None, :]
+        d[..., cell.periodic] -= np.round(d[..., cell.periodic])
+        r = np.linalg.norm(d @ cell.matrix, axis=2)
+        near = np.argwhere(np.triu(r < rc, k=1))
+        assert set(map(tuple, near)) <= set(zip(i.tolist(), j.tolist()))
+
+    def test_chunks_stay_bounded(self, monkeypatch):
+        pos, cell = self.liquid_frame(1800, 40.0, seed=4)
+        coms = pos @ cell.matrix
+        types = np.random.default_rng(4).integers(0, 2, 1800)
+        whole = counts_with(_cell_search, types, coms, cell, 12.5, 0.1)
+        monkeypatch.setattr(rdf_engine, "_CHUNK_PAIRS", 5000)
+        sizes = [len(i) for i, _ in _cell_search(pos, cell, search_radius(12.5, 0.1))]
+        assert len(sizes) > 100 and max(sizes) <= 5000
+        np.testing.assert_array_equal(
+            counts_with(_cell_search, types, coms, cell, 12.5, 0.1), whole
+        )

@@ -176,14 +176,6 @@ class TestParseField:
         topo = parse_field(text)
         assert topo.molecules[0].count == 2
 
-    def test_site_ranges_order(self):
-        topo = parse_field(WATER_ALCOHOL_FIELD)
-        ranges = topo.site_ranges()
-        assert len(ranges) == 250
-        assert ranges[0] == (0, 0, slice(0, 6))
-        assert ranges[50] == (1, 0, slice(300, 303))
-        assert ranges[-1] == (1, 199, slice(897, 900))
-
     def test_missing_molecules_directive(self):
         with pytest.raises(InputError, match="MOLECULES"):
             parse_field("title\nUNITS kJ\n")
