@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -291,6 +292,67 @@ def parse_field(field_text: str) -> Topology:
     return Topology(tuple(molecules))
 
 
+# Sites parsed per block.  The bound keeps the lines held at once small:
+# holding a whole 6600-site keytrj-2 frame as lines raised peak memory by
+# about 3 MB, while 64-256 sites read as fast.
+_BLOCK_SITES = 128
+
+
+def _next_content(lines: Iterator[str]) -> str | None:
+    """Next non-blank line of ``lines``, or None when they run out."""
+    for line in lines:
+        if line.strip():
+            return line
+    return None
+
+
+def _block_coordinates(block: list[str], count: int, per_site: int) -> np.ndarray | None:
+    """Coordinates of ``count`` site records held in ``block``, or None.
+
+    Succeeds only on the plain layout: exactly ``count * per_site`` lines,
+    none blank, each coordinate line exactly three numbers.  Anything else
+    is left to :func:`_read_sites`, which knows every rule.
+    """
+    if len(block) != count * per_site or any(map(str.isspace, block)):
+        return None
+    # Every fourth token must be one of the count - 1 separators put between
+    # the lines.  ";" is no number, so the conversion fails unless all of
+    # them sit in those slots, i.e. unless every line has three tokens.
+    tokens = " ; ".join(block[1::per_site]).split()
+    if len(tokens) != 4 * count - 1:
+        return None
+    del tokens[3::4]
+    try:
+        return np.array(tokens, dtype=float).reshape(count, 3)
+    except ValueError:
+        return None
+
+
+def _read_sites(lines: Iterator[str], positions: np.ndarray, n_extra: int) -> bool:
+    """Fill ``positions`` from site records line by line; False on truncation.
+
+    Blank lines are skipped, extra tokens after the first three coordinates
+    are ignored, and a missing or unparsable record ends the frame.
+    """
+    for i in range(len(positions)):
+        if _next_content(lines) is None:  # name/index/mass/charge record
+            return False
+        line = _next_content(lines)
+        if line is None:
+            return False
+        parts = line.split()
+        if len(parts) < 3:
+            return False
+        try:
+            positions[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
+        except ValueError:
+            return False
+        for _ in range(n_extra):  # velocity and force lines
+            if _next_content(lines) is None:
+                return False
+    return True
+
+
 class HistoryReader:
     """Streaming reader for HISTORY trajectories.
 
@@ -298,6 +360,12 @@ class HistoryReader:
     :class:`Frame` objects lazily.  ``truncated`` becomes True when the file
     ends (or degenerates) mid-frame; the partial frame is dropped and all
     frames yielded before it remain valid.
+
+    Site records are read in blocks of at most ``_BLOCK_SITES`` sites and
+    converted with one numpy call per block.  A block that does not have the
+    plain layout (a short read, a blank line, extra tokens, a bad number) is
+    replayed line by line together with the rest of the frame, so blank
+    lines and truncation are handled exactly as a line-by-line reader would.
     """
 
     def __init__(self, source: str | Path | IO[str], expected_natoms: int | None = None):
@@ -310,7 +378,6 @@ class HistoryReader:
         self._expected_natoms = expected_natoms
         self.frames_read = 0
         self.truncated = False
-        self._header_checked = False
 
     def close(self):
         if self._owns_fh:
@@ -322,24 +389,16 @@ class HistoryReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _next_line(self) -> str | None:
-        """Next non-blank line, or None at end of file."""
-        for line in self._fh:
-            if line.strip():
-                return line
-        return None
-
     def _consume_header(self) -> str | None:
         """Swallow the header if present; return the first timestep line."""
-        self._header_checked = True
-        first = self._next_line()
+        first = _next_content(self._fh)
         if first is None:
             self.truncated = True  # empty trajectory counts as abnormal
             return None
         if _first_token(first) == "timestep":
             return first
         # Header: title line just read, then the levcfg/imcon/natoms line.
-        info = self._next_line()
+        info = _next_content(self._fh)
         try:
             for tok in info.split()[:3]:
                 int(tok)
@@ -347,7 +406,7 @@ class HistoryReader:
             raise InputError(
                 "HISTORY: first record is neither a header nor a timestep record"
             ) from None
-        return self._next_line()
+        return _next_content(self._fh)
 
     def __iter__(self) -> Iterator[Frame]:
         line = self._consume_header()
@@ -358,7 +417,7 @@ class HistoryReader:
                 return
             self.frames_read += 1
             yield frame
-            line = self._next_line()
+            line = _next_content(self._fh)
 
     def _read_frame(self, timestep_line: str) -> Frame | None:
         """Parse one frame; None signals truncation (partial frame dropped)."""
@@ -382,7 +441,7 @@ class HistoryReader:
         if imcon > 0:
             rows = []
             for _ in range(3):
-                line = self._next_line()
+                line = _next_content(self._fh)
                 if line is None:
                     return None
                 try:
@@ -395,23 +454,20 @@ class HistoryReader:
         else:
             cell = CellTensor(np.zeros((3, 3)), 0)
 
+        n_extra = min(max(keytrj, 0), 2)  # velocity and force lines
+        per_site = 2 + n_extra
         positions = np.empty((natoms, 3))
-        for i in range(natoms):
-            if self._next_line() is None:  # name/index/mass/charge record
-                return None
-            line = self._next_line()
-            if line is None:
-                return None
-            parts = line.split()
-            if len(parts) < 3:
-                return None
-            try:
-                positions[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-            except ValueError:
-                return None
-            for _ in range(min(keytrj, 2)):  # velocity and force lines
-                if self._next_line() is None:
+        for start in range(0, natoms, _BLOCK_SITES):
+            count = min(_BLOCK_SITES, natoms - start)
+            block = list(islice(self._fh, count * per_site))
+            coords = _block_coordinates(block, count, per_site)
+            if coords is None:
+                # Replay this block, then the rest of the frame, line by line.
+                lines = chain(block, self._fh)
+                if not _read_sites(lines, positions[start:], n_extra):
                     return None
+                break
+            positions[start : start + count] = coords
 
         return Frame(step, natoms, cell, positions)
 

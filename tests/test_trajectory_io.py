@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from molrdf import trajectory_io
 from molrdf.errors import InputError
 from molrdf.rdf_engine import RdfTable
 from molrdf.trajectory_io import (
@@ -204,22 +205,29 @@ def history_text(
     keytrj=0,
     imcon=1,
     length=10.0,
+    cell=None,
+    coord_suffix="",
 ):
-    """Minimal HISTORY text for a system of single-site molecules."""
+    """Minimal HISTORY text for a system of single-site molecules.
+
+    ``cell`` (rows a, b, c) replaces the cubic cell of edge ``length``;
+    ``coord_suffix`` is appended to every coordinate line.
+    """
     natoms = len(names)
+    if cell is None:
+        cell = length * np.eye(3)
     lines = []
     if header:
         lines += ["test trajectory", f"{keytrj:10d}{imcon:10d}{natoms:10d}"]
     for step, positions in enumerate(frames, start=1):
         lines.append(f"timestep{step:10d}{natoms:10d}{keytrj:10d}{imcon:10d}{0.001:12.6f}")
         if imcon > 0:
-            for i in range(3):
-                row = [length if j == i else 0.0 for j in range(3)]
+            for row in cell:
                 lines.append("".join(f"{v:20.10f}" for v in row))
         for i, (name, mass) in enumerate(zip(names, masses)):
             lines.append(f"{name:<8s}{i + 1:10d}{mass:12.6f}{0.0:12.6f}")
             x, y, z = positions[i]
-            lines.append(f"{x:20.10f}{y:20.10f}{z:20.10f}")
+            lines.append(f"{x:20.10f}{y:20.10f}{z:20.10f}{coord_suffix}")
             if keytrj >= 1:
                 lines.append(f"{0.1:20.10f}{0.2:20.10f}{0.3:20.10f}")
             if keytrj >= 2:
@@ -308,6 +316,179 @@ class TestHistoryReader:
         path.write_text(history_text(FRAMES))
         with HistoryReader(path) as reader:
             assert len(list(reader)) == 3
+
+
+def site_frames(n_frames, n_sites, seed=0):
+    """Positions that the writer's 10 decimals print exactly."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-4000, 4000, (n_frames, n_sites, 3)) / 64
+
+
+def sites_history(frames, **kwargs):
+    n_sites = frames.shape[1]
+    return history_text(frames, names=("A",) * n_sites, masses=(1.0,) * n_sites, **kwargs)
+
+
+def read_all(text):
+    reader = HistoryReader(io.StringIO(text))
+    return reader, list(reader)
+
+
+def assert_frames(got, expected):
+    assert len(got) == len(expected)
+    for frame, positions in zip(got, expected):
+        np.testing.assert_array_equal(frame.positions, positions)
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Sites handed to the line-by-line fallback, one entry per replay."""
+    calls = []
+    read_sites = trajectory_io._read_sites
+
+    def spy(lines, positions, n_extra):
+        calls.append(len(positions))
+        return read_sites(lines, positions, n_extra)
+
+    monkeypatch.setattr(trajectory_io, "_read_sites", spy)
+    return calls
+
+
+class TestBlockReader:
+    """Site records are parsed in blocks of ``_BLOCK_SITES``; these tests
+    shrink the blocks so that every frame spans several of them."""
+
+    N_SITES = 7
+
+    @pytest.fixture(params=[2, 3])
+    def block_sites(self, request, monkeypatch):
+        monkeypatch.setattr(trajectory_io, "_BLOCK_SITES", request.param)
+        return request.param
+
+    def test_cut_at_every_line_of_last_frame(self, block_sites):
+        frames = site_frames(3, self.N_SITES)
+        lines = sites_history(frames, keytrj=2).splitlines(keepends=True)
+        last = len(lines) - (1 + 3 + self.N_SITES * 4)  # last timestep line
+        for k in range(last, len(lines) + 1):
+            reader, got = read_all("".join(lines[:k]))
+            complete = 3 if k == len(lines) else 2
+            assert reader.frames_read == complete, k
+            # A cut just before a timestep record is a clean end of file.
+            assert reader.truncated == (last < k < len(lines)), k
+            assert_frames(got, frames[:complete])
+
+    def test_cut_in_the_middle_of_every_line_of_last_frame(self, block_sites):
+        frames = site_frames(3, self.N_SITES)
+        lines = sites_history(frames, keytrj=2).splitlines(keepends=True)
+        last = len(lines) - (1 + 3 + self.N_SITES * 4)
+        for k in range(last, len(lines)):
+            half = lines[k][: len(lines[k]) // 2]
+            reader, got = read_all("".join(lines[:k]) + half)
+            # Only the presence of a force record is checked, so half of the
+            # frame's final line still completes it.
+            complete = 3 if k == len(lines) - 1 else 2
+            assert reader.frames_read == complete, k
+            assert reader.truncated == (complete == 2), k
+            assert_frames(got, frames[:complete])
+
+    @pytest.mark.parametrize("keytrj", [0, 2])
+    def test_blank_lines_anywhere(self, block_sites, keytrj):
+        frames = site_frames(2, self.N_SITES)
+        lines = sites_history(frames, keytrj=keytrj).splitlines()
+        per_site = 2 + keytrj
+        first_site = 2 + 1 + 3  # header, timestep, cell rows
+        per_block = per_site * block_sites
+        second_frame = first_site + per_site * self.N_SITES
+        # From the back, so that earlier indices stay valid.
+        lines.insert(second_frame, "")  # between frames
+        lines.insert(first_site + per_block + 1, "\t")  # inside the second block
+        lines.insert(first_site + per_block - 1, "   ")  # the first block's last line
+        reader, got = read_all("\n".join(lines) + "\n")
+        assert reader.frames_read == 2
+        assert not reader.truncated
+        assert_frames(got, frames)
+
+    def test_extra_tokens_are_ignored(self, block_sites):
+        frames = site_frames(2, self.N_SITES)
+        reader, got = read_all(sites_history(frames, coord_suffix="  7.5 junk"))
+        assert reader.frames_read == 2
+        assert not reader.truncated
+        assert_frames(got, frames)
+
+    def test_short_line_not_made_up_by_a_long_neighbour(self, block_sites):
+        frames = site_frames(2, self.N_SITES)
+        lines = sites_history(frames).splitlines()
+        coord = 2 + 1 + 3 + 1  # first coordinate line
+        x, y, z = lines[coord].split()
+        lines[coord] = f"{x} {y}"
+        lines[coord + 2] = f"{z} {lines[coord + 2]}"
+        reader, got = read_all("\n".join(lines) + "\n")
+        assert got == []
+        assert reader.truncated
+
+    @pytest.mark.parametrize("frame", [0, 1])
+    def test_garbage_in_second_block_truncates(self, block_sites, frame):
+        frames = site_frames(2, self.N_SITES)
+        lines = sites_history(frames).splitlines()
+        site = block_sites  # first site of the second block
+        coord = 2 + frame * (4 + 2 * self.N_SITES) + 4 + 2 * site + 1
+        lines[coord] = "1.0 abc 3.0"
+        reader, got = read_all("\n".join(lines) + "\n")
+        assert reader.frames_read == frame
+        assert reader.truncated
+        assert_frames(got, frames[:frame])
+
+    @pytest.mark.parametrize("keytrj", [-1, 0, 1, 2, 3])
+    def test_keytrj(self, block_sites, replays, keytrj):
+        # -1 and 0 write no velocity or force lines, 3 writes both.
+        frames = site_frames(3, self.N_SITES)
+        reader, got = read_all(sites_history(frames, keytrj=keytrj))
+        assert replays == []
+        assert reader.frames_read == 3
+        assert not reader.truncated
+        assert_frames(got, frames)
+
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("imcon", [0, 1])
+    def test_header_and_imcon(self, block_sites, replays, header, imcon):
+        frames = site_frames(3, self.N_SITES)
+        reader, got = read_all(sites_history(frames, header=header, imcon=imcon))
+        assert replays == []
+        assert reader.frames_read == 3
+        assert not reader.truncated
+        assert_frames(got, frames)
+        assert all(f.cell.imcon == imcon for f in got)
+
+    def test_file_source(self, block_sites, tmp_path):
+        frames = site_frames(3, self.N_SITES)
+        path = tmp_path / "HISTORY"
+        path.write_text(sites_history(frames, keytrj=1))
+        with HistoryReader(path) as reader:
+            assert_frames(list(reader), frames)
+        assert not reader.truncated
+
+
+def test_block_and_line_readers_agree_bit_for_bit(replays):
+    """A chains-like frame (triclinic cell, keytrj 2, several default-size
+    blocks) read in blocks and, with one extra token on every coordinate
+    line, line by line."""
+    rng = np.random.default_rng(7)
+    n_sites = 2 * trajectory_io._BLOCK_SITES + 100
+    frames = rng.uniform(-20.0, 20.0, (2, n_sites, 3))
+    cell = np.array([[37.9, 0.0, 0.0], [8.34, 36.4, 0.0], [-4.55, 6.45, 35.27]])
+    plain = sites_history(frames, keytrj=2, imcon=3, cell=cell)
+    padded = sites_history(frames, keytrj=2, imcon=3, cell=cell, coord_suffix=" 0.0")
+
+    _, by_block = read_all(plain)
+    assert replays == []
+    _, by_line = read_all(padded)
+    assert replays == [n_sites, n_sites]
+
+    written = [[[float(f"{v:20.10f}") for v in site] for site in frame] for frame in frames]
+    assert_frames(by_block, np.array(written))
+    for a, b in zip(by_block, by_line):
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.cell.matrix.tobytes() == b.cell.matrix.tobytes()
 
 
 class TestWriters:
