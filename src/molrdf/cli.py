@@ -8,8 +8,8 @@ dataset instead.  Exit codes: 0 success, 1 bad input, 2 no usable frames.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
-import multiprocessing
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,16 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError, InputError, NoFramesError
-from .rdf_engine import (
-    PairHistogram,
-    accumulate_frame,
-    bin_index,
-    finalize,
-    merge,
-)
+from .geometry import nint
+from .rdf_engine import PairHistogram, accumulate_frame, finalize
 from .synthetic import SyntheticConfig, generate_dataset
 from .trajectory_io import (
-    Directives,
     Frame,
     HistoryReader,
     Topology,
@@ -38,9 +32,6 @@ from .trajectory_io import (
 from .unfolding import centers_of_mass
 
 logger = logging.getLogger(__name__)
-
-# Frames per task when frame-parallel accumulation is enabled.
-_BATCH_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -81,24 +72,6 @@ def _frame_coms(frame: Frame, topology: Topology, masses_by_type):
     return np.concatenate(types), np.concatenate(coms)
 
 
-def _accumulate_batch(args) -> PairHistogram:
-    frames, topology, rmax, dr = args
-    masses_by_type = [m.masses for m in topology.molecules]
-    hist = PairHistogram.create(topology.n_types, rmax, dr)
-    for frame in frames:
-        types, coms = _frame_coms(frame, topology, masses_by_type)
-        accumulate_frame(hist, types, coms, frame.cell)
-    return hist
-
-
-def _selected_frames(reader: HistoryReader, directives: Directives):
-    for k, frame in enumerate(reader, start=1):
-        if k > directives.stop:
-            break
-        if k >= directives.start:
-            yield frame
-
-
 def run_analysis(
     directory: str | Path = ".",
     control: str = "CONTROL",
@@ -106,7 +79,6 @@ def run_analysis(
     history: str = "HISTORY",
     rdf_out: str = "RDF",
     pop_out: str = "POP",
-    workers: int = 0,
 ) -> AnalysisSummary:
     """Analyse one trajectory directory and write the RDF and POP files."""
     directory = Path(directory)
@@ -120,13 +92,13 @@ def run_analysis(
     directives = parse_directives(control_path.read_text())
     topology = parse_field(field_path.read_text())
 
+    masses_by_type = [m.masses for m in topology.molecules]
+    hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
     with HistoryReader(history_path, expected_natoms=topology.total_sites) as reader:
-        if workers >= 2:
-            hist = _run_parallel(reader, directives, topology, workers)
-        else:
-            hist = _accumulate_batch(
-                (_selected_frames(reader, directives), topology, directives.rmax, directives.dr)
-            )
+        # Frames are numbered from 1; reading stops after frame ``stop``.
+        for frame in itertools.islice(reader, directives.start - 1, directives.stop):
+            types, coms = _frame_coms(frame, topology, masses_by_type)
+            accumulate_frame(hist, types, coms, frame.cell)
         frames_read = reader.frames_read
         truncated = reader.truncated
 
@@ -159,31 +131,6 @@ def run_analysis(
     )
 
 
-def _run_parallel(
-    reader: HistoryReader,
-    directives: Directives,
-    topology: Topology,
-    workers: int,
-) -> PairHistogram:
-    """Fan batches of frames out to worker processes and merge the results."""
-
-    def batches():
-        batch = []
-        for frame in _selected_frames(reader, directives):
-            batch.append(frame)
-            if len(batch) == _BATCH_FRAMES:
-                yield batch, topology, directives.rmax, directives.dr
-                batch = []
-        if batch:
-            yield batch, topology, directives.rmax, directives.dr
-
-    hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
-    with multiprocessing.Pool(workers) as pool:
-        for part in pool.imap(_accumulate_batch, batches()):
-            hist = merge(hist, part)
-    return hist
-
-
 def _analyze_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="molrdf",
@@ -198,12 +145,6 @@ def _analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument("--history", default="HISTORY", help="trajectory filename")
     parser.add_argument("--rdf-out", default="RDF", help="g(r) output filename")
     parser.add_argument("--pop-out", default="POP", help="population output filename")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for frame-parallel accumulation (default: off)",
-    )
     return parser
 
 
@@ -236,7 +177,7 @@ def _cmd_generate(argv: list[str]) -> int:
     print(f"wrote {dataset.control_path}, {dataset.field_path}, {dataset.history_path}")
     print(
         f"expected g(r) spike: r = {cfg.distance} "
-        f"(bin {bin_index(cfg.distance, 0.1)} at dr = 0.1)"
+        f"(bin {int(1 + nint(cfg.distance / 0.1))} at dr = 0.1)"
     )
     return 0
 
@@ -250,7 +191,6 @@ def _cmd_analyze(argv: list[str]) -> int:
         history=args.history,
         rdf_out=args.rdf_out,
         pop_out=args.pop_out,
-        workers=args.workers,
     )
     print(summary)
     return 0

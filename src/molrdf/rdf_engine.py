@@ -59,12 +59,6 @@ def n_bins(rmax: float, dr: float) -> int:
     return int(1 + nint(rmax / dr))
 
 
-def bin_index(r, dr: float):
-    """1-based bin number(s) for distance(s) r."""
-    idx = 1 + nint(np.asarray(r) / dr)
-    return idx.astype(np.int64) if idx.ndim else int(idx)
-
-
 @dataclass(eq=False)
 class PairHistogram:
     """Accumulated pair counts plus the bookkeeping needed to normalise them."""

@@ -437,6 +437,8 @@ class HistoryReader:
                 f"HISTORY: frame at step {step} has {natoms} sites, "
                 f"FIELD topology expects {self._expected_natoms}"
             )
+        if natoms < 0:
+            return None
 
         if imcon > 0:
             rows = []

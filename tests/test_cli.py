@@ -6,6 +6,7 @@ import pytest
 from molrdf.cli import main, run_analysis
 from molrdf.errors import InputError, NoFramesError
 from molrdf.synthetic import SyntheticConfig, generate_dataset
+from molrdf.trajectory_io import HistoryReader
 
 
 @pytest.fixture()
@@ -46,6 +47,26 @@ class TestRunAnalysis:
         )
         summary = run_analysis(dataset_dir)
         assert summary.frames_used == 20
+        assert summary.frames_read == 30
+
+    def test_cut_after_stop_is_not_read(self, dataset_dir, caplog):
+        control = dataset_dir / "CONTROL"
+        control.write_text(
+            control.read_text().replace("polyana\n", "polyana\n  stop 30\n", 1)
+        )
+        history = dataset_dir / "HISTORY"
+        lines = history.read_text().splitlines()
+        frame_31 = [i for i, line in enumerate(lines) if line.startswith("timestep")][30]
+        history.write_text("\n".join(lines[: frame_31 + 3]) + "\n")  # cut in the cell
+        with HistoryReader(history) as reader:
+            assert sum(1 for _ in reader) == 30
+            assert reader.truncated
+        with caplog.at_level(logging.WARNING, logger="molrdf.cli"):
+            summary = run_analysis(dataset_dir)
+        assert summary.frames_read == 30
+        assert summary.frames_used == 30
+        assert not summary.truncated
+        assert "abnormally terminated" not in caplog.text
 
     def test_truncated_trajectory_warns_and_completes(self, dataset_dir, caplog):
         history = dataset_dir / "HISTORY"
@@ -63,13 +84,6 @@ class TestRunAnalysis:
         first = (dataset_dir / "RDF").read_bytes(), (dataset_dir / "POP").read_bytes()
         run_analysis(dataset_dir)
         assert ((dataset_dir / "RDF").read_bytes(), (dataset_dir / "POP").read_bytes()) == first
-
-    def test_parallel_matches_serial(self, dataset_dir):
-        serial = run_analysis(dataset_dir)
-        rdf = np.loadtxt(serial.rdf_path)
-        parallel = run_analysis(dataset_dir, rdf_out="RDF2", pop_out="POP2", workers=2)
-        assert parallel.frames_used == serial.frames_used
-        np.testing.assert_allclose(np.loadtxt(parallel.rdf_path), rdf, rtol=1e-12)
 
     def test_filename_overrides(self, dataset_dir):
         (dataset_dir / "HISTORY").rename(dataset_dir / "TRAJ")
@@ -124,6 +138,11 @@ class TestMain:
 
     def test_bad_flag_exits_nonzero(self, capsys):
         assert main(["--no-such-flag"]) == 1
+
+    def test_workers_flag_is_rejected(self, dataset_dir, capsys):
+        assert main(["--dir", str(dataset_dir), "--workers", "2"]) == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (dataset_dir / "RDF").exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from molrdf import rdf_engine
 from molrdf.errors import InputError, NoFramesError
-from molrdf.geometry import CellTensor, min_image_cutoff, perpendicular_heights, to_reduced
+from molrdf.geometry import CellTensor, min_image_cutoff, nint, perpendicular_heights, to_reduced
 from molrdf.rdf_engine import (
     PairHistogram,
     accumulate_frame,
-    bin_index,
     finalize,
     merge,
     n_bins,
@@ -66,14 +65,15 @@ def reference_counts(frames, types, matrix, n_types, rmax, dr):
 
 
 class TestBinning:
+    # 1-based bin numbers are 1 + nint(r / dr), the rule n_bins applies to rmax
     def test_bin_index_examples(self):
-        assert bin_index(0.0, 0.1) == 1
-        assert bin_index(5.0, 0.1) == 51
-        assert bin_index(0.12, 0.1) == 2
-        assert bin_index(0.16, 0.1) == 3
+        assert 1 + nint(0.0 / 0.1) == 1
+        assert 1 + nint(5.0 / 0.1) == 51
+        assert 1 + nint(0.12 / 0.1) == 2
+        assert 1 + nint(0.16 / 0.1) == 3
 
     def test_bin_index_vectorized(self):
-        np.testing.assert_array_equal(bin_index([0.0, 0.26, 0.9], 0.25), [1, 2, 5])
+        np.testing.assert_array_equal(1 + nint(np.array([0.0, 0.26, 0.9]) / 0.25), [1, 2, 5])
 
     def test_n_bins(self):
         assert n_bins(12.5, 0.1) == 126

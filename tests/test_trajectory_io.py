@@ -295,6 +295,15 @@ class TestHistoryReader:
         assert reader.truncated
         assert reader.frames_read == 0
 
+    @pytest.mark.parametrize("good_frames", [0, 1])
+    def test_negative_site_count_truncates(self, good_frames):
+        text = history_text(FRAMES[:good_frames], header=False)
+        reader = HistoryReader(io.StringIO(text + "timestep 1 -2 0 0 0.001\n"))
+        frames = list(reader)
+        assert len(frames) == good_frames
+        assert reader.frames_read == good_frames
+        assert reader.truncated
+
     def test_bad_header_is_fatal(self):
         reader = HistoryReader(io.StringIO("title only\nnot numbers here\n"))
         with pytest.raises(InputError, match="neither a header nor a timestep"):
