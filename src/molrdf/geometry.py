@@ -144,30 +144,6 @@ def to_reduced(r: np.ndarray, cell: CellTensor) -> np.ndarray:
     return np.asarray(r, dtype=float) @ cell.inverse
 
 
-def to_real(s: np.ndarray, cell: CellTensor) -> np.ndarray:
-    """Convert reduced coordinates back to Cartesian: ``r = s @ C``."""
-    return np.asarray(s, dtype=float) @ cell.matrix
-
-
-def min_image_displacement(s_from: np.ndarray, s_to: np.ndarray, imcon: int) -> np.ndarray:
-    """Minimum-image displacement in reduced coordinates.
-
-    Computes ``b = s_to - s_from`` and folds each periodic component with
-    ``d = b - nint(b)``, leaving non-periodic components (all of them for
-    imcon 0, the third for imcon 6) untouched.  Folded components lie in
-    [-0.5, 0.5]; a component of exactly +/-0.5 flips sign per the
-    half-away-from-zero rule.
-
-    Broadcasts over leading axes, so ``(N, 3)`` inputs give ``(N, 3)``
-    displacements.
-    """
-    mask = periodic_mask(imcon)
-    d = np.asarray(s_to, dtype=float) - np.asarray(s_from, dtype=float)
-    if mask.any():
-        d[..., mask] -= nint(d[..., mask])
-    return d
-
-
 def wrap_point(r: np.ndarray, cell: CellTensor) -> np.ndarray:
     """Translate a point by lattice vectors into the origin-centred cell.
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import filterfalse, islice
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -222,6 +222,8 @@ def parse_field(field_text: str) -> Topology:
                 n_types = int(tokens[-1])
             except ValueError:
                 raise InputError(f"FIELD line {lineno}: bad MOLECULES count") from None
+            if n_types < 1:
+                raise InputError(f"FIELD line {lineno}: MOLECULES must be >= 1")
             break
 
     molecules = []
@@ -298,59 +300,27 @@ def parse_field(field_text: str) -> Topology:
 _BLOCK_SITES = 128
 
 
-def _next_content(lines: Iterator[str]) -> str | None:
-    """Next non-blank line of ``lines``, or None when they run out."""
-    for line in lines:
-        if line.strip():
-            return line
-    return None
-
-
-def _block_coordinates(block: list[str], count: int, per_site: int) -> np.ndarray | None:
-    """Coordinates of ``count`` site records held in ``block``, or None.
-
-    Succeeds only on the plain layout: exactly ``count * per_site`` lines,
-    none blank, each coordinate line exactly three numbers.  Anything else
-    is left to :func:`_read_sites`, which knows every rule.
-    """
-    if len(block) != count * per_site or any(map(str.isspace, block)):
+def _coordinates(lines: list[str]) -> np.ndarray | None:
+    """The first three numbers of each line as an ``(n, 3)`` array, or None
+    when a line does not start with three numbers."""
+    # Plain layout first, in one conversion: every fourth token must be one
+    # of the separators put between the lines.  ";" is no number, so the
+    # conversion fails unless all of them sit in those slots, i.e. unless
+    # every line has exactly three tokens.
+    tokens = " ; ".join(lines).split()
+    if len(tokens) == 4 * len(lines) - 1:
+        del tokens[3::4]
+        try:
+            return np.array(tokens, dtype=float).reshape(-1, 3)
+        except ValueError:
+            pass
+    rows = [line.split()[:3] for line in lines]
+    if any(len(row) < 3 for row in rows):
         return None
-    # Every fourth token must be one of the count - 1 separators put between
-    # the lines.  ";" is no number, so the conversion fails unless all of
-    # them sit in those slots, i.e. unless every line has three tokens.
-    tokens = " ; ".join(block[1::per_site]).split()
-    if len(tokens) != 4 * count - 1:
-        return None
-    del tokens[3::4]
     try:
-        return np.array(tokens, dtype=float).reshape(count, 3)
+        return np.array(rows, dtype=float)
     except ValueError:
         return None
-
-
-def _read_sites(lines: Iterator[str], positions: np.ndarray, n_extra: int) -> bool:
-    """Fill ``positions`` from site records line by line; False on truncation.
-
-    Blank lines are skipped, extra tokens after the first three coordinates
-    are ignored, and a missing or unparsable record ends the frame.
-    """
-    for i in range(len(positions)):
-        if _next_content(lines) is None:  # name/index/mass/charge record
-            return False
-        line = _next_content(lines)
-        if line is None:
-            return False
-        parts = line.split()
-        if len(parts) < 3:
-            return False
-        try:
-            positions[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-        except ValueError:
-            return False
-        for _ in range(n_extra):  # velocity and force lines
-            if _next_content(lines) is None:
-                return False
-    return True
 
 
 class HistoryReader:
@@ -361,11 +331,13 @@ class HistoryReader:
     ends (or degenerates) mid-frame; the partial frame is dropped and all
     frames yielded before it remain valid.
 
-    Site records are read in blocks of at most ``_BLOCK_SITES`` sites and
-    converted with one numpy call per block.  A block that does not have the
-    plain layout (a short read, a blank line, extra tokens, a bad number) is
-    replayed line by line together with the rest of the frame, so blank
-    lines and truncation are handled exactly as a line-by-line reader would.
+    Every record comes from one stream of the file's non-blank lines, so
+    blank lines may stand anywhere.  Cell rows and site records are taken a
+    fixed number of lines at a time, sites in blocks of at most
+    ``_BLOCK_SITES``, and their coordinates are the first three numbers of
+    each line; tokens after them are ignored.  A block cut short, or a cell
+    row or coordinate line that does not start with three numbers, ends the
+    trajectory.
     """
 
     def __init__(self, source: str | Path | IO[str], expected_natoms: int | None = None):
@@ -375,6 +347,8 @@ class HistoryReader:
         else:
             self._fh = open(source, "r")
             self._owns_fh = True
+        # The file's non-blank lines; file objects never yield "".
+        self._lines = filterfalse(str.isspace, self._fh)
         self._expected_natoms = expected_natoms
         self.frames_read = 0
         self.truncated = False
@@ -391,14 +365,14 @@ class HistoryReader:
 
     def _consume_header(self) -> str | None:
         """Swallow the header if present; return the first timestep line."""
-        first = _next_content(self._fh)
+        first = next(self._lines, None)
         if first is None:
             self.truncated = True  # empty trajectory counts as abnormal
             return None
         if _first_token(first) == "timestep":
             return first
         # Header: title line just read, then the levcfg/imcon/natoms line.
-        info = _next_content(self._fh)
+        info = next(self._lines, None)
         try:
             for tok in info.split()[:3]:
                 int(tok)
@@ -406,7 +380,7 @@ class HistoryReader:
             raise InputError(
                 "HISTORY: first record is neither a header nor a timestep record"
             ) from None
-        return _next_content(self._fh)
+        return next(self._lines, None)
 
     def __iter__(self) -> Iterator[Frame]:
         line = self._consume_header()
@@ -417,7 +391,7 @@ class HistoryReader:
                 return
             self.frames_read += 1
             yield frame
-            line = _next_content(self._fh)
+            line = next(self._lines, None)
 
     def _read_frame(self, timestep_line: str) -> Frame | None:
         """Parse one frame; None signals truncation (partial frame dropped)."""
@@ -441,34 +415,22 @@ class HistoryReader:
             return None
 
         if imcon > 0:
-            rows = []
-            for _ in range(3):
-                line = _next_content(self._fh)
-                if line is None:
-                    return None
-                try:
-                    rows.append([float(t) for t in line.split()[:3]])
-                except ValueError:
-                    return None
-                if len(rows[-1]) < 3:
-                    return None
-            cell = CellTensor(np.array(rows), imcon)
+            rows = list(islice(self._lines, 3))
+            matrix = _coordinates(rows) if len(rows) == 3 else None
+            if matrix is None:
+                return None
+            cell = CellTensor(matrix, imcon)
         else:
             cell = CellTensor(np.zeros((3, 3)), 0)
 
-        n_extra = min(max(keytrj, 0), 2)  # velocity and force lines
-        per_site = 2 + n_extra
+        per_site = 2 + min(max(keytrj, 0), 2)  # name, coordinates, velocity, force
         positions = np.empty((natoms, 3))
         for start in range(0, natoms, _BLOCK_SITES):
             count = min(_BLOCK_SITES, natoms - start)
-            block = list(islice(self._fh, count * per_site))
-            coords = _block_coordinates(block, count, per_site)
+            block = list(islice(self._lines, count * per_site))
+            coords = _coordinates(block[1::per_site]) if len(block) == count * per_site else None
             if coords is None:
-                # Replay this block, then the rest of the frame, line by line.
-                lines = chain(block, self._fh)
-                if not _read_sites(lines, positions[start:], n_extra):
-                    return None
-                break
+                return None
             positions[start : start + count] = coords
 
         return Frame(step, natoms, cell, positions)

@@ -117,6 +117,16 @@ class TestMain:
         assert main(["--dir", str(dataset_dir)]) == 2
         assert "no usable frames" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_molecule_types_exit_code(self, dataset_dir, capsys, count):
+        field = dataset_dir / "FIELD"
+        field.write_text(field.read_text().replace("MOLECULES 2", f"MOLECULES {count}"))
+        assert main(["--dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "error: FIELD line" in err and "MOLECULES must be >= 1" in err
+        assert "Traceback" not in err
+        assert not (dataset_dir / "RDF").exists()
+
     def test_generate_subcommand(self, tmp_path, capsys):
         assert main(["generate", "--dir", str(tmp_path), "--frames", "5"]) == 0
         out = capsys.readouterr().out

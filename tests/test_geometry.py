@@ -6,14 +6,14 @@ from molrdf.geometry import (
     CellTensor,
     cell_volume,
     min_image_cutoff,
-    min_image_displacement,
     nint,
     perpendicular_heights,
     periodic_mask,
-    to_real,
     to_reduced,
     wrap_point,
 )
+from molrdf.rdf_engine import PairHistogram, accumulate_frame
+from molrdf.unfolding import unfold
 
 TRICLINIC = np.array(
     [
@@ -95,7 +95,7 @@ class TestReducedCoordinates:
         points = rng.uniform(-30, 30, size=(1000, 3))
         s = to_reduced(points, cell)
         np.testing.assert_allclose(s, points @ adjugate_inverse(TRICLINIC), atol=1e-12)
-        np.testing.assert_allclose(to_real(s, cell), points, atol=1e-12 * 30)
+        np.testing.assert_allclose(s @ cell.matrix, points, atol=1e-12 * 30)
 
     def test_lattice_vectors_reduce_to_unit_rows(self):
         cell = CellTensor(TRICLINIC, imcon=3)
@@ -120,23 +120,50 @@ class TestVolume:
         assert cell_volume(CellTensor(np.zeros((3, 3)), 0)) == 0.0
 
 
+def folded_bond(s_from, s_to, cell):
+    """Reduced displacement from site ``s_from`` to ``s_to`` of two-site
+    molecules after :func:`unfold` has made them whole."""
+    sites = np.stack([s_from, s_to], axis=-2) @ cell.matrix
+    whole = unfold(sites.reshape(-1, 2, 3), cell)
+    return to_reduced(whole[:, 1] - whole[:, 0], cell)
+
+
 class TestMinImage:
+    """The minimum-image fold ``d - nint(d)`` of reduced displacements, as
+    ``unfold`` applies it to bonds and ``accumulate_frame`` to pairs."""
+
     def test_reduced_components_fold_to_half(self):
-        d = min_image_displacement(np.zeros(3), np.array([0.9, -0.6, 0.4]), imcon=1)
-        np.testing.assert_allclose(d, [-0.1, 0.4, 0.4], atol=1e-15)
+        d = folded_bond(np.zeros(3), np.array([0.9, -0.6, 0.4]), CellTensor.cubic(10.0))
+        np.testing.assert_allclose(d, [[-0.1, 0.4, 0.4]], atol=1e-15)
 
     def test_slab_leaves_third_direction_alone(self):
-        d = min_image_displacement(np.zeros(3), np.array([0.9, 0.9, 0.9]), imcon=6)
-        np.testing.assert_allclose(d, [-0.1, -0.1, 0.9], atol=1e-15)
+        cell = CellTensor(np.diag([10.0, 10.0, 40.0]), imcon=6)
+        d = folded_bond(np.zeros(3), np.array([0.9, 0.9, 0.9]), cell)
+        np.testing.assert_allclose(d, [[-0.1, -0.1, 0.9]], atol=1e-15)
 
     def test_no_periodicity_is_plain_difference(self):
-        a, b = np.array([0.1, 0.2, 0.3]), np.array([5.0, -4.0, 3.0])
-        np.testing.assert_array_equal(min_image_displacement(a, b, 0), b - a)
+        a, b = np.array([0.1, 0.2, 0.3]), np.array([50.0, -40.0, 30.0])
+        cell = CellTensor(np.zeros((3, 3)), 0)
+        whole = unfold(np.array([[a, b]]), cell)
+        np.testing.assert_array_equal(whole[0, 1] - whole[0, 0], b - a)
+        # 70.6 apart: no cell folds the pair closer.
+        hist = PairHistogram.create(1, rmax=100.0, dr=0.5)
+        accumulate_frame(hist, np.array([0, 0]), np.array([a, b]), cell)
+        r = np.sqrt(((b - a) ** 2).sum())
+        assert hist.counts[0, 0, int(nint(r / 0.5))] == 2
+        assert hist.counts.sum() == 2
 
     def test_components_bounded_by_half(self):
+        # Multiples of 1/64 in a unit cube fold exactly, including the
+        # components of exactly +-0.5, which flip sign.
         rng = np.random.default_rng(11)
-        d = min_image_displacement(rng.uniform(-5, 5, (500, 3)), rng.uniform(-5, 5, (500, 3)), 1)
-        assert np.all(np.abs(d) <= 0.5 + 1e-15)
+        s_from, s_to = rng.integers(-320, 320, (2, 500, 3)) / 64
+        s_to[0] = s_from[0] + [0.5, -0.5, 1.5]
+        d = folded_bond(s_from, s_to, CellTensor.cubic(1.0))
+        assert np.all(np.abs(d) <= 0.5)
+        np.testing.assert_array_equal(d[0], [-0.5, 0.5, -0.5])
+        shift = d - (s_to - s_from)
+        np.testing.assert_array_equal(shift, np.round(shift))
 
 
 class TestWrapPoint:

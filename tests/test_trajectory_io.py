@@ -181,6 +181,12 @@ class TestParseField:
         with pytest.raises(InputError, match="MOLECULES"):
             parse_field("title\nUNITS kJ\n")
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_molecule_type_count_must_be_positive(self, count):
+        text = f"t\nUNITS kJ\nmolecules {count}\nM\nnummols 1\natoms 1\nX 1.0 0.0\nfinish\n"
+        with pytest.raises(InputError, match="FIELD line 3: MOLECULES must be >= 1"):
+            parse_field(text)
+
     def test_repeat_overshoot(self):
         text = "t\nmolecules 1\nM\nnummols 1\natoms 3\nX 1.0 0.0 2\nY 1.0 0.0 2\nfinish\n"
         with pytest.raises(InputError, match="expand"):
@@ -207,11 +213,13 @@ def history_text(
     length=10.0,
     cell=None,
     coord_suffix="",
+    cell_suffix="",
 ):
     """Minimal HISTORY text for a system of single-site molecules.
 
     ``cell`` (rows a, b, c) replaces the cubic cell of edge ``length``;
-    ``coord_suffix`` is appended to every coordinate line.
+    ``coord_suffix`` is appended to every coordinate line and
+    ``cell_suffix`` to every cell row.
     """
     natoms = len(names)
     if cell is None:
@@ -223,7 +231,7 @@ def history_text(
         lines.append(f"timestep{step:10d}{natoms:10d}{keytrj:10d}{imcon:10d}{0.001:12.6f}")
         if imcon > 0:
             for row in cell:
-                lines.append("".join(f"{v:20.10f}" for v in row))
+                lines.append("".join(f"{v:20.10f}" for v in row) + cell_suffix)
         for i, (name, mass) in enumerate(zip(names, masses)):
             lines.append(f"{name:<8s}{i + 1:10d}{mass:12.6f}{0.0:12.6f}")
             x, y, z = positions[i]
@@ -282,9 +290,43 @@ class TestHistoryReader:
         assert list(reader) == []
         assert reader.truncated
 
+    def test_extra_tokens_on_cell_rows_are_ignored(self):
+        cell = np.array([[10.0, 0.0, 0.0], [1.5, 9.0, 0.0], [1.0, 1.2, 8.0]])
+        plain = list(HistoryReader(io.StringIO(history_text(FRAMES, imcon=3, cell=cell))))
+        reader = HistoryReader(
+            io.StringIO(history_text(FRAMES, imcon=3, cell=cell, cell_suffix=" 9.5 junk"))
+        )
+        padded = list(reader)
+        assert reader.frames_read == 3 and not reader.truncated
+        for a, b in zip(plain, padded):
+            assert a.cell.matrix.tobytes() == b.cell.matrix.tobytes()
+            assert a.positions.tobytes() == b.positions.tobytes()
+        np.testing.assert_array_equal(padded[0].cell.matrix, cell)
+
+    @pytest.mark.parametrize("rows", [(0,), (1,), (2,), (0, 1, 2)])
+    @pytest.mark.parametrize("bad", ["10.0 0.0", "10.0 abc 0.0"])
+    def test_short_or_bad_cell_row_truncates(self, rows, bad):
+        lines = history_text(FRAMES).splitlines()
+        third_frame = 2 + 2 * (1 + 3 + 2 * 2)  # header, two frames
+        for row in rows:
+            lines[third_frame + 1 + row] = bad
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
+        frames = list(reader)
+        assert reader.frames_read == 2
+        assert reader.truncated
+        np.testing.assert_allclose(frames[1].positions, FRAMES[1])
+
     def test_garbage_coordinate_truncates(self):
         lines = history_text(FRAMES).splitlines()
         lines[-1] = "not a number at all"
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
+        assert len(list(reader)) == 2
+        assert reader.truncated
+
+    def test_short_coordinate_lines_truncate(self):
+        lines = history_text(FRAMES).splitlines()
+        for k in (-3, -1):  # both coordinate lines of the last frame
+            lines[k] = " ".join(lines[k].split()[:2])
         reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
         assert len(list(reader)) == 2
         assert reader.truncated
@@ -347,20 +389,6 @@ def assert_frames(got, expected):
     assert len(got) == len(expected)
     for frame, positions in zip(got, expected):
         np.testing.assert_array_equal(frame.positions, positions)
-
-
-@pytest.fixture
-def replays(monkeypatch):
-    """Sites handed to the line-by-line fallback, one entry per replay."""
-    calls = []
-    read_sites = trajectory_io._read_sites
-
-    def spy(lines, positions, n_extra):
-        calls.append(len(positions))
-        return read_sites(lines, positions, n_extra)
-
-    monkeypatch.setattr(trajectory_io, "_read_sites", spy)
-    return calls
 
 
 class TestBlockReader:
@@ -448,21 +476,19 @@ class TestBlockReader:
         assert_frames(got, frames[:frame])
 
     @pytest.mark.parametrize("keytrj", [-1, 0, 1, 2, 3])
-    def test_keytrj(self, block_sites, replays, keytrj):
+    def test_keytrj(self, block_sites, keytrj):
         # -1 and 0 write no velocity or force lines, 3 writes both.
         frames = site_frames(3, self.N_SITES)
         reader, got = read_all(sites_history(frames, keytrj=keytrj))
-        assert replays == []
         assert reader.frames_read == 3
         assert not reader.truncated
         assert_frames(got, frames)
 
     @pytest.mark.parametrize("header", [True, False])
     @pytest.mark.parametrize("imcon", [0, 1])
-    def test_header_and_imcon(self, block_sites, replays, header, imcon):
+    def test_header_and_imcon(self, block_sites, header, imcon):
         frames = site_frames(3, self.N_SITES)
         reader, got = read_all(sites_history(frames, header=header, imcon=imcon))
-        assert replays == []
         assert reader.frames_read == 3
         assert not reader.truncated
         assert_frames(got, frames)
@@ -477,10 +503,10 @@ class TestBlockReader:
         assert not reader.truncated
 
 
-def test_block_and_line_readers_agree_bit_for_bit(replays):
+def test_plain_and_padded_layouts_agree_bit_for_bit():
     """A chains-like frame (triclinic cell, keytrj 2, several default-size
-    blocks) read in blocks and, with one extra token on every coordinate
-    line, line by line."""
+    blocks) read as written and with one extra token on every coordinate
+    line."""
     rng = np.random.default_rng(7)
     n_sites = 2 * trajectory_io._BLOCK_SITES + 100
     frames = rng.uniform(-20.0, 20.0, (2, n_sites, 3))
@@ -488,14 +514,13 @@ def test_block_and_line_readers_agree_bit_for_bit(replays):
     plain = sites_history(frames, keytrj=2, imcon=3, cell=cell)
     padded = sites_history(frames, keytrj=2, imcon=3, cell=cell, coord_suffix=" 0.0")
 
-    _, by_block = read_all(plain)
-    assert replays == []
-    _, by_line = read_all(padded)
-    assert replays == [n_sites, n_sites]
+    _, as_written = read_all(plain)
+    _, with_padding = read_all(padded)
 
     written = [[[float(f"{v:20.10f}") for v in site] for site in frame] for frame in frames]
-    assert_frames(by_block, np.array(written))
-    for a, b in zip(by_block, by_line):
+    assert_frames(as_written, np.array(written))
+    np.testing.assert_array_equal(as_written[0].cell.matrix, cell)
+    for a, b in zip(as_written, with_padding):
         assert a.positions.tobytes() == b.positions.tobytes()
         assert a.cell.matrix.tobytes() == b.cell.matrix.tobytes()
 
