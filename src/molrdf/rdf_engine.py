@@ -41,8 +41,12 @@ from .trajectory_io import Topology
 
 logger = logging.getLogger(__name__)
 
-# Pair index chunks are capped so per-frame scratch arrays stay modest.
-_CHUNK_PAIRS = 2_000_000
+# Candidate pairs are handled in chunks of at most this many.  The size is set
+# for cache, not only for memory: a chunk's scratch arrays (about 120 B per
+# pair) then stay within a core's L2 cache between the kernel's passes,
+# instead of every pass streaming the whole frame through memory.  It also
+# bounds the molecules per chunk of the cell search.
+_CHUNK_PAIRS = 32_768
 
 # Linked-cell search: every cell is at least rc / _CELL_REACH high across each
 # pair of faces, so a molecule's partners lie within +-_CELL_REACH cells.
@@ -75,8 +79,14 @@ class PairHistogram:
     def create(cls, n_types: int, rmax: float, dr: float) -> "PairHistogram":
         if n_types < 1:
             raise ValueError("need at least one molecule type")
-        shape = (n_types, n_types, n_bins(rmax, dr))
-        return cls(np.zeros(shape, dtype=np.int64), dr, rmax)
+        try:
+            counts = np.zeros((n_types, n_types, n_bins(rmax, dr)), dtype=np.int64)
+        except (OverflowError, ValueError, MemoryError):
+            raise InputError(
+                f"rmax {rmax:g} and dr {dr:g} give {rmax / dr:.3g} bins per pair of "
+                f"{n_types} molecule types: too large a histogram to allocate"
+            ) from None
+        return cls(counts, dr, rmax)
 
     @property
     def n_types(self) -> int:
@@ -135,6 +145,10 @@ class _CellGrid(NamedTuple):
     periodic: np.ndarray  # axes along which the grid wraps
 
 
+def _is_diagonal(m: np.ndarray) -> bool:
+    return not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
+
+
 def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None:
     """Lay linked cells for pairs closer than ``rc`` over the frame, or
     return None where the cell search cannot be used.
@@ -160,12 +174,17 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     shape = np.clip(shape, 1, _MAX_CELLS).astype(np.int64)
     if (shape[periodic] < 2 * _CELL_REACH + 1).any():
         return None
-    m = cell.matrix
-    orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
-    widths = tuple(extent * heights / shape) if orthogonal else None
+    widths = tuple(extent * heights / shape) if _is_diagonal(cell.matrix) else None
     offsets = _stencil(tuple(shape.tolist()), widths, reach)
     scale = shape / np.where(extent > 0.0, extent, 1.0)
     return _CellGrid(shape, offsets, lo, scale, periodic)
+
+
+def _lookups_pay(n: int, h: int) -> bool:
+    """Whether n molecules are enough to repay each looking up the H + 1
+    cells of a stencil of H offsets: below about 2 (H + 1) molecules those
+    look-ups alone cost more than testing every pair."""
+    return n * (h + 1) <= n * (n - 1) / 2
 
 
 def _cell_search_pays(n: int, grid: _CellGrid) -> bool:
@@ -173,13 +192,12 @@ def _cell_search_pays(n: int, grid: _CellGrid) -> bool:
 
     Molecules spread evenly over the cells meet (2H + 1) / n_cells of all
     pairs through a stencil of H offsets, and each molecule looks up H + 1
-    cells.  Below about 2 (H + 1) molecules those look-ups alone cost more
-    than testing every pair.
+    cells.
     """
     pairs = n * (n - 1) / 2
     h = len(grid.offsets)
     candidates = pairs * (2 * h + 1) / grid.shape.prod()
-    return candidates <= 0.5 * pairs and n * (h + 1) <= pairs
+    return candidates <= 0.5 * pairs and _lookups_pay(n, h)
 
 
 def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
@@ -247,10 +265,15 @@ def _expand_rows(owners, starts, sizes, order):
 
 def _candidate_pairs(pos: np.ndarray, cell: CellTensor, rc: float):
     """Index chunks (i, j), i < j, holding every pair closer than ``rc``."""
-    grid = _cell_grid(pos, cell, rc)
-    if grid is None or not _cell_search_pays(len(pos), grid):
-        return _pair_strips(len(pos))
-    return _cell_pairs(pos, grid)
+    n = len(pos)
+    # Every grid's stencil holds at least the adjacent cells along its
+    # periodic axes, so too few molecules for those never pay for a grid.
+    min_stencil = (3 ** int(cell.periodic.sum()) - 1) // 2
+    if _lookups_pay(n, min_stencil):
+        grid = _cell_grid(pos, cell, rc)
+        if grid is not None and _cell_search_pays(n, grid):
+            return _cell_pairs(pos, grid)
+    return _pair_strips(n)
 
 
 def accumulate_frame(
@@ -289,31 +312,63 @@ def accumulate_frame(
         pos = to_reduced(coms, cell)
         # The periodic axes lead: all three, or the first two of a slab.
         folded = int(periodic_mask(cell.imcon).sum())
+        m = cell.matrix
+        # With no off-diagonal entries, d @ m only adds exact zeros to d * diag.
+        diag = m.diagonal()[:, None] if _is_diagonal(m) else None
     else:
         pos = coms
+    # One row per axis, so every pass below runs over contiguous arrays.
+    axes = np.ascontiguousarray(pos.T)
 
     nbins = hist.counts.shape[2]
-    n_types = hist.n_types
+    dr = hist.dr
     # A pair gets a bin exactly when r / dr < nbins - 1/2.
-    rc = (nbins - 0.5) * hist.dr
+    rc = (nbins - 0.5) * dr
+    # Only pairs within this r^2 can get a bin; the margin is far wider than
+    # any rounding, so the prefilter drops no pair the bin test would keep.
+    r2_max = (rc * (1.0 + 1e-6)) ** 2
+    # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin.
+    key_j = types * nbins
+    key_i = key_j * hist.n_types
     flat = np.zeros(hist.counts.size, dtype=np.int64)
     for i_arr, j_arr in _candidate_pairs(pos, cell, rc):
-        d = np.take(pos, j_arr, axis=0) - np.take(pos, i_arr, axis=0)
+        d = np.take(axes, j_arr, axis=1)
+        d -= np.take(axes, i_arr, axis=1)
         if cell.imcon > 0:
-            d[:, :folded] -= nint(d[:, :folded])
-            d = d @ cell.matrix
-        # Same sums in the same order as np.linalg.norm(d, axis=1), so the
-        # same bits, without its slow length-3 reduction per row.
-        x, y, z = d.T
-        r = np.sqrt((x * x + y * y) + z * z)
+            # f -= nint(f) in place: nint(f) = trunc(f + copysign(0.5, f)).
+            f = d[:folded]
+            t = np.copysign(0.5, f)
+            t += f
+            np.trunc(t, out=t)
+            f -= t
+            if diag is None:
+                d = m.T @ d  # the transpose of d.T @ m, with the same sums
+            else:
+                d *= diag
+        # Same sums in the same order as np.linalg.norm(d, axis=0), so the
+        # same bits, without its slow length-3 reduction per pair.
+        x, y, z = d
+        r2 = x * x
+        sq = y * y
+        r2 += sq
+        np.multiply(z, z, out=sq)
+        r2 += sq
+        near = np.flatnonzero(r2 <= r2_max)
+        r = np.sqrt(r2[near])
+        r /= dr
         # Acceptance is by bin, not by raw distance: a pair counts whenever
         # its bin exists, so the shell around rmax itself fills completely
-        # instead of being cut in half at the boundary.
-        idx = nint(r / hist.dr).astype(np.int64)
+        # instead of being cut in half at the boundary.  For r >= 0,
+        # truncating r / dr + 1/2 is nint(r / dr).
+        r += 0.5
+        idx = r.astype(np.int64)
         keep = idx < nbins
-        ti = types[i_arr[keep]]
-        tj = types[j_arr[keep]]
-        flat += np.bincount((ti * n_types + tj) * nbins + idx[keep], minlength=flat.size)
+        near = near[keep]
+        key = key_i[i_arr[near]]
+        key += key_j[j_arr[near]]
+        key += idx[keep]
+        binned = np.bincount(key)
+        flat[: binned.size] += binned
     counts = flat.reshape(hist.counts.shape)
     hist.counts += counts
     hist.counts += counts.transpose(1, 0, 2)

@@ -24,6 +24,7 @@ stream gracefully instead of erroring.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from itertools import filterfalse, islice
@@ -169,6 +170,10 @@ def parse_directives(control_text: str) -> Directives:
                     f"CONTROL line {lineno}: bad numeric value {tokens[1]!r} "
                     f"for '{keyword}'"
                 ) from None
+            if not math.isfinite(value):
+                raise InputError(
+                    f"CONTROL line {lineno}: '{keyword}' must be finite, got {tokens[1]!r}"
+                )
             values[keyword] = value
         elif keyword == "smooth":
             values["smooth"] = True

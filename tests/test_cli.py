@@ -127,6 +127,28 @@ class TestMain:
         assert "Traceback" not in err
         assert not (dataset_dir / "RDF").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("rmax 1e400", "CONTROL line 6: 'rmax' must be finite, got '1e400'"),
+            ("rmax inf", "CONTROL line 6: 'rmax' must be finite, got 'inf'"),
+            ("dr nan", "CONTROL line 7: 'dr' must be finite, got 'nan'"),
+            ("rmax 1e12", "too large a histogram to allocate"),
+        ],
+        ids=["rmax-overflows", "rmax-inf", "dr-nan", "rmax-huge"],
+    )
+    def test_unusable_rmax_or_dr_exit_code(self, dataset_dir, capsys, line, message):
+        control = dataset_dir / "CONTROL"
+        keyword = line.split()[0]
+        lines = control.read_text().splitlines()
+        lines = [f"  {line}" if s.split()[:1] == [keyword] else s for s in lines]
+        control.write_text("\n".join(lines) + "\n")
+        assert main(["--dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (dataset_dir / "RDF").exists()
+
     def test_generate_subcommand(self, tmp_path, capsys):
         assert main(["generate", "--dir", str(tmp_path), "--frames", "5"]) == 0
         out = capsys.readouterr().out

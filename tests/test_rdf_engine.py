@@ -522,3 +522,95 @@ class TestCandidatePairs:
         np.testing.assert_array_equal(
             counts_with(_cell_search, types, coms, cell, 12.5, 0.1), whole
         )
+
+    @pytest.mark.parametrize("imcon, n", [(1, 28), (3, 28), (6, 10)])
+    def test_too_few_molecules_build_no_grid(self, monkeypatch, imcon, n):
+        """Every grid's stencil holds the adjacent cells, 13 of them, or 4 in
+        a slab one cell thick, and below 2 * 14 or 2 * 5 molecules those
+        look-ups never pay, so no grid is laid at all."""
+        cell = make_cell(imcon, (60.0, 60.0, 60.0), (0.1, 0.1, 0.1))
+        pos = np.random.default_rng(6).uniform(0.0, 1.0, (n + 1, 3))
+        rc = search_radius(5.0, 0.1)
+        grids = []
+        cell_grid = rdf_engine._cell_grid
+
+        def spy(*args):
+            grids.append(cell_grid(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(rdf_engine, "_cell_grid", spy)
+        assert rdf_engine._candidate_pairs(pos[:n], cell, rc).__name__ == "_pair_strips"
+        assert grids == []
+        rdf_engine._candidate_pairs(pos, cell, rc)
+        assert len(grids) == 1 and grids[0] is not None
+
+
+class TestKernelPasses:
+    @pytest.mark.parametrize("chunk", [7, 97])
+    @pytest.mark.parametrize("imcon", [1, 2, 3, 6])
+    def test_small_chunks_equal_all_pairs(self, monkeypatch, imcon, chunk):
+        """Chunks of a few pairs, cutting the candidates of one molecule, and
+        every row of all pairs, across chunk boundaries, give the histogram
+        of all pairs taken at once, bit for bit."""
+        rng = np.random.default_rng(imcon * 100 + chunk)
+        cell = make_cell(imcon, (21.0, 23.0, 22.0), (0.2, -0.15, 0.1))
+        n, rmax, dr = 90, 2.7, 0.1
+        s = rng.uniform(-0.5, 0.5, (n, 3))
+        # Unwrapped by up to two cells along the periodic axes.
+        s[:, cell.periodic] += rng.integers(-2, 3, (n, cell.periodic.sum()))
+        coms = s @ cell.matrix
+        types = rng.integers(0, 3, n)
+        oracle = counts_with(_all_pairs, types, coms, cell, rmax, dr, n_types=3)
+        assert oracle.sum() > 0
+
+        monkeypatch.setattr(rdf_engine, "_CHUNK_PAIRS", chunk)
+        pos = to_reduced(coms, cell)
+        chunks = list(_cell_search(pos, cell, search_radius(rmax, dr)))
+        # Some molecule's candidates continue from one chunk into the next.
+        assert any(
+            {a[0][-1], a[1][-1]} & {b[0][0], b[1][0]} for a, b in zip(chunks, chunks[1:])
+        )
+        for search in (_cell_search, _all_pairs):
+            np.testing.assert_array_equal(
+                counts_with(search, types, coms, cell, rmax, dr, n_types=3), oracle
+            )
+
+    def test_bins_at_the_cutoff_and_half_points(self):
+        """Pairs one ulp either side of rc = rmax + dr/2, and of the bin
+        half-points near rmax, land in bin nint(r / dr) whenever that bin
+        exists: the r^2 prefilter drops none of them.  A power-of-two cell
+        edge keeps r exactly the distance placed."""
+        rmax, dr = 12.5, 0.1
+        cell = CellTensor.cubic(32.0)
+        nbins = n_bins(rmax, dr)
+        hist = PairHistogram.create(1, rmax, dr)
+        expected = np.zeros(nbins, dtype=np.int64)
+        targets = [(k + 0.5) * dr for k in range(nbins - 4, nbins)] + [search_radius(rmax, dr)]
+        for target in targets:
+            for r in (np.nextafter(target, 0.0), target, np.nextafter(target, np.inf)):
+                for axis, sign in [(0, 1.0), (1, -1.0), (2, 1.0)]:
+                    coms = np.zeros((2, 3))
+                    coms[1, axis] = sign * r
+                    accumulate_frame(hist, np.array([0, 0]), coms, cell)
+                    b = int(nint(r / dr))
+                    if b < nbins:
+                        expected[b] += 2
+        assert expected[-1] > 0 and expected.sum() < 2 * 3 * 3 * len(targets)
+        np.testing.assert_array_equal(hist.counts[0, 0], expected)
+
+    @pytest.mark.parametrize("imcon", [1, 2, 3, 6])
+    def test_cell_products_keep_their_bits(self, imcon):
+        """The kernel holds displacements as rows (x, y, z).  On a diagonal
+        cell it scales the rows by the diagonal, elsewhere it takes m.T @ d;
+        both give the bits of d @ m on pairs as rows."""
+        rng = np.random.default_rng(imcon)
+        d = rng.uniform(-0.5, 0.5, (3, 5000))
+        for tilts in [(0.0, 0.0, 0.0), (0.23, -0.31, 0.17)]:
+            m = make_cell(imcon, (31.7, 28.3, 35.1), tilts).matrix
+            reference = (np.ascontiguousarray(d.T) @ m).T
+            assert (m.T @ d).tobytes() == np.ascontiguousarray(reference).tobytes()
+            if rdf_engine._is_diagonal(m):
+                scaled = d * m.diagonal()[:, None]
+                assert scaled.tobytes() == np.ascontiguousarray(reference).tobytes()
+            else:
+                assert imcon in (3, 6) and tilts[0]
