@@ -145,10 +145,6 @@ class _CellGrid(NamedTuple):
     periodic: np.ndarray  # axes along which the grid wraps
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    return not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
-
-
 def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None:
     """Lay linked cells for pairs closer than ``rc`` over the frame, or
     return None where the cell search cannot be used.
@@ -174,7 +170,9 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     shape = np.clip(shape, 1, _MAX_CELLS).astype(np.int64)
     if (shape[periodic] < 2 * _CELL_REACH + 1).any():
         return None
-    widths = tuple(extent * heights / shape) if _is_diagonal(cell.matrix) else None
+    m = cell.matrix
+    orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
+    widths = tuple(extent * heights / shape) if orthogonal else None
     offsets = _stencil(tuple(shape.tolist()), widths, reach)
     scale = shape / np.where(extent > 0.0, extent, 1.0)
     return _CellGrid(shape, offsets, lo, scale, periodic)
@@ -294,6 +292,9 @@ def accumulate_frame(
     types = np.asarray(types, dtype=np.int64)
     if coms.ndim != 2 or coms.shape[1] != 3 or len(types) != len(coms):
         raise ValueError("types and coms must be matching (n,) and (n, 3) arrays")
+    if not np.isfinite(coms).all():
+        # A NaN distance passes no bin test, so the pair would vanish unseen.
+        raise ValueError("coms must be finite")
     if types.size and (types.min() < 0 or types.max() >= hist.n_types):
         raise ValueError("type index out of range for this histogram")
 
@@ -313,8 +314,6 @@ def accumulate_frame(
         # The periodic axes lead: all three, or the first two of a slab.
         folded = int(periodic_mask(cell.imcon).sum())
         m = cell.matrix
-        # With no off-diagonal entries, d @ m only adds exact zeros to d * diag.
-        diag = m.diagonal()[:, None] if _is_diagonal(m) else None
     else:
         pos = coms
     # One row per axis, so every pass below runs over contiguous arrays.
@@ -341,10 +340,7 @@ def accumulate_frame(
             t += f
             np.trunc(t, out=t)
             f -= t
-            if diag is None:
-                d = m.T @ d  # the transpose of d.T @ m, with the same sums
-            else:
-                d *= diag
+            d = m.T @ d  # the transpose of d.T @ m, with the same sums
         # Same sums in the same order as np.linalg.norm(d, axis=0), so the
         # same bits, without its slow length-3 reduction per pair.
         x, y, z = d

@@ -342,7 +342,7 @@ class HistoryReader:
     ``_BLOCK_SITES``, and their coordinates are the first three numbers of
     each line; tokens after them are ignored.  A block cut short, or a cell
     row or coordinate line that does not start with three numbers, ends the
-    trajectory.
+    trajectory.  A coordinate that reads as NaN or infinity is an error.
     """
 
     def __init__(self, source: str | Path | IO[str], expected_natoms: int | None = None):
@@ -437,6 +437,12 @@ class HistoryReader:
             if coords is None:
                 return None
             positions[start : start + count] = coords
+        finite = np.isfinite(positions).all(axis=1)
+        if not finite.all():
+            site = 1 + int(np.argmin(finite))
+            raise InputError(
+                f"HISTORY: frame at step {step} has a non-finite coordinate at site {site}"
+            )
 
         return Frame(step, natoms, cell, positions)
 

@@ -149,6 +149,19 @@ class TestMain:
         assert "Traceback" not in err
         assert not (dataset_dir / "RDF").exists()
 
+    def test_non_finite_coordinate_exit_code(self, dataset_dir, capsys):
+        history = dataset_dir / "HISTORY"
+        lines = history.read_text().splitlines()
+        third_step = [k for k, s in enumerate(lines) if s.startswith("timestep")][2]
+        site_1 = third_step + 1 + 3 + 1  # timestep, cell, name record
+        lines[site_1] = "nan 0.0 0.0"
+        history.write_text("\n".join(lines) + "\n")
+        assert main(["--dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: HISTORY: frame at step 3 has a non-finite coordinate")
+        assert "Traceback" not in err
+        assert not (dataset_dir / "RDF").exists()
+
     def test_generate_subcommand(self, tmp_path, capsys):
         assert main(["generate", "--dir", str(tmp_path), "--frames", "5"]) == 0
         out = capsys.readouterr().out

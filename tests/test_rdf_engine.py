@@ -152,6 +152,18 @@ class TestAccumulateFrame:
         with pytest.raises(ValueError):
             accumulate_frame(hist, np.array([1]), np.zeros((1, 3)), CellTensor.cubic(10.0))
 
+    @pytest.mark.parametrize("imcon", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, imcon, bad):
+        """A NaN distance fails every bin test, so without the check the
+        pair would be dropped while the frame still counted."""
+        hist = PairHistogram.create(1, rmax=5.0, dr=0.5)
+        coms = np.array([[1.0, 1.0, 1.0], [2.0, bad, 1.0]])
+        cell = CellTensor.cubic(10.0) if imcon else CellTensor(np.zeros((3, 3)), 0)
+        with pytest.raises(ValueError, match="finite"):
+            accumulate_frame(hist, np.array([0, 0]), coms, cell)
+        assert hist.counts.sum() == 0 and hist.frames_used == 0
+
 
 class TestAgainstNaiveReference:
     @pytest.mark.parametrize(
@@ -599,18 +611,21 @@ class TestKernelPasses:
         np.testing.assert_array_equal(hist.counts[0, 0], expected)
 
     @pytest.mark.parametrize("imcon", [1, 2, 3, 6])
-    def test_cell_products_keep_their_bits(self, imcon):
-        """The kernel holds displacements as rows (x, y, z).  On a diagonal
-        cell it scales the rows by the diagonal, elsewhere it takes m.T @ d;
-        both give the bits of d @ m on pairs as rows."""
+    def test_cell_product_matches_d_at_m(self, imcon):
+        """The kernel holds displacements as rows (x, y, z) and takes m.T @ d,
+        the same sums as d @ m on pairs as rows.  On a diagonal cell the
+        off-diagonal products are exact zeros, so both have the bits of
+        d * diagonal.  On a tilted cell their bits depend on how the BLAS
+        build orders and fuses the sums, so that case is checked to a few
+        ulp here and bit for bit by the goldens."""
         rng = np.random.default_rng(imcon)
         d = rng.uniform(-0.5, 0.5, (3, 5000))
         for tilts in [(0.0, 0.0, 0.0), (0.23, -0.31, 0.17)]:
             m = make_cell(imcon, (31.7, 28.3, 35.1), tilts).matrix
-            reference = (np.ascontiguousarray(d.T) @ m).T
-            assert (m.T @ d).tobytes() == np.ascontiguousarray(reference).tobytes()
-            if rdf_engine._is_diagonal(m):
+            reference = np.ascontiguousarray((np.ascontiguousarray(d.T) @ m).T)
+            if np.array_equal(m, np.diag(m.diagonal())):
                 scaled = d * m.diagonal()[:, None]
-                assert scaled.tobytes() == np.ascontiguousarray(reference).tobytes()
+                assert (m.T @ d).tobytes() == scaled.tobytes() == reference.tobytes()
             else:
                 assert imcon in (3, 6) and tilts[0]
+                np.testing.assert_allclose(m.T @ d, reference, rtol=1e-15, atol=1e-14)

@@ -331,6 +331,18 @@ class TestHistoryReader:
         assert len(list(reader)) == 2
         assert reader.truncated
 
+    @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+    def test_non_finite_coordinate_is_fatal(self, bad):
+        lines = history_text(FRAMES).splitlines()
+        second_frame = 2 + (1 + 3 + 2 * 2)
+        site_2 = second_frame + 1 + 3 + 3  # timestep, cell, first site
+        x, _, z = lines[site_2].split()
+        lines[site_2] = f"{x} {bad} {z}"
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
+        with pytest.raises(InputError, match="step 2 has a non-finite coordinate at site 2"):
+            list(reader)
+        assert reader.frames_read == 1
+
     def test_empty_file(self):
         reader = HistoryReader(io.StringIO(""))
         assert list(reader) == []
