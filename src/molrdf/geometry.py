@@ -31,6 +31,7 @@ on them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +75,10 @@ class CellTensor:
     """A 3x3 lattice matrix (rows are lattice vectors) plus its imcon code.
 
     The inverse is computed once at construction for periodic cells; a
-    singular matrix with ``imcon > 0`` is rejected.
+    singular matrix with ``imcon > 0`` is rejected.  ``matrix`` and
+    ``inverse`` are read-only, because one cell serves every frame that
+    shares it; values derived from them are computed once per cell, on first
+    use, and kept on the cell.
     """
 
     matrix: np.ndarray
@@ -92,13 +96,16 @@ class CellTensor:
                 f"unsupported periodic-boundary code imcon={self.imcon} "
                 f"(supported: {sorted(SUPPORTED_IMCON)})"
             )
+        matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
         if self.imcon > 0:
             det = np.linalg.det(matrix)
             if det == 0.0:
                 raise InputError("singular cell tensor for a periodic cell")
-            object.__setattr__(self, "inverse", np.linalg.inv(matrix))
+            inverse = np.linalg.inv(matrix)
+            inverse.flags.writeable = False
+            object.__setattr__(self, "inverse", inverse)
 
         scale = max(np.abs(matrix).max(), 1.0)
         off_diagonal = matrix[~np.eye(3, dtype=bool)]
@@ -121,6 +128,30 @@ class CellTensor:
     def periodic(self) -> np.ndarray:
         """Boolean mask of the periodic lattice directions."""
         return periodic_mask(self.imcon)
+
+    # Derived values, computed on first use and kept: read them through
+    # cell_volume, perpendicular_heights and min_image_cutoff.
+    @cached_property
+    def _volume(self) -> float:
+        return float(abs(np.linalg.det(self.matrix)))
+
+    @cached_property
+    def _heights(self) -> np.ndarray:
+        if self.inverse is None:
+            raise InputError("perpendicular heights undefined for a non-periodic cell")
+        heights = 1.0 / np.linalg.norm(self.inverse, axis=0)
+        heights.flags.writeable = False
+        return heights
+
+    @cached_property
+    def _cutoff(self) -> float:
+        if self.imcon == 0:
+            return np.inf
+        if self.imcon == 6:
+            a, b, _ = self.matrix
+            area = np.linalg.norm(np.cross(a, b))
+            return 0.5 * min(area / np.linalg.norm(a), area / np.linalg.norm(b))
+        return 0.5 * float(self._heights.min())
 
 
 def to_reduced(r: np.ndarray, cell: CellTensor) -> np.ndarray:
@@ -163,8 +194,8 @@ def wrap_point(r: np.ndarray, cell: CellTensor) -> np.ndarray:
 
 
 def cell_volume(cell: CellTensor) -> float:
-    """Cell volume ``|det(C)|`` in cubic Angstrom."""
-    return float(abs(np.linalg.det(cell.matrix)))
+    """Cell volume ``|det(C)|`` in cubic Angstrom, computed once per cell."""
+    return cell._volume
 
 
 def perpendicular_heights(cell: CellTensor) -> np.ndarray:
@@ -172,11 +203,9 @@ def perpendicular_heights(cell: CellTensor) -> np.ndarray:
     lattice vectors, one per lattice vector: ``1 / |inv(C)[:, k]|``.
 
     A displacement of Cartesian length r changes reduced coordinate k by at
-    most ``r / h_k``.
+    most ``r / h_k``.  Computed once per cell; the array is read-only.
     """
-    if cell.inverse is None:
-        raise InputError("perpendicular heights undefined for a non-periodic cell")
-    return 1.0 / np.linalg.norm(cell.inverse, axis=0)
+    return cell._heights
 
 
 def min_image_cutoff(cell: CellTensor) -> float:
@@ -185,12 +214,6 @@ def min_image_cutoff(cell: CellTensor) -> float:
     Half the smallest perpendicular width of the cell over its periodic
     directions: the inscribed-sphere radius for fully periodic cells, the
     inscribed-circle radius of the (a, b) parallelogram for slabs, and
-    infinity when nothing is periodic.
+    infinity when nothing is periodic.  Computed once per cell.
     """
-    if cell.imcon == 0:
-        return np.inf
-    if cell.imcon == 6:
-        a, b, _ = cell.matrix
-        area = np.linalg.norm(np.cross(a, b))
-        return 0.5 * min(area / np.linalg.norm(a), area / np.linalg.norm(b))
-    return 0.5 * float(perpendicular_heights(cell).min())
+    return cell._cutoff

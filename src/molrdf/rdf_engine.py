@@ -93,18 +93,36 @@ class PairHistogram:
         return self.counts.shape[0]
 
 
+def _strip(i0: int, i1: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) with i0 <= i < i1 and i < j < n."""
+    ii = np.arange(i0, i1)[:, None]
+    jj = np.arange(n)[None, :]
+    mask = jj > ii
+    return np.broadcast_to(ii, mask.shape)[mask], np.broadcast_to(jj, mask.shape)[mask]
+
+
+@functools.lru_cache(maxsize=8)
+def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All i < j index pairs of n molecules in one read-only chunk.
+
+    Cached because the molecule count rarely changes from frame to frame.
+    """
+    i, j = _strip(0, n - 1, n)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def _pair_strips(n: int):
-    """All i < j index pairs, yielded in row strips of bounded size."""
-    rows_per_strip = max(1, _CHUNK_PAIRS // max(n, 1))
+    """All i < j index pairs, in row strips of bounded size; as one cached
+    chunk when they fit in one."""
+    if n * (n - 1) // 2 <= _CHUNK_PAIRS:
+        if n > 1:
+            yield _all_pairs(n)
+        return
+    rows_per_strip = max(1, _CHUNK_PAIRS // n)
     for i0 in range(0, n - 1, rows_per_strip):
-        i1 = min(i0 + rows_per_strip, n - 1)
-        ii = np.arange(i0, i1)[:, None]
-        jj = np.arange(n)[None, :]
-        mask = jj > ii
-        yield (
-            np.broadcast_to(ii, mask.shape)[mask],
-            np.broadcast_to(jj, mask.shape)[mask],
-        )
+        yield _strip(i0, min(i0 + rows_per_strip, n - 1), n)
 
 
 def _half_cube(reach: int) -> np.ndarray:
@@ -330,6 +348,7 @@ def accumulate_frame(
     key_j = types * nbins
     key_i = key_j * hist.n_types
     flat = np.zeros(hist.counts.size, dtype=np.int64)
+    buf = np.empty(0)  # the cell product's output, reused across chunks
     for i_arr, j_arr in _candidate_pairs(pos, cell, rc):
         d = np.take(axes, j_arr, axis=1)
         d -= np.take(axes, i_arr, axis=1)
@@ -340,7 +359,10 @@ def accumulate_frame(
             t += f
             np.trunc(t, out=t)
             f -= t
-            d = m.T @ d  # the transpose of d.T @ m, with the same sums
+            if buf.size < d.size:
+                buf = np.empty(d.size)
+            # The transpose of d.T @ m, with the same sums.
+            d = np.matmul(m.T, d, out=buf[: d.size].reshape(d.shape))
         # Same sums in the same order as np.linalg.norm(d, axis=0), so the
         # same bits, without its slow length-3 reduction per pair.
         x, y, z = d

@@ -72,7 +72,6 @@ class SiteSpec:
     name: str
     mass: float
     charge: float
-    frozen: int = 0
 
 
 @dataclass(frozen=True)
@@ -272,14 +271,15 @@ def parse_field(field_text: str) -> Topology:
                 mass = float(tokens[1])
                 charge = float(tokens[2])
                 repeat = int(tokens[3]) if len(tokens) > 3 else 1
-                frozen = int(tokens[4]) if len(tokens) > 4 else 0
+                if len(tokens) > 4:
+                    int(tokens[4])  # the frozen flag: unused, but must be an integer
             except ValueError:
                 raise InputError(f"FIELD line {lineno}: bad site record {line.strip()!r}") from None
             if mass < 0:
                 raise InputError(f"FIELD line {lineno}: negative site mass")
             if repeat < 1:
                 raise InputError(f"FIELD line {lineno}: repeat count must be >= 1")
-            sites.extend(SiteSpec(tokens[0], mass, charge, frozen) for _ in range(repeat))
+            sites.extend(SiteSpec(tokens[0], mass, charge) for _ in range(repeat))
         if len(sites) > n_sites:
             raise InputError(
                 f"FIELD: repeat counts in {name!r} expand to {len(sites)} sites, "
@@ -343,6 +343,8 @@ class HistoryReader:
     each line; tokens after them are ignored.  A block cut short, or a cell
     row or coordinate line that does not start with three numbers, ends the
     trajectory.  A coordinate that reads as NaN or infinity is an error.
+    Frames whose imcon and cell rows repeat the previous frame's, character
+    for character, share its :class:`CellTensor` object.
     """
 
     def __init__(self, source: str | Path | IO[str], expected_natoms: int | None = None):
@@ -355,6 +357,9 @@ class HistoryReader:
         # The file's non-blank lines; file objects never yield "".
         self._lines = filterfalse(str.isspace, self._fh)
         self._expected_natoms = expected_natoms
+        # The last frame's cell and the (imcon, raw cell rows) it came from.
+        self._cell = None
+        self._cell_key = None
         self.frames_read = 0
         self.truncated = False
 
@@ -419,14 +424,19 @@ class HistoryReader:
         if natoms < 0:
             return None
 
-        if imcon > 0:
-            rows = list(islice(self._lines, 3))
-            matrix = _coordinates(rows) if len(rows) == 3 else None
-            if matrix is None:
-                return None
-            cell = CellTensor(matrix, imcon)
-        else:
-            cell = CellTensor(np.zeros((3, 3)), 0)
+        # A frame whose imcon and cell rows repeat the last frame's, as in
+        # every constant-volume run, gets the last frame's cell object.
+        rows = list(islice(self._lines, 3)) if imcon > 0 else []
+        if (imcon, rows) != self._cell_key:
+            if imcon > 0:
+                matrix = _coordinates(rows) if len(rows) == 3 else None
+                if matrix is None:
+                    return None
+            else:
+                matrix = np.zeros((3, 3))
+            self._cell = CellTensor(matrix, imcon)
+            self._cell_key = (imcon, rows)
+        cell = self._cell
 
         per_site = 2 + min(max(keytrj, 0), 2)  # name, coordinates, velocity, force
         positions = np.empty((natoms, 3))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,31 @@ class TestCellTensor:
     def test_unsupported_imcon(self):
         with pytest.raises(InputError, match="imcon"):
             CellTensor(np.eye(3), imcon=5)
+
+    @pytest.mark.parametrize("name", ["matrix", "inverse"])
+    def test_arrays_are_read_only(self, name):
+        """One cell serves every frame that shares it, so a write into its
+        arrays would reach later frames."""
+        given = TRICLINIC.copy()
+        array = getattr(CellTensor(given, imcon=3), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+        given[0, 0] = 1.0  # the caller's array is copied, not frozen
+        assert array[0, 0] != 1.0
+
+    def test_derived_values_computed_once_per_cell(self):
+        cell = CellTensor(TRICLINIC, imcon=3)
+        with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det, \
+                mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            first = (cell_volume(cell), min_image_cutoff(cell), perpendicular_heights(cell))
+            calls = (det.call_count, norm.call_count)
+            again = (cell_volume(cell), min_image_cutoff(cell), perpendicular_heights(cell))
+            assert (det.call_count, norm.call_count) == calls == (1, 1)
+        assert first[0] == again[0] and first[1] == again[1] and first[2] is again[2]
+        with pytest.raises(ValueError, match="read-only"):
+            again[2][0] = 1.0
 
     def test_periodic_mask_codes(self):
         np.testing.assert_array_equal(periodic_mask(0), [False, False, False])

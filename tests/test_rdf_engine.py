@@ -587,6 +587,40 @@ class TestKernelPasses:
                 counts_with(search, types, coms, cell, rmax, dr, n_types=3), oracle
             )
 
+    @pytest.mark.parametrize("n", [2, 3, 256])
+    def test_one_chunk_of_all_pairs_is_cached(self, monkeypatch, n):
+        """While all pairs fit in one chunk (256 molecules is the most), they
+        are one cached, read-only pair of index arrays, with the pairs and
+        the counts of row strips."""
+        assert 256 * 255 // 2 <= rdf_engine._CHUNK_PAIRS < 257 * 256 // 2
+        ((i, j),) = rdf_engine._pair_strips(n)
+        ((i_again, j_again),) = rdf_engine._pair_strips(n)
+        assert i_again is i and j_again is j
+        for array in (i, j):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        rng = np.random.default_rng(n)
+        cell = CellTensor.cubic(20.0)
+        coms = rng.uniform(0.0, 20.0, (n, 3))
+        types = rng.integers(0, 2, n)
+        rmax, dr = 9.0, 0.25
+        assert rdf_engine._candidate_pairs(
+            to_reduced(coms, cell), cell, search_radius(rmax, dr)
+        ).__name__ == "_pair_strips"
+        cached = counts_with(_all_pairs, types, coms, cell, rmax, dr)
+        assert cached.sum() > 0
+
+        monkeypatch.setattr(rdf_engine, "_CHUNK_PAIRS", n * (n - 1) // 2 - 1)
+        strips = list(rdf_engine._pair_strips(n))
+        assert len(strips) >= 2 or n == 2
+        np.testing.assert_array_equal(np.concatenate([s[0] for s in strips]), i)
+        np.testing.assert_array_equal(np.concatenate([s[1] for s in strips]), j)
+        np.testing.assert_array_equal(counts_with(_all_pairs, types, coms, cell, rmax, dr), cached)
+        if n <= 3:
+            np.testing.assert_array_equal(
+                cached, reference_counts([coms], types, cell.matrix, 2, rmax, dr)
+            )
+
     def test_bins_at_the_cutoff_and_half_points(self):
         """Pairs one ulp either side of rc = rmax + dr/2, and of the bin
         half-points near rmax, land in bin nint(r / dr) whenever that bin

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from molrdf import trajectory_io
+from molrdf.cli import main
 from molrdf.errors import InputError
+from molrdf.geometry import cell_volume, min_image_cutoff
 from molrdf.rdf_engine import RdfTable
 from molrdf.trajectory_io import (
     Directives,
@@ -157,10 +159,14 @@ class TestParseField:
         assert names == ["CH3", "CH2", "CH2", "CH2", "O", "H"]
         water_sites = topo.molecules[1].sites
         assert [s.name for s in water_sites] == ["OW", "HW", "HW"]
-        assert water_sites[1].frozen == 1
         np.testing.assert_allclose(
             topo.molecules[1].masses, [15.9994, 1.008, 1.008]
         )
+
+    def test_non_integer_frozen_column_rejected(self):
+        text = "t\nmolecules 1\nM\nnummols 1\natoms 1\nX 1.0 0.0 1 yes\nfinish\n"
+        with pytest.raises(InputError, match="FIELD line 6: bad site record"):
+            parse_field(text)
 
     def test_total_mass(self):
         topo = parse_field(WATER_ALCOHOL_FIELD)
@@ -217,17 +223,18 @@ def history_text(
 ):
     """Minimal HISTORY text for a system of single-site molecules.
 
-    ``cell`` (rows a, b, c) replaces the cubic cell of edge ``length``;
-    ``coord_suffix`` is appended to every coordinate line and
-    ``cell_suffix`` to every cell row.
+    ``cell`` (rows a, b, c), or one such matrix per frame, replaces the
+    cubic cell of edge ``length``; ``coord_suffix`` is appended to every
+    coordinate line and ``cell_suffix`` to every cell row.
     """
     natoms = len(names)
     if cell is None:
         cell = length * np.eye(3)
+    cells = np.broadcast_to(cell, (len(frames), 3, 3))
     lines = []
     if header:
         lines += ["test trajectory", f"{keytrj:10d}{imcon:10d}{natoms:10d}"]
-    for step, positions in enumerate(frames, start=1):
+    for step, (positions, cell) in enumerate(zip(frames, cells), start=1):
         lines.append(f"timestep{step:10d}{natoms:10d}{keytrj:10d}{imcon:10d}{0.001:12.6f}")
         if imcon > 0:
             for row in cell:
@@ -379,6 +386,93 @@ class TestHistoryReader:
         path.write_text(history_text(FRAMES))
         with HistoryReader(path) as reader:
             assert len(list(reader)) == 3
+
+
+def frame_cells(text):
+    return [frame.cell for frame in HistoryReader(io.StringIO(text))]
+
+
+TILTED = np.array([[10.0, 0.0, 0.0], [1.5, 9.0, 0.0], [1.0, 1.25, 8.0]])
+
+FIELD_A_B = """\
+single-site molecules A and B
+MOLECULES 2
+A
+NUMMOLS 1
+ATOMS 1
+A 1.0 0.0
+FINISH
+B
+NUMMOLS 1
+ATOMS 1
+B 2.0 0.0
+FINISH
+CLOSE
+"""
+
+CONTROL_RMAX_4 = "t\nfinish\npolyana\n  rmax 4.0\n  dr 0.5\nend polyana\n"
+
+
+class TestCellReuse:
+    """A frame whose imcon and cell rows repeat the previous frame's shares
+    its cell object; any change builds a new cell."""
+
+    def test_repeated_rows_share_one_cell(self):
+        cells = frame_cells(history_text(FRAMES, imcon=3, cell=TILTED))
+        assert cells[0] is cells[1] is cells[2]
+        np.testing.assert_array_equal(cells[2].matrix, TILTED)
+
+    def test_unbounded_frames_share_one_cell(self):
+        cells = frame_cells(history_text(FRAMES, imcon=0))
+        assert cells[0] is cells[1] is cells[2]
+        assert cells[0].imcon == 0 and not cells[0].matrix.any()
+
+    def test_npt_cell_changes_every_frame(self, tmp_path, capsys):
+        scales = (1.0, 1.03125, 0.96875)  # exact in binary and in 10 decimals
+        matrices = np.array([k * TILTED for k in scales])
+        cells = frame_cells(history_text(FRAMES, imcon=3, cell=matrices))
+        assert len({id(c) for c in cells}) == 3
+        for cell, matrix in zip(cells, matrices):
+            assert cell.matrix.tobytes() == matrix.tobytes()
+            assert cell_volume(cell) == pytest.approx(abs(np.linalg.det(matrix)), rel=1e-14)
+            assert min_image_cutoff(cell) == pytest.approx(
+                0.5 * min(1.0 / np.linalg.norm(np.linalg.inv(matrix), axis=0)), rel=1e-14
+            )
+
+        (tmp_path / "CONTROL").write_text(CONTROL_RMAX_4)
+        (tmp_path / "FIELD").write_text(FIELD_A_B)
+        (tmp_path / "HISTORY").write_text(history_text(FRAMES, imcon=3, cell=matrices))
+        assert main(["--dir", str(tmp_path)]) == 0
+        mean = np.mean([abs(np.linalg.det(m)) for m in matrices])
+        assert f"mean cell volume: {mean:.6f} A^3" in capsys.readouterr().out
+        assert f"{mean:.6f}" != f"{abs(np.linalg.det(TILTED)):.6f}"
+
+    def test_same_rows_under_another_imcon_build_a_new_cell(self):
+        imcons = (1, 2, 2, 3, 1)
+        text = "".join(
+            history_text([FRAMES[k % 3]], header=False, imcon=imcon)
+            for k, imcon in enumerate(imcons)
+        )
+        cells = frame_cells(text)
+        assert [c.imcon for c in cells] == list(imcons)
+        assert cells[2] is cells[1]
+        assert len({id(c) for c in cells}) == 4
+        for cell in cells:
+            np.testing.assert_array_equal(cell.matrix, 10.0 * np.eye(3))
+
+    def test_changed_row_after_repeated_rows_is_picked_up(self):
+        third_row = TILTED.copy()
+        third_row[2] = [0.5, -0.75, 8.5]
+        one_digit = TILTED.copy()
+        one_digit[1, 1] += 1e-10  # the last decimal written
+        matrices = np.array([TILTED, TILTED, third_row, third_row, one_digit, TILTED])
+        frames = [FRAMES[k % 3] for k in range(len(matrices))]
+        cells = frame_cells(history_text(frames, imcon=3, cell=matrices))
+        assert cells[1] is cells[0] and cells[3] is cells[2]
+        assert len({id(c) for c in cells}) == 4
+        for cell, matrix in zip(cells, matrices):
+            np.testing.assert_array_equal(cell.matrix, matrix)
+        assert cell_volume(cells[2]) != cell_volume(cells[1])
 
 
 def site_frames(n_frames, n_sites, seed=0):
