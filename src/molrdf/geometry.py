@@ -37,18 +37,17 @@ import numpy as np
 
 from .errors import InputError
 
-SUPPORTED_IMCON = frozenset({0, 1, 2, 3, 6})
-
 #: Relative tolerance used to check that cells declared cubic/orthorhombic
 #: really are diagonal.
 _SHAPE_TOL = 1e-6
 
-_PERIODIC_MASK = {
-    0: np.array([False, False, False]),
-    1: np.array([True, True, True]),
-    2: np.array([True, True, True]),
-    3: np.array([True, True, True]),
-    6: np.array([True, True, False]),
+#: The supported imcon codes, each with its periodic lattice directions.
+_PERIODIC_AXES = {
+    0: (False, False, False),
+    1: (True, True, True),
+    2: (True, True, True),
+    3: (True, True, True),
+    6: (True, True, False),
 }
 
 
@@ -60,14 +59,6 @@ def nint(x):
     """
     x = np.asarray(x, dtype=float)
     return np.trunc(x + np.copysign(0.5, x))
-
-
-def periodic_mask(imcon: int) -> np.ndarray:
-    """Boolean mask of the lattice directions that are periodic for *imcon*."""
-    try:
-        return _PERIODIC_MASK[imcon]
-    except KeyError:
-        raise InputError(f"unsupported periodic-boundary code imcon={imcon}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +82,10 @@ class CellTensor:
             raise InputError(f"cell matrix must be 3x3, got shape {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
             raise InputError("cell matrix contains non-finite entries")
-        if self.imcon not in SUPPORTED_IMCON:
+        if self.imcon not in _PERIODIC_AXES:
             raise InputError(
                 f"unsupported periodic-boundary code imcon={self.imcon} "
-                f"(supported: {sorted(SUPPORTED_IMCON)})"
+                f"(supported: {sorted(_PERIODIC_AXES)})"
             )
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -124,19 +115,26 @@ class CellTensor:
     def orthorhombic(cls, lx: float, ly: float, lz: float) -> "CellTensor":
         return cls(np.diag([lx, ly, lz]), imcon=2)
 
-    @property
-    def periodic(self) -> np.ndarray:
-        """Boolean mask of the periodic lattice directions."""
-        return periodic_mask(self.imcon)
-
-    # Derived values, computed on first use and kept: read them through
-    # cell_volume, perpendicular_heights and min_image_cutoff.
     @cached_property
-    def _volume(self) -> float:
+    def periodic(self) -> np.ndarray:
+        """Boolean mask of the periodic lattice directions; read-only."""
+        periodic = np.array(_PERIODIC_AXES[self.imcon])
+        periodic.flags.writeable = False
+        return periodic
+
+    @cached_property
+    def volume(self) -> float:
+        """Cell volume ``|det(C)|`` in cubic Angstrom, computed once per cell."""
         return float(abs(np.linalg.det(self.matrix)))
 
     @cached_property
-    def _heights(self) -> np.ndarray:
+    def heights(self) -> np.ndarray:
+        """Distance between the two faces of the cell spanned by the other two
+        lattice vectors, one per lattice vector: ``1 / |inv(C)[:, k]|``.
+
+        A displacement of Cartesian length r changes reduced coordinate k by at
+        most ``r / h_k``.  Computed once per cell; the array is read-only.
+        """
         if self.inverse is None:
             raise InputError("perpendicular heights undefined for a non-periodic cell")
         heights = 1.0 / np.linalg.norm(self.inverse, axis=0)
@@ -144,14 +142,21 @@ class CellTensor:
         return heights
 
     @cached_property
-    def _cutoff(self) -> float:
+    def min_image_cutoff(self) -> float:
+        """Largest pair distance for which the minimum-image fold is unbiased.
+
+        Half the smallest perpendicular width of the cell over its periodic
+        directions: the inscribed-sphere radius for fully periodic cells, the
+        inscribed-circle radius of the (a, b) parallelogram for slabs, and
+        infinity when nothing is periodic.  Computed once per cell.
+        """
         if self.imcon == 0:
             return np.inf
         if self.imcon == 6:
             a, b, _ = self.matrix
             area = np.linalg.norm(np.cross(a, b))
             return 0.5 * min(area / np.linalg.norm(a), area / np.linalg.norm(b))
-        return 0.5 * float(self._heights.min())
+        return 0.5 * float(self.heights.min())
 
 
 def to_reduced(r: np.ndarray, cell: CellTensor) -> np.ndarray:
@@ -192,28 +197,3 @@ def wrap_point(r: np.ndarray, cell: CellTensor) -> np.ndarray:
     shift[..., mask] = np.floor(s[..., mask] + 0.5)
     return r - shift @ cell.matrix
 
-
-def cell_volume(cell: CellTensor) -> float:
-    """Cell volume ``|det(C)|`` in cubic Angstrom, computed once per cell."""
-    return cell._volume
-
-
-def perpendicular_heights(cell: CellTensor) -> np.ndarray:
-    """Distance between the two faces of the cell spanned by the other two
-    lattice vectors, one per lattice vector: ``1 / |inv(C)[:, k]|``.
-
-    A displacement of Cartesian length r changes reduced coordinate k by at
-    most ``r / h_k``.  Computed once per cell; the array is read-only.
-    """
-    return cell._heights
-
-
-def min_image_cutoff(cell: CellTensor) -> float:
-    """Largest pair distance for which the minimum-image fold is unbiased.
-
-    Half the smallest perpendicular width of the cell over its periodic
-    directions: the inscribed-sphere radius for fully periodic cells, the
-    inscribed-circle radius of the (a, b) parallelogram for slabs, and
-    infinity when nothing is periodic.  Computed once per cell.
-    """
-    return cell._cutoff

@@ -28,15 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, NoFramesError
-from .geometry import (
-    CellTensor,
-    cell_volume,
-    min_image_cutoff,
-    nint,
-    periodic_mask,
-    perpendicular_heights,
-    to_reduced,
-)
+from .geometry import CellTensor, nint, to_reduced
 from .trajectory_io import Topology
 
 logger = logging.getLogger(__name__)
@@ -170,13 +162,12 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     ``pos`` are reduced coordinates, unwrapped or not.  Non-periodic cells
     get no grid, and neither do cells too thin to hold 2 * _CELL_REACH + 1
     cells along a periodic axis: this keeps the single-image semantics of
-    the minimum-image fold when rmax exceeds ``min_image_cutoff``.
+    the minimum-image fold when rmax exceeds ``cell.min_image_cutoff``.
     """
     if cell.imcon == 0 or len(pos) < 2:
         return None
     periodic = cell.periodic
     reach = rc * (1.0 + _PAD)
-    heights = perpendicular_heights(cell)
     # Reduced extent to cover: the cell along periodic axes, the frame's own
     # span along the slab normal, which is never wrapped.
     lo = np.zeros(3)
@@ -184,13 +175,13 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     if not periodic.all():
         lo[~periodic] = pos[:, ~periodic].min(axis=0)
         extent[~periodic] = pos[:, ~periodic].max(axis=0) - lo[~periodic]
-    shape = np.floor(extent * heights * _CELL_REACH / reach)
+    shape = np.floor(extent * cell.heights * _CELL_REACH / reach)
     shape = np.clip(shape, 1, _MAX_CELLS).astype(np.int64)
     if (shape[periodic] < 2 * _CELL_REACH + 1).any():
         return None
     m = cell.matrix
     orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
-    widths = tuple(extent * heights / shape) if orthogonal else None
+    widths = tuple(extent * cell.heights / shape) if orthogonal else None
     offsets = _stencil(tuple(shape.tolist()), widths, reach)
     scale = shape / np.where(extent > 0.0, extent, 1.0)
     return _CellGrid(shape, offsets, lo, scale, periodic)
@@ -316,8 +307,8 @@ def accumulate_frame(
     if types.size and (types.min() < 0 or types.max() >= hist.n_types):
         raise ValueError("type index out of range for this histogram")
 
-    if cell.imcon > 0 and not hist.range_warned:
-        cutoff = min_image_cutoff(cell)
+    if not hist.range_warned:
+        cutoff = cell.min_image_cutoff
         if hist.rmax > cutoff + 1e-9:
             hist.range_warned = True
             logger.warning(
@@ -330,7 +321,7 @@ def accumulate_frame(
     if cell.imcon > 0:
         pos = to_reduced(coms, cell)
         # The periodic axes lead: all three, or the first two of a slab.
-        folded = int(periodic_mask(cell.imcon).sum())
+        folded = int(cell.periodic.sum())
         m = cell.matrix
     else:
         pos = coms
@@ -392,7 +383,7 @@ def accumulate_frame(
     hist.counts += counts.transpose(1, 0, 2)
 
     hist.frames_used += 1
-    hist.volume_sum += cell_volume(cell)
+    hist.volume_sum += cell.volume
 
 
 def merge(a: PairHistogram, b: PairHistogram) -> PairHistogram:

@@ -115,9 +115,8 @@ class Frame:
     """One stored configuration of the trajectory."""
 
     step: int
-    natoms: int
     cell: CellTensor
-    positions: np.ndarray  # (natoms, 3), Angstrom, FIELD declaration order
+    positions: np.ndarray  # (sites, 3), Angstrom, FIELD declaration order
 
 
 def _first_token(line: str) -> str:
@@ -256,6 +255,8 @@ def parse_field(field_text: str) -> Topology:
             n_sites = int(tokens[-1])
         except ValueError:
             raise InputError(f"FIELD line {lineno}: bad ATOMS value") from None
+        if n_sites < 1:
+            raise InputError(f"FIELD line {lineno}: ATOMS must be >= 1")
 
         sites: list[SiteSpec] = []
         while len(sites) < n_sites:
@@ -434,7 +435,10 @@ class HistoryReader:
                     return None
             else:
                 matrix = np.zeros((3, 3))
-            self._cell = CellTensor(matrix, imcon)
+            try:
+                self._cell = CellTensor(matrix, imcon)
+            except InputError as err:
+                raise InputError(f"HISTORY: frame at step {step}: {err}") from None
             self._cell_key = (imcon, rows)
         cell = self._cell
 
@@ -454,7 +458,7 @@ class HistoryReader:
                 f"HISTORY: frame at step {step} has a non-finite coordinate at site {site}"
             )
 
-        return Frame(step, natoms, cell, positions)
+        return Frame(step, cell, positions)
 
 
 def _pair_header(labels, prefix: str) -> str:

@@ -162,6 +162,22 @@ class TestMain:
         assert "Traceback" not in err
         assert not (dataset_dir / "RDF").exists()
 
+    def test_unsupported_imcon_exit_code(self, dataset_dir, capsys):
+        history = dataset_dir / "HISTORY"
+        lines = history.read_text().splitlines()
+        second_step = [k for k, s in enumerate(lines) if s.startswith("timestep")][1]
+        tokens = lines[second_step].split()
+        tokens[4] = "4"
+        lines[second_step] = " ".join(tokens)
+        history.write_text("\n".join(lines) + "\n")
+        assert main(["--dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: HISTORY: frame at step 2: unsupported periodic-boundary code "
+            "imcon=4 (supported: [0, 1, 2, 3, 6])\n"
+        )
+        assert not (dataset_dir / "RDF").exists()
+
     def test_generate_subcommand(self, tmp_path, capsys):
         assert main(["generate", "--dir", str(tmp_path), "--frames", "5"]) == 0
         out = capsys.readouterr().out

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from molrdf.errors import InputError
-from molrdf.geometry import (
-    CellTensor,
-    cell_volume,
-    min_image_cutoff,
-    nint,
-    perpendicular_heights,
-    periodic_mask,
-    to_reduced,
-    wrap_point,
-)
+from molrdf.geometry import CellTensor, nint, to_reduced, wrap_point
 from molrdf.rdf_engine import PairHistogram, accumulate_frame
 from molrdf.unfolding import unfold
 
@@ -99,20 +90,23 @@ class TestCellTensor:
         cell = CellTensor(TRICLINIC, imcon=3)
         with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det, \
                 mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
-            first = (cell_volume(cell), min_image_cutoff(cell), perpendicular_heights(cell))
+            first = (cell.volume, cell.min_image_cutoff, cell.heights)
             calls = (det.call_count, norm.call_count)
-            again = (cell_volume(cell), min_image_cutoff(cell), perpendicular_heights(cell))
+            again = (cell.volume, cell.min_image_cutoff, cell.heights)
             assert (det.call_count, norm.call_count) == calls == (1, 1)
         assert first[0] == again[0] and first[1] == again[1] and first[2] is again[2]
         with pytest.raises(ValueError, match="read-only"):
             again[2][0] = 1.0
 
     def test_periodic_mask_codes(self):
-        np.testing.assert_array_equal(periodic_mask(0), [False, False, False])
-        np.testing.assert_array_equal(periodic_mask(1), [True, True, True])
-        np.testing.assert_array_equal(periodic_mask(6), [True, True, False])
-        with pytest.raises(InputError):
-            periodic_mask(4)
+        periodic = CellTensor(np.zeros((3, 3)), 0).periodic
+        np.testing.assert_array_equal(periodic, [False, False, False])
+        np.testing.assert_array_equal(CellTensor.cubic(10.0).periodic, [True, True, True])
+        np.testing.assert_array_equal(CellTensor(np.eye(3), 6).periodic, [True, True, False])
+        with pytest.raises(InputError, match=r"imcon=4 \(supported: \[0, 1, 2, 3, 6\]\)"):
+            CellTensor(np.eye(3), 4)
+        with pytest.raises(ValueError, match="read-only"):
+            periodic[0] = True
 
 
 class TestReducedCoordinates:
@@ -138,13 +132,13 @@ class TestVolume:
     def test_matches_scalar_triple_product(self):
         cell = CellTensor(TRICLINIC, imcon=3)
         expected = abs(TRICLINIC[0] @ np.cross(TRICLINIC[1], TRICLINIC[2]))
-        assert cell_volume(cell) == pytest.approx(expected, rel=1e-14)
+        assert cell.volume == pytest.approx(expected, rel=1e-14)
 
     def test_cubic(self):
-        assert cell_volume(CellTensor.cubic(30.0)) == pytest.approx(27000.0, rel=1e-14)
+        assert CellTensor.cubic(30.0).volume == pytest.approx(27000.0, rel=1e-14)
 
     def test_imcon_zero_is_zero(self):
-        assert cell_volume(CellTensor(np.zeros((3, 3)), 0)) == 0.0
+        assert CellTensor(np.zeros((3, 3)), 0).volume == 0.0
 
 
 def folded_bond(s_from, s_to, cell):
@@ -238,11 +232,11 @@ class TestWrapPoint:
 
 class TestMinImageCutoff:
     def test_cubic_half_edge(self):
-        assert min_image_cutoff(CellTensor.cubic(30.0)) == pytest.approx(15.0)
+        assert CellTensor.cubic(30.0).min_image_cutoff == pytest.approx(15.0)
 
     def test_orthorhombic_shortest_half_edge(self):
         cell = CellTensor.orthorhombic(10.0, 24.0, 18.0)
-        assert min_image_cutoff(cell) == pytest.approx(5.0)
+        assert cell.min_image_cutoff == pytest.approx(5.0)
 
     def test_triclinic_uses_perpendicular_widths(self):
         cell = CellTensor(TRICLINIC, imcon=3)
@@ -252,7 +246,7 @@ class TestMinImageCutoff:
         for i in range(3):
             area = np.linalg.norm(np.cross(m[(i + 1) % 3], m[(i + 2) % 3]))
             widths.append(vol / area)
-        assert min_image_cutoff(cell) == pytest.approx(min(widths) / 2, rel=1e-12)
+        assert cell.min_image_cutoff == pytest.approx(min(widths) / 2, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_triclinic_agrees_with_volume_over_face_area(self, seed):
@@ -268,27 +262,27 @@ class TestMinImageCutoff:
             vol / np.linalg.norm(np.cross(c, a)),
             vol / np.linalg.norm(np.cross(a, b)),
         )
-        assert min_image_cutoff(cell) == pytest.approx(old, rel=1e-12, abs=0.0)
+        assert cell.min_image_cutoff == pytest.approx(old, rel=1e-12, abs=0.0)
 
     def test_slab_keeps_in_plane_width(self):
         """imcon 6 ignores the non-periodic c vector, however short it is."""
         cell = CellTensor(np.array([[10.0, 0.0, 0.0], [4.0, 12.0, 0.0], [0.0, 0.0, 1.0]]), imcon=6)
-        assert min_image_cutoff(cell) == pytest.approx(5.0 * 12.0 / np.hypot(4.0, 12.0))
+        assert cell.min_image_cutoff == pytest.approx(5.0 * 12.0 / np.hypot(4.0, 12.0))
 
     def test_unbounded_without_periodicity(self):
-        assert min_image_cutoff(CellTensor(np.zeros((3, 3)), 0)) == np.inf
+        assert CellTensor(np.zeros((3, 3)), 0).min_image_cutoff == np.inf
 
 
 class TestPerpendicularHeights:
     def test_orthorhombic_edges(self):
         cell = CellTensor.orthorhombic(10.0, 24.0, 18.0)
-        np.testing.assert_allclose(perpendicular_heights(cell), [10.0, 24.0, 18.0], rtol=1e-15)
+        np.testing.assert_allclose(cell.heights, [10.0, 24.0, 18.0], rtol=1e-15)
 
     def test_bounds_reduced_displacement(self):
         """No displacement of length r moves reduced coordinate k by more
         than r / h_k, and the bound is reached along the face normal."""
         cell = CellTensor(TRICLINIC, imcon=3)
-        h = perpendicular_heights(cell)
+        h = cell.heights
         d = np.random.default_rng(3).normal(size=(1000, 3))
         ds = np.abs(to_reduced(d, cell))
         assert (ds <= np.linalg.norm(d, axis=1)[:, None] / h * (1 + 1e-12)).all()
@@ -297,4 +291,4 @@ class TestPerpendicularHeights:
 
     def test_needs_periodic_cell(self):
         with pytest.raises(InputError):
-            perpendicular_heights(CellTensor(np.eye(3), 0))
+            CellTensor(np.eye(3), 0).heights

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from molrdf import rdf_engine
 from molrdf.errors import InputError, NoFramesError
-from molrdf.geometry import CellTensor, min_image_cutoff, nint, perpendicular_heights, to_reduced
+from molrdf.geometry import CellTensor, nint, to_reduced
 from molrdf.rdf_engine import (
     PairHistogram,
     accumulate_frame,
@@ -408,9 +408,9 @@ class TestCellSearchProperty:
         cell = make_cell(imcon, lengths, tilts)
         periodic = cell.periodic
         rng = np.random.default_rng(seed)
-        heights = perpendicular_heights(cell)
+        heights = cell.heights
         if near_cutoff:
-            rmax = min_image_cutoff(cell) * (1.0 - 1e-6)
+            rmax = cell.min_image_cutoff * (1.0 - 1e-6)
         else:
             # rc = rmax + dr/2 fits ``across`` cells of rc/3 across the
             # narrowest periodic direction.

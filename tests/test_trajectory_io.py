@@ -8,7 +8,6 @@ import pytest
 from molrdf import trajectory_io
 from molrdf.cli import main
 from molrdf.errors import InputError
-from molrdf.geometry import cell_volume, min_image_cutoff
 from molrdf.rdf_engine import RdfTable
 from molrdf.trajectory_io import (
     Directives,
@@ -201,6 +200,12 @@ class TestParseField:
     def test_negative_mass_rejected(self):
         text = "t\nmolecules 1\nM\nnummols 1\natoms 1\nX -1.0 0.0\nfinish\n"
         with pytest.raises(InputError, match="negative"):
+            parse_field(text)
+
+    @pytest.mark.parametrize("n_sites", ["0", "-1"])
+    def test_site_count_must_be_positive(self, n_sites):
+        text = f"t\nmolecules 1\nM\nnummols 1\natoms {n_sites}\nX 1.0 0.0\nfinish\n"
+        with pytest.raises(InputError, match="FIELD line 5: ATOMS must be >= 1"):
             parse_field(text)
 
     def test_missing_finish(self):
@@ -434,8 +439,8 @@ class TestCellReuse:
         assert len({id(c) for c in cells}) == 3
         for cell, matrix in zip(cells, matrices):
             assert cell.matrix.tobytes() == matrix.tobytes()
-            assert cell_volume(cell) == pytest.approx(abs(np.linalg.det(matrix)), rel=1e-14)
-            assert min_image_cutoff(cell) == pytest.approx(
+            assert cell.volume == pytest.approx(abs(np.linalg.det(matrix)), rel=1e-14)
+            assert cell.min_image_cutoff == pytest.approx(
                 0.5 * min(1.0 / np.linalg.norm(np.linalg.inv(matrix), axis=0)), rel=1e-14
             )
 
@@ -472,7 +477,41 @@ class TestCellReuse:
         assert len({id(c) for c in cells}) == 4
         for cell, matrix in zip(cells, matrices):
             np.testing.assert_array_equal(cell.matrix, matrix)
-        assert cell_volume(cells[2]) != cell_volume(cells[1])
+        assert cells[2].volume != cells[1].volume
+
+
+class TestBadCell:
+    """A cell the reader cannot use is an error that names its frame."""
+
+    def second_frame_error(self, text):
+        frames = []
+        with pytest.raises(InputError) as err:
+            frames.extend(HistoryReader(io.StringIO(text)))
+        assert [frame.step for frame in frames] == [1]
+        return str(err.value)
+
+    def test_unsupported_imcon(self):
+        text = history_text(FRAMES).replace(
+            f"timestep{2:10d}{2:10d}{0:10d}{1:10d}", f"timestep{2:10d}{2:10d}{0:10d}{4:10d}"
+        )
+        assert self.second_frame_error(text) == (
+            "HISTORY: frame at step 2: unsupported periodic-boundary code imcon=4 "
+            "(supported: [0, 1, 2, 3, 6])"
+        )
+
+    def test_zero_rows(self):
+        matrices = np.array([TILTED, np.zeros((3, 3)), TILTED])
+        text = history_text(FRAMES, imcon=3, cell=matrices)
+        assert self.second_frame_error(text) == (
+            "HISTORY: frame at step 2: singular cell tensor for a periodic cell"
+        )
+
+    def test_tilted_cubic_cell(self):
+        matrices = np.array([10.0 * np.eye(3), TILTED, TILTED])
+        text = history_text(FRAMES, imcon=1, cell=matrices)
+        assert self.second_frame_error(text) == (
+            "HISTORY: frame at step 2: imcon=1 requires a diagonal cell matrix"
+        )
 
 
 def site_frames(n_frames, n_sites, seed=0):

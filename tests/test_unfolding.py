@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molrdf.geometry import CellTensor, min_image_cutoff
+from molrdf.geometry import CellTensor
 from molrdf.unfolding import centers_of_mass, unfold
 
 TRICLINIC = np.array(
@@ -221,7 +221,7 @@ class TestUnfoldProperty:
         cell = _cell_for(imcon, lengths, tilts)
         rng = np.random.default_rng(seed)
         # Bonds shorter than a quarter of the narrowest periodic width.
-        longest = 0.5 * min(min_image_cutoff(cell), 20.0)
+        longest = 0.5 * min(cell.min_image_cutoff, 20.0)
         steps = rng.standard_normal((count, n_sites - 1, 3))
         steps *= (rng.uniform(0.0, longest, (count, n_sites - 1)) / np.linalg.norm(steps, axis=2))[..., None]
         true = np.concatenate([np.zeros((count, 1, 3)), np.cumsum(steps, axis=1)], axis=1)
