@@ -37,7 +37,7 @@ logger = logging.getLogger(__name__)
 # for cache, not only for memory: a chunk's scratch arrays (about 120 B per
 # pair) then stay within a core's L2 cache between the kernel's passes,
 # instead of every pass streaming the whole frame through memory.  It also
-# bounds the molecules per chunk of the cell search.
+# bounds the rows the cell search lays out at once.
 _CHUNK_PAIRS = 32_768
 
 # Linked-cell search: every cell is at least rc / _CELL_REACH high across each
@@ -46,8 +46,18 @@ _CELL_REACH = 3
 # Cells per axis are capped to keep cell keys small; wider cells only add
 # candidates.
 _MAX_CELLS = 1024
+# The cell search keeps one table entry per cell, ghost cells included.  A
+# grid whose table would outgrow both bounds is coarsened, so the table grows
+# with the frame, not with the volume of the cell; a sparser grid would save
+# few candidates, as every molecule gets one row per column anyway.
+_CELLS_PER_MOLECULE = 8
+_TABLE_CELLS = 1 << 16
 # Relative padding of the search radius, so rounding cannot lose a pair.
 _PAD = 1e-9
+
+# The sign bit of a float64 and the bits of 0.5, as int64.
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+_HALF_BITS = np.float64(0.5).view(np.int64)
 
 SMOOTH_KERNEL = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
 
@@ -129,20 +139,31 @@ _HALF_CUBE = _half_cube(_CELL_REACH)
 
 
 @functools.lru_cache(maxsize=32)
-def _stencil(shape: tuple, widths: tuple | None, reach: float) -> np.ndarray:
+def _stencil(shape: tuple, widths: tuple | None, reach: float) -> tuple[np.ndarray, np.ndarray]:
     """Half stencil of a grid with ``shape`` cells: the offsets of _HALF_CUBE
     that fit in the grid and, for an orthogonal cell whose cells have edges
     ``widths``, whose nearest corners lie within ``reach``.
 
+    Returns the offsets and their columns: one row (dx, dy, lo, hi) per xy
+    offset, whose offsets are dz = lo..hi.  The own column (0, 0) comes
+    first, with lo 1, and hi 0 when no cell of it but the own is in reach.
     Cached because the cell, and with it the stencil, rarely changes from
-    frame to frame; the returned array is read-only.
+    frame to frame; the returned arrays are read-only.
     """
     offsets = _HALF_CUBE[(np.abs(_HALF_CUBE) < np.array(shape)).all(axis=1)]
     if widths is not None:
         gap = np.maximum(np.abs(offsets) - 1, 0) * np.array(widths)
         offsets = offsets[(gap**2).sum(axis=1) <= reach**2]
+    # Both filters keep dz by |dz| alone, so the dz of one xy offset are one
+    # run: -k..k, or 1..k above the own cell.
+    runs = {(0, 0): (1, 0)}
+    for dx, dy, dz in offsets.tolist():
+        lo, hi = runs.get((dx, dy), (dz, dz))
+        runs[dx, dy] = (min(lo, dz), max(hi, dz))
+    columns = np.array([(dx, dy, lo, hi) for (dx, dy), (lo, hi) in runs.items()])
     offsets.flags.writeable = False
-    return offsets
+    columns.flags.writeable = False
+    return offsets, columns
 
 
 class _CellGrid(NamedTuple):
@@ -150,6 +171,7 @@ class _CellGrid(NamedTuple):
 
     shape: np.ndarray  # cells along each axis
     offsets: np.ndarray  # half stencil of cell offsets to visit
+    columns: np.ndarray  # the same offsets as runs along z, see _stencil
     lo: np.ndarray  # reduced coordinates of the grid's corner
     scale: np.ndarray  # cells per unit of reduced coordinate
     periodic: np.ndarray  # axes along which the grid wraps
@@ -176,15 +198,21 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
         lo[~periodic] = pos[:, ~periodic].min(axis=0)
         extent[~periodic] = pos[:, ~periodic].max(axis=0) - lo[~periodic]
     shape = np.floor(extent * cell.heights * _CELL_REACH / reach)
-    shape = np.clip(shape, 1, _MAX_CELLS).astype(np.int64)
-    if (shape[periodic] < 2 * _CELL_REACH + 1).any():
+    shape = np.clip(shape, 1, _MAX_CELLS)
+    thinnest = np.where(periodic, 2 * _CELL_REACH + 1, 1)
+    if (shape < thinnest).any():
         return None
+    entries = shape.prod() * (1.0 + 2 * _CELL_REACH * periodic[2] / shape[2])
+    budget = max(_CELLS_PER_MOLECULE * len(pos), _TABLE_CELLS)
+    if entries > budget:
+        shape = np.maximum(np.floor(shape * (budget / entries) ** (1 / 3)), thinnest)
+    shape = shape.astype(np.int64)
     m = cell.matrix
     orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
     widths = tuple(extent * cell.heights / shape) if orthogonal else None
-    offsets = _stencil(tuple(shape.tolist()), widths, reach)
+    offsets, columns = _stencil(tuple(shape.tolist()), widths, reach)
     scale = shape / np.where(extent > 0.0, extent, 1.0)
-    return _CellGrid(shape, offsets, lo, scale, periodic)
+    return _CellGrid(shape, offsets, columns, lo, scale, periodic)
 
 
 def _lookups_pay(n: int, h: int) -> bool:
@@ -208,53 +236,72 @@ def _cell_search_pays(n: int, grid: _CellGrid) -> bool:
 
 
 def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
-    """Candidate i < j pairs of a linked-cell grid, in chunks of bounded size.
+    """Candidate pairs of a linked-cell grid, in cell-sorted order.
 
-    Every molecule meets the molecules after it in its own cell and all
-    molecules in the cells of the half stencil around it, so each pair of
-    neighbouring cells is visited once.
+    Returns ``(slots, chunks)``: slot k of the sorted order holds molecule
+    ``slots[k]``, and ``chunks`` yields index arrays (i, j) of slots, in
+    chunks of bounded size, that hold every pair of neighbouring molecules
+    once.
+
+    Molecules are sorted by cell, z fastest, so the cells of a column are
+    one run of slots.  Along a periodic z every column gets _CELL_REACH ghost
+    cells at each end, copies of the cells that wrap there, so the cells in
+    reach of any cell are one run too; the slab normal is never wrapped and
+    its runs are clipped instead.  Each molecule meets, in its own column,
+    the slots after its own up to the top of its run, and the whole run of
+    every other column of the half stencil: one row per column.
     """
-    shape, offsets, periodic = grid.shape, grid.offsets, grid.periodic
+    shape, periodic, columns = grid.shape, grid.periodic, grid.columns
+    nx, ny, nz = shape.tolist()
     cells = np.floor((pos - grid.lo) * grid.scale).astype(np.int64)
     cells[:, periodic] %= shape[periodic]
     np.minimum(cells, shape - 1, out=cells)  # a point on the slab's top face
-    # Cell keys are sums of one term per axis.  The terms of the cells
-    # _CELL_REACH beyond either end wrap along periodic axes; past the ends
-    # of the slab normal they are negative enough that no key matches.
-    stride = np.array([shape[1] * shape[2], shape[2], 1])
-    terms = []
-    for axis in range(3):
-        c = np.arange(-_CELL_REACH, shape[axis] + _CELL_REACH)
-        term = (c % shape[axis]) * stride[axis]
-        if not periodic[axis]:
-            term[(c < 0) | (c >= shape[axis])] = -shape.prod()
-        terms.append(term)
-    key = cells @ stride
-    order = np.argsort(key, kind="stable")
-    occupied, first, count = np.unique(key[order], return_index=True, return_counts=True)
-    home = np.repeat(np.arange(len(occupied)), count)  # occupied cell of each sorted molecule
-    cell_end = (first + count)[home]
-    where = cells[order[first]] + _CELL_REACH  # index into the key terms
+    ghost = _CELL_REACH if periodic[2] else 0
+    height = nz + 2 * ghost  # cells per column, ghosts included
+    cells[:, 2] += ghost
     n = len(pos)
-    rows = len(offsets) + 1
-    per_chunk = max(1, _CHUNK_PAIRS // rows)
-    for p0 in range(0, n, per_chunk):
-        p = np.arange(p0, min(p0 + per_chunk, n))
-        c0, c1 = home[p[0]], home[p[-1]] + 1
-        near_key = sum(
-            terms[axis][where[c0:c1, axis, None] + offsets[:, axis]] for axis in range(3)
-        )
-        slot = np.minimum(np.searchsorted(occupied, near_key), len(occupied) - 1)
-        hit = occupied[slot] == near_key
-        mine = home[p] - c0
-        starts = np.column_stack([p + 1, first[slot][mine]])
-        sizes = np.column_stack([cell_end[p] - p - 1, np.where(hit, count[slot], 0)[mine]])
-        yield from _expand_rows(np.repeat(p, rows), starts.ravel(), sizes.ravel(), order)
+    key = (cells[:, 0] * ny + cells[:, 1]) * height + cells[:, 2]
+    slots = np.arange(n)
+    if ghost:
+        # The bottom cells are copied above the top and the top cells below
+        # the bottom; every copy stands for its molecule through ``slots``.
+        up = np.flatnonzero(cells[:, 2] < 2 * ghost)
+        down = np.flatnonzero(cells[:, 2] >= nz)
+        key = np.concatenate([key, key[up] + nz, key[down] - nz])
+        slots = np.concatenate([slots, up, down])
+    order = np.argsort(key, kind="stable")
+    slots = slots[order]
+    # Cell c holds slots table[c] to table[c + 1].
+    table = np.zeros(nx * ny * height + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=nx * ny * height), out=table[1:])
+    # A run's table entries, first and end, as a term per axis looked up by
+    # the molecule's own cell along that axis; x and y always wrap.
+    dx, dy, lo, hi = columns.T
+    x_term = (np.arange(nx)[:, None] + dx) % nx * (ny * height)
+    y_term = (np.arange(ny)[:, None] + dy) % ny * height
+    z = np.arange(height)[:, None]
+    z_first = np.clip(z + lo, 0, height - 1)
+    z_end = np.clip(z + hi, 0, height - 1) + 1
+    real = np.flatnonzero(order < n)  # the slots that are not copies
+    where = cells[slots[real]]
+    per_block = max(1, _CHUNK_PAIRS // len(columns))
+
+    def chunks():
+        for p0 in range(0, n, per_block):
+            s = real[p0 : p0 + per_block]
+            cx, cy, cz = where[p0 : p0 + per_block].T
+            base = x_term[cx] + y_term[cy]
+            first = table[base + z_first[cz]]
+            first[:, 0] = s + 1
+            sizes = table[base + z_end[cz]] - first
+            yield from _expand_rows(np.repeat(s, len(columns)), first.ravel(), sizes.ravel())
+
+    return slots, chunks()
 
 
-def _expand_rows(owners, starts, sizes, order):
-    """Pairs (owner, start + k) for k < size of every row, as original
-    indices ordered i < j, in chunks of about _CHUNK_PAIRS pairs."""
+def _expand_rows(owners, starts, sizes):
+    """Pairs (owner, start + k) for k < size of every row, in chunks of
+    about _CHUNK_PAIRS pairs."""
     ends = np.cumsum(sizes)
     r0 = 0
     while r0 < len(sizes):
@@ -263,15 +310,16 @@ def _expand_rows(owners, starts, sizes, order):
         size = sizes[r0:r1]
         total = int(ends[r1 - 1] - base)
         if total:
-            i = order[np.repeat(owners[r0:r1], size)]
+            i = np.repeat(owners[r0:r1], size)
             shift = starts[r0:r1] - (ends[r0:r1] - size - base)
-            j = order[np.repeat(shift, size) + np.arange(total)]
-            yield np.minimum(i, j), np.maximum(i, j)
+            yield i, np.repeat(shift, size) + np.arange(total)
         r0 = r1
 
 
 def _candidate_pairs(pos: np.ndarray, cell: CellTensor, rc: float):
-    """Index chunks (i, j), i < j, holding every pair closer than ``rc``."""
+    """Every pair closer than ``rc``, among others, as ``(slots, chunks)``:
+    ``chunks`` yields index arrays (i, j) into the order ``slots`` of the
+    molecules, or into the molecules themselves when ``slots`` is None."""
     n = len(pos)
     # Every grid's stencil holds at least the adjacent cells along its
     # periodic axes, so too few molecules for those never pay for a grid.
@@ -280,7 +328,23 @@ def _candidate_pairs(pos: np.ndarray, cell: CellTensor, rc: float):
         grid = _cell_grid(pos, cell, rc)
         if grid is not None and _cell_search_pays(n, grid):
             return _cell_pairs(pos, grid)
-    return _pair_strips(n)
+    return None, _pair_strips(n)
+
+
+def _fold(f: np.ndarray, half: np.ndarray) -> None:
+    """f -= nint(f) in place; ``half`` is scratch of f's shape, left holding
+    nint(f).
+
+    nint(f) = trunc(f + copysign(0.5, f)), with copysign(0.5, f) made by
+    setting the bits of 0.5 under f's sign bit: the same bits, from integer
+    ops that numpy vectorises where it does not vectorise np.copysign.
+    """
+    bits = half.view(np.int64)
+    np.bitwise_and(f.view(np.int64), _SIGN_BIT, out=bits)
+    bits |= _HALF_BITS
+    half += f
+    np.trunc(half, out=half)
+    f -= half
 
 
 def accumulate_frame(
@@ -325,8 +389,6 @@ def accumulate_frame(
         m = cell.matrix
     else:
         pos = coms
-    # One row per axis, so every pass below runs over contiguous arrays.
-    axes = np.ascontiguousarray(pos.T)
 
     nbins = hist.counts.shape[2]
     dr = hist.dr
@@ -335,25 +397,31 @@ def accumulate_frame(
     # Only pairs within this r^2 can get a bin; the margin is far wider than
     # any rounding, so the prefilter drops no pair the bin test would keep.
     r2_max = (rc * (1.0 + 1e-6)) ** 2
-    # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin.
+    slots, chunks = _candidate_pairs(pos, cell, rc)
+    if slots is not None:
+        # Into the search's own order once, so chunks index it directly.
+        pos = pos[slots]
+        types = types[slots]
+    # One row per axis, so every gather and pass below is over 1-D arrays.
+    axes = np.ascontiguousarray(pos.T)
+    # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin.  A pair may
+    # come as (i, j) or as (j, i): the fold, the cell product and r^2 are
+    # exactly odd or even in d, and the counts are symmetrised below.
     key_j = types * nbins
     key_i = key_j * hist.n_types
     flat = np.zeros(hist.counts.size, dtype=np.int64)
-    buf = np.empty(0)  # the cell product's output, reused across chunks
-    for i_arr, j_arr in _candidate_pairs(pos, cell, rc):
-        d = np.take(axes, j_arr, axis=1)
-        d -= np.take(axes, i_arr, axis=1)
+    buf = np.empty((2, 0))  # displacements, and scratch, reused across chunks
+    for i_arr, j_arr in chunks:
+        k = len(i_arr)
+        if buf.shape[1] < 3 * k:
+            buf = np.empty((2, 3 * k))
+        d = buf[0, : 3 * k].reshape(3, k)
+        for row, axis in zip(d, axes):
+            np.subtract(axis[j_arr], axis[i_arr], out=row)
         if cell.imcon > 0:
-            # f -= nint(f) in place: nint(f) = trunc(f + copysign(0.5, f)).
-            f = d[:folded]
-            t = np.copysign(0.5, f)
-            t += f
-            np.trunc(t, out=t)
-            f -= t
-            if buf.size < d.size:
-                buf = np.empty(d.size)
+            _fold(d[:folded], buf[1, : folded * k].reshape(folded, k))
             # The transpose of d.T @ m, with the same sums.
-            d = np.matmul(m.T, d, out=buf[: d.size].reshape(d.shape))
+            d = np.matmul(m.T, d, out=buf[1, : 3 * k].reshape(3, k))
         # Same sums in the same order as np.linalg.norm(d, axis=0), so the
         # same bits, without its slow length-3 reduction per pair.
         x, y, z = d

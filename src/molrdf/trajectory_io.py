@@ -343,7 +343,9 @@ class HistoryReader:
     ``_BLOCK_SITES``, and their coordinates are the first three numbers of
     each line; tokens after them are ignored.  A block cut short, or a cell
     row or coordinate line that does not start with three numbers, ends the
-    trajectory.  A coordinate that reads as NaN or infinity is an error.
+    trajectory.  A coordinate that reads as NaN or infinity is an error, and
+    so is a timestep record with a non-integer step, site count, keytrj or
+    imcon that is not the file's last line.
     Frames whose imcon and cell rows repeat the previous frame's, character
     for character, share its :class:`CellTensor` object.
     """
@@ -415,7 +417,14 @@ class HistoryReader:
             keytrj = int(tokens[3])
             imcon = int(tokens[4])
         except ValueError:
-            return None
+            # Cut off by the end of the file, the record is a truncation;
+            # with more lines after it, the frames there would be lost unseen.
+            if next(self._lines, None) is None:
+                return None
+            raise InputError(
+                f"HISTORY: frame {self.frames_read + 1}: timestep record needs integer "
+                f"step, site count, keytrj and imcon: {timestep_line.strip()!r}"
+            ) from None
 
         if self._expected_natoms is not None and natoms != self._expected_natoms:
             raise InputError(

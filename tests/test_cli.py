@@ -178,6 +178,20 @@ class TestMain:
         )
         assert not (dataset_dir / "RDF").exists()
 
+    def test_malformed_timestep_exit_code(self, dataset_dir, capsys):
+        history = dataset_dir / "HISTORY"
+        lines = history.read_text().splitlines()
+        tenth_step = [k for k, s in enumerate(lines) if s.startswith("timestep")][9]
+        tokens = lines[tenth_step].split()
+        tokens[4] = "x"
+        lines[tenth_step] = " ".join(tokens)
+        history.write_text("\n".join(lines) + "\n")
+        assert main(["--dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: HISTORY: frame 10: timestep record needs integer ")
+        assert "Traceback" not in err
+        assert not (dataset_dir / "RDF").exists()
+
     def test_generate_subcommand(self, tmp_path, capsys):
         assert main(["generate", "--dir", str(tmp_path), "--frames", "5"]) == 0
         out = capsys.readouterr().out

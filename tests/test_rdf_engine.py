@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -365,12 +366,22 @@ class TestSmoothCurve:
             np.testing.assert_allclose(out[k], smooth_curve(y[k]), atol=0)
 
 
+# A search returns (slots, chunks): chunks of index pairs into the order
+# ``slots`` of the molecules, or into the molecules themselves when ``slots``
+# is None, as only the cell search reorders them.
 def _all_pairs(pos, cell, rc):
-    return rdf_engine._pair_strips(len(pos))
+    return None, rdf_engine._pair_strips(len(pos))
 
 
 def _cell_search(pos, cell, rc):
     return rdf_engine._cell_pairs(pos, rdf_engine._cell_grid(pos, cell, rc))
+
+
+def molecule_chunks(search):
+    """The chunks of a search's ``(slots, chunks)`` as molecule indices."""
+    slots, chunks = search
+    for i, j in chunks:
+        yield (i, j) if slots is None else (slots[i], slots[j])
 
 
 def counts_with(search, types, coms, cell, rmax, dr, n_types=2):
@@ -471,14 +482,14 @@ class TestCandidatePairs:
 
     def test_liquid_sized_frame_takes_cell_search(self):
         pos, cell = self.liquid_frame(1800, 40.0)
-        pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
-        assert pairs.__name__ == "_cell_pairs"
+        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        assert slots is not None  # the cell search's own order
         assert sum(len(i) for i, _ in pairs) < 0.5 * 1800 * 1799 / 2
 
     def test_two_molecules_test_all_pairs(self):
         pos, cell = self.liquid_frame(2, 30.0)
-        pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
-        assert pairs.__name__ == "_pair_strips"
+        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        assert slots is None and pairs.__name__ == "_pair_strips"
 
     def test_two_hundred_chains_test_all_pairs(self):
         """Triclinic cell of about 38 with rmax 12: the full stencil of 343
@@ -488,16 +499,16 @@ class TestCandidatePairs:
         pos = rng.uniform(0.0, 1.0, (200, 3))
         grid = rdf_engine._cell_grid(pos, cell, search_radius(12.0, 0.2))
         assert list(grid.shape) == [9, 8, 8] and len(grid.offsets) == 171
-        pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.0, 0.2))
-        assert pairs.__name__ == "_pair_strips"
+        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.0, 0.2))
+        assert slots is None and pairs.__name__ == "_pair_strips"
 
     def test_few_molecules_in_a_wide_cell_test_all_pairs(self):
         """Few enough molecules that looking up their stencil costs more
         than testing every pair."""
         pos, cell = self.liquid_frame(200, 100.0)
         assert rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1)) is not None
-        pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
-        assert pairs.__name__ == "_pair_strips"
+        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        assert slots is None and pairs.__name__ == "_pair_strips"
 
     def test_no_grid_without_periodicity(self):
         pos = np.random.default_rng(2).uniform(0.0, 100.0, (2000, 3))
@@ -505,16 +516,19 @@ class TestCandidatePairs:
 
     @pytest.mark.parametrize("imcon, thickness", [(3, 4.0), (6, 1.0), (6, 0.4), (6, 0.05)])
     def test_candidates_unique_ordered_and_complete(self, imcon, thickness):
-        """Also for slabs thin enough that the normal holds fewer than seven
-        cells, which must not wrap."""
+        """Every pair within rc comes once, in either order, and no molecule
+        meets itself, not even through a ghost copy; also for slabs thin
+        enough that the normal holds fewer than seven cells, which must not
+        wrap."""
         rng = np.random.default_rng(3)
         cell = make_cell(imcon, (30.0, 32.0, 34.0), (0.3, -0.2, 0.25))
         pos = rng.uniform(-2.0, 2.0, (700, 3))
         pos[:, 2] *= thickness / 4.0
         rc = search_radius(8.0, 0.1)
-        chunks = list(_cell_search(pos, cell, rc))
+        chunks = list(molecule_chunks(_cell_search(pos, cell, rc)))
         i = np.concatenate([c[0] for c in chunks])
         j = np.concatenate([c[1] for c in chunks])
+        i, j = np.minimum(i, j), np.maximum(i, j)
         assert (i < j).all()
         assert len(np.unique(i * 700 + j)) == len(i)
         d = pos[None, :, :] - pos[:, None, :]
@@ -529,7 +543,8 @@ class TestCandidatePairs:
         types = np.random.default_rng(4).integers(0, 2, 1800)
         whole = counts_with(_cell_search, types, coms, cell, 12.5, 0.1)
         monkeypatch.setattr(rdf_engine, "_CHUNK_PAIRS", 5000)
-        sizes = [len(i) for i, _ in _cell_search(pos, cell, search_radius(12.5, 0.1))]
+        _, chunks = _cell_search(pos, cell, search_radius(12.5, 0.1))
+        sizes = [len(i) for i, _ in chunks]
         assert len(sizes) > 100 and max(sizes) <= 5000
         np.testing.assert_array_equal(
             counts_with(_cell_search, types, coms, cell, 12.5, 0.1), whole
@@ -551,13 +566,147 @@ class TestCandidatePairs:
             return grids[-1]
 
         monkeypatch.setattr(rdf_engine, "_cell_grid", spy)
-        assert rdf_engine._candidate_pairs(pos[:n], cell, rc).__name__ == "_pair_strips"
+        slots, pairs = rdf_engine._candidate_pairs(pos[:n], cell, rc)
+        assert slots is None and pairs.__name__ == "_pair_strips"
         assert grids == []
         rdf_engine._candidate_pairs(pos, cell, rc)
         assert len(grids) == 1 and grids[0] is not None
 
 
+class TestColumnSearch:
+    """Grids at the edges of the column search, against all pairs."""
+
+    def assert_equals_all_pairs(self, cell, s, shape, rmax=12.5, dr=0.1):
+        coms = s @ cell.matrix
+        types = np.random.default_rng(len(s)).integers(0, 2, len(s))
+        grid = rdf_engine._cell_grid(to_reduced(coms, cell), cell, search_radius(rmax, dr))
+        assert list(grid.shape) == shape
+        oracle = counts_with(_all_pairs, types, coms, cell, rmax, dr)
+        assert oracle.sum() > 0
+        np.testing.assert_array_equal(
+            counts_with(_cell_search, types, coms, cell, rmax, dr), oracle
+        )
+
+    @pytest.mark.parametrize(
+        "imcon, lengths, shape",
+        [
+            (1, (30.0, 30.0, 30.0), [7, 7, 7]),
+            (2, (40.0, 40.0, 30.0), [9, 9, 7]),
+            (3, (40.0, 40.0, 32.0), [9, 9, 7]),
+        ],
+        ids=["cubic", "orthorhombic", "triclinic"],
+    )
+    def test_seven_cells_along_a_periodic_axis(self, imcon, lengths, shape):
+        """With seven cells along z, the run of dz = -3..3 around a cell
+        covers every cell of the column once, three of them through ghost
+        copies; points sit on cell faces, at reduced -0.5 and +0.5, and whole
+        cells away from the box."""
+        rng = np.random.default_rng(imcon)
+        cell = make_cell(imcon, lengths, (0.2, -0.15, 0.1))
+        n = 700
+        s = rng.uniform(-0.5, 0.5, (n, 3))
+        face = rng.random((n, 3)) < 0.3
+        s[face] = rng.integers(-31, 32, face.sum()) / 63.0  # faces of 7 and 9 cells
+        half = rng.random((n, 3)) < 0.05
+        s[half] = rng.choice([-0.5, 0.5], half.sum())
+        s += rng.integers(-2, 3, (n, 3)) * (rng.random((n, 1)) < 0.3)
+        self.assert_equals_all_pairs(cell, s, shape)
+
+    @pytest.mark.parametrize("span, cells", [(0.15, 1), (0.25, 2)])
+    def test_slab_one_or_two_cells_thick(self, span, cells):
+        """The slab normal is never wrapped: runs are clipped at its ends,
+        and a point on the top face of the span joins the top cell."""
+        rng = np.random.default_rng(cells)
+        cell = make_cell(6, (40.0, 40.0, 40.0), (0.2, 0.0, 0.0))
+        n = 600
+        s = rng.uniform(-0.5, 0.5, (n, 3))
+        s[:, 2] = rng.uniform(0.0, span, n)
+        s[:2, 2] = [0.0, span]
+        face = rng.random(n) < 0.3
+        s[face, 2] = rng.integers(0, cells + 1, face.sum()) * span / cells
+        half = rng.random((n, 2)) < 0.05
+        s[:, :2][half] = rng.choice([-0.5, 0.5], half.sum())
+        s[:, :2] += rng.integers(-2, 3, (n, 2)) * (rng.random((n, 1)) < 0.3)
+        self.assert_equals_all_pairs(cell, s, [9, 9, cells])
+
+    def test_sparse_frame_keeps_its_tables_small(self):
+        """3000 molecules in a 1000 A cube: cells rc/3 high would make a
+        grid of 239^3, 14 million cells.  The grid is coarsened so that its
+        table stays near 2^16 entries, and the frame's scratch a few MB."""
+        rng = np.random.default_rng(8)
+        cell = CellTensor.cubic(1000.0)
+        coms = rng.uniform(0.0, 1000.0, (3000, 3))
+        types = rng.integers(0, 2, 3000)
+        rmax, dr = 12.5, 0.1
+        pos = to_reduced(coms, cell)
+        grid = rdf_engine._cell_grid(pos, cell, search_radius(rmax, dr))
+        assert rdf_engine._cell_search_pays(3000, grid)
+        assert grid.shape.prod() < 2**16
+        slots, _ = rdf_engine._candidate_pairs(pos, cell, search_radius(rmax, dr))
+        assert slots is not None
+        hist = PairHistogram.create(2, rmax, dr)
+        tracemalloc.start()
+        try:
+            accumulate_frame(hist, types, coms, cell)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        np.testing.assert_array_equal(
+            hist.counts, counts_with(_all_pairs, types, coms, cell, rmax, dr)
+        )
+
+
 class TestKernelPasses:
+    def test_sign_bit_fold_is_nint_bit_for_bit(self):
+        """The fold builds copysign(0.5, f) from f's sign bit; it leaves
+        nint(f) in its scratch and f - nint(f) in f, with the bits of
+        geometry.nint, on halves, the largest double below 1/2, signed
+        zeros, 2^52, subnormals and random values."""
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, 0.5, 0.49999999999999994, 1.5, 2.0**52, tiny, 1e3 * tiny, 2.0**-1022]
+        rng = np.random.default_rng(12)
+        f = np.concatenate(
+            [special, np.negative(special), rng.uniform(-3, 3, 5000), rng.normal(0, 1e6, 500)]
+        ).reshape(2, -1)
+        assert np.signbit(f).any() and np.signbit(-0.0)
+        folded = f.copy()
+        half = np.empty_like(f)
+        rdf_engine._fold(folded, half)
+        assert half.tobytes() == nint(f).tobytes()
+        assert folded.tobytes() == (f - nint(f)).tobytes()
+        assert nint(0.49999999999999994) == 1.0 and nint(-0.5) == -1.0
+
+    @pytest.mark.parametrize("imcon", [3, 6])
+    def test_pair_orientation_does_not_move_a_count(self, imcon):
+        """Every candidate handed over as (j, i) instead of (i, j), by the
+        cell search and by all pairs, on a tilted cell and on a slab."""
+        rng = np.random.default_rng(imcon)
+        cell = make_cell(imcon, (40.0, 42.0, 38.0), (0.25, -0.2, 0.15))
+        n = 800
+        s = rng.uniform(-0.5, 0.5, (n, 3))
+        s[:, cell.periodic] += rng.integers(-2, 3, (n, cell.periodic.sum()))
+        coms = s @ cell.matrix
+        types = rng.integers(0, 3, n)
+        rmax, dr = 12.5, 0.1
+
+        def swapped(search):
+            def search_swapped(pos, cell, rc):
+                slots, chunks = search(pos, cell, rc)
+                return slots, ((j, i) for i, j in chunks)
+
+            return search_swapped
+
+        oracle = counts_with(_all_pairs, types, coms, cell, rmax, dr, n_types=3)
+        assert oracle.sum() > 0
+        for search in (_cell_search, _all_pairs):
+            np.testing.assert_array_equal(
+                counts_with(swapped(search), types, coms, cell, rmax, dr, n_types=3), oracle
+            )
+            np.testing.assert_array_equal(
+                counts_with(search, types, coms, cell, rmax, dr, n_types=3), oracle
+            )
+
     @pytest.mark.parametrize("chunk", [7, 97])
     @pytest.mark.parametrize("imcon", [1, 2, 3, 6])
     def test_small_chunks_equal_all_pairs(self, monkeypatch, imcon, chunk):
@@ -577,7 +726,7 @@ class TestKernelPasses:
 
         monkeypatch.setattr(rdf_engine, "_CHUNK_PAIRS", chunk)
         pos = to_reduced(coms, cell)
-        chunks = list(_cell_search(pos, cell, search_radius(rmax, dr)))
+        chunks = list(molecule_chunks(_cell_search(pos, cell, search_radius(rmax, dr))))
         # Some molecule's candidates continue from one chunk into the next.
         assert any(
             {a[0][-1], a[1][-1]} & {b[0][0], b[1][0]} for a, b in zip(chunks, chunks[1:])
@@ -604,9 +753,10 @@ class TestKernelPasses:
         coms = rng.uniform(0.0, 20.0, (n, 3))
         types = rng.integers(0, 2, n)
         rmax, dr = 9.0, 0.25
-        assert rdf_engine._candidate_pairs(
+        slots, pairs = rdf_engine._candidate_pairs(
             to_reduced(coms, cell), cell, search_radius(rmax, dr)
-        ).__name__ == "_pair_strips"
+        )
+        assert slots is None and pairs.__name__ == "_pair_strips"
         cached = counts_with(_all_pairs, types, coms, cell, rmax, dr)
         assert cached.sum() > 0
 

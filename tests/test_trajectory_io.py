@@ -370,6 +370,28 @@ class TestHistoryReader:
         assert reader.frames_read == good_frames
         assert reader.truncated
 
+    @pytest.mark.parametrize("field", [1, 2, 3, 4])
+    def test_malformed_timestep_record_before_more_frames_is_fatal(self, field):
+        """A non-integer step, site count, keytrj or imcon in frame 2 of 3
+        names the frame instead of dropping frames 2 and 3 as truncated."""
+        lines = history_text(FRAMES).splitlines()
+        second_frame = 2 + (1 + 3 + 2 * 2)
+        tokens = lines[second_frame].split()
+        tokens[field] = "x"
+        lines[second_frame] = " ".join(tokens)
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
+        frames = []
+        with pytest.raises(InputError, match=r"^HISTORY: frame 2: timestep record needs integer"):
+            frames.extend(reader)
+        assert [frame.step for frame in frames] == [1]
+
+    @pytest.mark.parametrize("record", ["timestep 3 2 0 x 0.001", "timestep 3 2 0 1."])
+    def test_malformed_timestep_record_at_end_of_file_truncates(self, record):
+        text = history_text(FRAMES[:2]) + record + "\n"
+        reader = HistoryReader(io.StringIO(text))
+        assert len(list(reader)) == 2
+        assert reader.truncated
+
     def test_bad_header_is_fatal(self):
         reader = HistoryReader(io.StringIO("title only\nnot numbers here\n"))
         with pytest.raises(InputError, match="neither a header nor a timestep"):
