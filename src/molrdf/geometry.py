@@ -11,21 +11,16 @@ Rows of the cell matrix are the lattice vectors (``C[0] = a``, ``C[1] = b``,
 Supported periodic-image convention codes (``imcon``):
 
 ====== ====================================================
-0      no periodic boundaries
 1      cubic cell
 2      orthorhombic cell
 3      parallelepiped (triclinic) cell
 6      slab: periodic along the first two lattice vectors only
 ====== ====================================================
 
-Two rounding conventions live here and downstream histogram bin edges depend
-on them:
-
-- :func:`nint` rounds half away from zero (the Fortran NINT convention), so a
-  reduced displacement component of exactly +0.5 folds to -0.5 and -0.5 folds
-  to +0.5.
-- :func:`wrap_point` centres the cell on the origin: wrapped reduced
-  components lie in the half-open interval [-0.5, 0.5).
+Downstream histogram bin edges depend on the rounding convention of
+:func:`nint`: halves round away from zero (the Fortran NINT convention), so a
+reduced displacement component of exactly +0.5 folds to -0.5 and -0.5 folds
+to +0.5.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ _SHAPE_TOL = 1e-6
 
 #: The supported imcon codes, each with its periodic lattice directions.
 _PERIODIC_AXES = {
-    0: (False, False, False),
     1: (True, True, True),
     2: (True, True, True),
     3: (True, True, True),
@@ -65,16 +59,15 @@ def nint(x):
 class CellTensor:
     """A 3x3 lattice matrix (rows are lattice vectors) plus its imcon code.
 
-    The inverse is computed once at construction for periodic cells; a
-    singular matrix with ``imcon > 0`` is rejected.  ``matrix`` and
-    ``inverse`` are read-only, because one cell serves every frame that
-    shares it; values derived from them are computed once per cell, on first
-    use, and kept on the cell.
+    The inverse is computed once at construction; a singular matrix is
+    rejected.  ``matrix`` and ``inverse`` are read-only, because one cell
+    serves every frame that shares it; values derived from them are computed
+    once per cell, on first use, and kept on the cell.
     """
 
     matrix: np.ndarray
     imcon: int
-    inverse: np.ndarray | None = field(init=False, default=None)
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float)
@@ -90,13 +83,11 @@ class CellTensor:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
-        if self.imcon > 0:
-            det = np.linalg.det(matrix)
-            if det == 0.0:
-                raise InputError("singular cell tensor for a periodic cell")
-            inverse = np.linalg.inv(matrix)
-            inverse.flags.writeable = False
-            object.__setattr__(self, "inverse", inverse)
+        if np.linalg.det(matrix) == 0.0:
+            raise InputError("singular cell tensor for a periodic cell")
+        inverse = np.linalg.inv(matrix)
+        inverse.flags.writeable = False
+        object.__setattr__(self, "inverse", inverse)
 
         scale = max(np.abs(matrix).max(), 1.0)
         off_diagonal = matrix[~np.eye(3, dtype=bool)]
@@ -135,8 +126,6 @@ class CellTensor:
         A displacement of Cartesian length r changes reduced coordinate k by at
         most ``r / h_k``.  Computed once per cell; the array is read-only.
         """
-        if self.inverse is None:
-            raise InputError("perpendicular heights undefined for a non-periodic cell")
         heights = 1.0 / np.linalg.norm(self.inverse, axis=0)
         heights.flags.writeable = False
         return heights
@@ -147,11 +136,9 @@ class CellTensor:
 
         Half the smallest perpendicular width of the cell over its periodic
         directions: the inscribed-sphere radius for fully periodic cells, the
-        inscribed-circle radius of the (a, b) parallelogram for slabs, and
-        infinity when nothing is periodic.  Computed once per cell.
+        inscribed-circle radius of the (a, b) parallelogram for slabs.
+        Computed once per cell.
         """
-        if self.imcon == 0:
-            return np.inf
         if self.imcon == 6:
             a, b, _ = self.matrix
             area = np.linalg.norm(np.cross(a, b))
@@ -167,7 +154,7 @@ def to_reduced(r: np.ndarray, cell: CellTensor) -> np.ndarray:
     r : np.ndarray, shape (3,) or (N, 3)
         Cartesian positions in Angstrom.
     cell : CellTensor
-        Periodic cell; must have ``imcon > 0`` so the inverse exists.
+        The cell whose inverse maps the positions.
 
     Returns
     -------
@@ -175,25 +162,5 @@ def to_reduced(r: np.ndarray, cell: CellTensor) -> np.ndarray:
         Reduced coordinates ``s = r @ inv(C)``; unbounded (unfolded values
         may lie outside [0, 1)).
     """
-    if cell.inverse is None:
-        raise InputError("reduced coordinates undefined for a non-periodic cell")
     return np.asarray(r, dtype=float) @ cell.inverse
-
-
-def wrap_point(r: np.ndarray, cell: CellTensor) -> np.ndarray:
-    """Translate a point by lattice vectors into the origin-centred cell.
-
-    Periodic reduced components of the result lie in [-0.5, 0.5); for
-    imcon 0 the point is returned unchanged.  The return value differs from
-    the input by an integer combination of lattice vectors, so repeated
-    wrapping is a no-op.
-    """
-    r = np.asarray(r, dtype=float)
-    if cell.imcon == 0:
-        return r.copy()
-    s = to_reduced(r, cell)
-    shift = np.zeros_like(s)
-    mask = cell.periodic
-    shift[..., mask] = np.floor(s[..., mask] + 0.5)
-    return r - shift @ cell.matrix
 

@@ -52,6 +52,12 @@ _MAX_CELLS = 1024
 # few candidates, as every molecule gets one row per column anyway.
 _CELLS_PER_MOLECULE = 8
 _TABLE_CELLS = 1 << 16
+# Costs of the column search beyond its candidate pairs, in units of the
+# time all pairs spend on one pair: the setup of a frame's search, a row, and
+# an entry of the cell table.
+_SEARCH_SETUP = 8192
+_ROW_COST = 2
+_ENTRY_COST = 0.25
 # Relative padding of the search radius, so rounding cannot lose a pair.
 _PAD = 1e-9
 
@@ -95,36 +101,29 @@ class PairHistogram:
         return self.counts.shape[0]
 
 
-def _strip(i0: int, i1: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (i, j) with i0 <= i < i1 and i < j < n."""
-    ii = np.arange(i0, i1)[:, None]
-    jj = np.arange(n)[None, :]
-    mask = jj > ii
-    return np.broadcast_to(ii, mask.shape)[mask], np.broadcast_to(jj, mask.shape)[mask]
-
-
 @functools.lru_cache(maxsize=8)
 def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All i < j index pairs of n molecules in one read-only chunk.
 
     Cached because the molecule count rarely changes from frame to frame.
     """
-    i, j = _strip(0, n - 1, n)
+    i = np.arange(n - 1)
+    ((i, j),) = _expand_rows(i, i + 1, n - 1 - i)
     i.flags.writeable = False
     j.flags.writeable = False
     return i, j
 
 
 def _pair_strips(n: int):
-    """All i < j index pairs, in row strips of bounded size; as one cached
-    chunk when they fit in one."""
-    if n * (n - 1) // 2 <= _CHUNK_PAIRS:
-        if n > 1:
-            yield _all_pairs(n)
+    """All i < j index pairs, row i holding j = i + 1 .. n - 1, in chunks of
+    bounded size; as one cached chunk when they fit in one."""
+    if n < 2:
         return
-    rows_per_strip = max(1, _CHUNK_PAIRS // n)
-    for i0 in range(0, n - 1, rows_per_strip):
-        yield _strip(i0, min(i0 + rows_per_strip, n - 1), n)
+    if n * (n - 1) // 2 <= _CHUNK_PAIRS:
+        yield _all_pairs(n)
+        return
+    i = np.arange(n - 1)
+    yield from _expand_rows(i, i + 1, n - 1 - i)
 
 
 def _half_cube(reach: int) -> np.ndarray:
@@ -181,12 +180,12 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     """Lay linked cells for pairs closer than ``rc`` over the frame, or
     return None where the cell search cannot be used.
 
-    ``pos`` are reduced coordinates, unwrapped or not.  Non-periodic cells
-    get no grid, and neither do cells too thin to hold 2 * _CELL_REACH + 1
-    cells along a periodic axis: this keeps the single-image semantics of
-    the minimum-image fold when rmax exceeds ``cell.min_image_cutoff``.
+    ``pos`` are reduced coordinates, unwrapped or not.  Cells too thin to
+    hold 2 * _CELL_REACH + 1 cells along a periodic axis get no grid: this
+    keeps the single-image semantics of the minimum-image fold when rmax
+    exceeds ``cell.min_image_cutoff``.
     """
-    if cell.imcon == 0 or len(pos) < 2:
+    if len(pos) < 2:
         return None
     periodic = cell.periodic
     reach = rc * (1.0 + _PAD)
@@ -215,24 +214,26 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     return _CellGrid(shape, offsets, columns, lo, scale, periodic)
 
 
-def _lookups_pay(n: int, h: int) -> bool:
-    """Whether n molecules are enough to repay each looking up the H + 1
-    cells of a stencil of H offsets: below about 2 (H + 1) molecules those
-    look-ups alone cost more than testing every pair."""
-    return n * (h + 1) <= n * (n - 1) / 2
+def _search_pays(n: int, columns: int, work: float = 0.0) -> bool:
+    """Whether a column search over n molecules and ``columns`` stencil
+    columns beats testing all pairs: its setup, one row per molecule and
+    column, and ``work`` pair tests' worth of candidates and table entries
+    must cost less than the n (n - 1) / 2 pairs."""
+    return _SEARCH_SETUP + _ROW_COST * n * columns + work <= n * (n - 1) / 2
 
 
 def _cell_search_pays(n: int, grid: _CellGrid) -> bool:
-    """Whether the cell search is expected to beat testing all pairs.
+    """Whether the column search over ``grid`` is expected to beat testing
+    all pairs.
 
     Molecules spread evenly over the cells meet (2H + 1) / n_cells of all
-    pairs through a stencil of H offsets, and each molecule looks up H + 1
-    cells.
+    pairs through a stencil of H offsets; the cell table holds an entry per
+    cell, ghost cells included.
     """
-    pairs = n * (n - 1) / 2
-    h = len(grid.offsets)
-    candidates = pairs * (2 * h + 1) / grid.shape.prod()
-    return candidates <= 0.5 * pairs and _lookups_pay(n, h)
+    nx, ny, nz = grid.shape.tolist()
+    candidates = n * (n - 1) / 2 * (2 * len(grid.offsets) + 1) / (nx * ny * nz)
+    entries = nx * ny * (nz + 2 * _CELL_REACH * bool(grid.periodic[2]))
+    return _search_pays(n, len(grid.columns), candidates + _ENTRY_COST * entries)
 
 
 def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
@@ -321,10 +322,10 @@ def _candidate_pairs(pos: np.ndarray, cell: CellTensor, rc: float):
     ``chunks`` yields index arrays (i, j) into the order ``slots`` of the
     molecules, or into the molecules themselves when ``slots`` is None."""
     n = len(pos)
-    # Every grid's stencil holds at least the adjacent cells along its
-    # periodic axes, so too few molecules for those never pay for a grid.
-    min_stencil = (3 ** int(cell.periodic.sum()) - 1) // 2
-    if _lookups_pay(n, min_stencil):
+    # Every grid's stencil holds at least its own column and the four of
+    # the adjacent cells in x and y, so too few molecules for those never
+    # pay for a grid.
+    if _search_pays(n, 5):
         grid = _cell_grid(pos, cell, rc)
         if grid is not None and _cell_search_pays(n, grid):
             return _cell_pairs(pos, grid)
@@ -382,13 +383,10 @@ def accumulate_frame(
                 cutoff,
             )
 
-    if cell.imcon > 0:
-        pos = to_reduced(coms, cell)
-        # The periodic axes lead: all three, or the first two of a slab.
-        folded = int(cell.periodic.sum())
-        m = cell.matrix
-    else:
-        pos = coms
+    pos = to_reduced(coms, cell)
+    # The periodic axes lead: all three, or the first two of a slab.
+    folded = int(cell.periodic.sum())
+    m = cell.matrix
 
     nbins = hist.counts.shape[2]
     dr = hist.dr
@@ -418,10 +416,9 @@ def accumulate_frame(
         d = buf[0, : 3 * k].reshape(3, k)
         for row, axis in zip(d, axes):
             np.subtract(axis[j_arr], axis[i_arr], out=row)
-        if cell.imcon > 0:
-            _fold(d[:folded], buf[1, : folded * k].reshape(folded, k))
-            # The transpose of d.T @ m, with the same sums.
-            d = np.matmul(m.T, d, out=buf[1, : 3 * k].reshape(3, k))
+        _fold(d[:folded], buf[1, : folded * k].reshape(folded, k))
+        # The transpose of d.T @ m, with the same sums.
+        d = np.matmul(m.T, d, out=buf[1, : 3 * k].reshape(3, k))
         # Same sums in the same order as np.linalg.norm(d, axis=0), so the
         # same bits, without its slow length-3 reduction per pair.
         x, y, z = d

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .geometry import CellTensor, wrap_point
+from .geometry import CellTensor, to_reduced
 from .trajectory_io import MoleculeSpec, SiteSpec, Topology
 
 DEFAULT_SEED = 2024
@@ -149,6 +149,22 @@ def _write_control(path: Path, rmax: float, dr: float) -> None:
         "end polyana",
     ]
     path.write_text("\n".join(lines) + "\n")
+
+
+def wrap_point(r: np.ndarray, cell: CellTensor) -> np.ndarray:
+    """Translate points by lattice vectors into the origin-centred cell.
+
+    Periodic reduced components of the result lie in [-0.5, 0.5), so a point
+    at reduced +0.5 goes to -0.5.  The result differs from the input by an
+    integer combination of lattice vectors, and wrapping it again changes no
+    bit.
+    """
+    r = np.asarray(r, dtype=float)
+    s = to_reduced(r, cell)
+    shift = np.zeros_like(s)
+    mask = cell.periodic
+    shift[..., mask] = np.floor(s[..., mask] + 0.5)
+    return r - shift @ cell.matrix
 
 
 def _history_header(title: str, natoms: int, imcon: int) -> list[str]:

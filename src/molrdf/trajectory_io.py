@@ -345,7 +345,8 @@ class HistoryReader:
     row or coordinate line that does not start with three numbers, ends the
     trajectory.  A coordinate that reads as NaN or infinity is an error, and
     so is a timestep record with a non-integer step, site count, keytrj or
-    imcon that is not the file's last line.
+    imcon that is not the file's last line, and so is a frame with no
+    periodic cell (imcon 0), which has no volume to give g(r) its density.
     Frames whose imcon and cell rows repeat the previous frame's, character
     for character, share its :class:`CellTensor` object.
     """
@@ -434,16 +435,19 @@ class HistoryReader:
         if natoms < 0:
             return None
 
+        # Checked before the cell rows, which such a frame does not have.
+        if imcon <= 0:
+            raise InputError(
+                f"HISTORY: frame at step {step}: imcon={imcon} gives no periodic "
+                "cell, and g(r) needs one"
+            )
         # A frame whose imcon and cell rows repeat the last frame's, as in
         # every constant-volume run, gets the last frame's cell object.
-        rows = list(islice(self._lines, 3)) if imcon > 0 else []
+        rows = list(islice(self._lines, 3))
         if (imcon, rows) != self._cell_key:
-            if imcon > 0:
-                matrix = _coordinates(rows) if len(rows) == 3 else None
-                if matrix is None:
-                    return None
-            else:
-                matrix = np.zeros((3, 3))
+            matrix = _coordinates(rows) if len(rows) == 3 else None
+            if matrix is None:
+                return None
             try:
                 self._cell = CellTensor(matrix, imcon)
             except InputError as err:

@@ -31,14 +31,13 @@ def unfold(positions: np.ndarray, cell: CellTensor) -> np.ndarray:
     ``positions`` is ``(count, n_sites, 3)`` in Angstrom, one row per copy,
     sites in declaration order.  In the result every site differs from its
     input by a whole lattice vector, and every bond between consecutive
-    sites is its minimum image.  When nothing needs a fold (always so for a
-    non-periodic cell or single-site molecules) the input array itself comes
-    back.
+    sites is its minimum image.  When nothing needs a fold (always so for
+    single-site molecules) the input array itself comes back.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 3 or positions.shape[2] != 3:
         raise ValueError(f"positions must be (count, n_sites, 3), got {positions.shape}")
-    if cell.imcon == 0 or positions.shape[1] < 2:
+    if positions.shape[1] < 2:
         return positions
     folds = nint(np.diff(to_reduced(positions, cell), axis=1))
     folds *= cell.periodic

@@ -311,7 +311,9 @@ def test_zero_mass_site_filtering(caplog):
     for mol in topo.molecules[:2]:
         positions = rng.uniform(-4, 4, (6, 3))
         masses = mol.masses
-        com = centers_of_mass(positions[None], masses, CellTensor(np.zeros((3, 3)), 0))[0]
+        # Sites within 14 A of each other in a 100 A cell: no bond folds.
+        com = centers_of_mass(positions[None], masses, CellTensor.cubic(100.0))[0]
+        np.testing.assert_allclose(com, masses @ positions / masses.sum(), atol=1e-12)
         massive = masses > 0
         expected = (masses[massive] @ positions[massive]) / masses[massive].sum()
         np.testing.assert_allclose(com, expected, atol=1e-12)

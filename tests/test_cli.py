@@ -174,7 +174,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == (
             "error: HISTORY: frame at step 2: unsupported periodic-boundary code "
-            "imcon=4 (supported: [0, 1, 2, 3, 6])\n"
+            "imcon=4 (supported: [1, 2, 3, 6])\n"
         )
         assert not (dataset_dir / "RDF").exists()
 
@@ -191,6 +191,46 @@ class TestMain:
         assert err.startswith("error: HISTORY: frame 10: timestep record needs integer ")
         assert "Traceback" not in err
         assert not (dataset_dir / "RDF").exists()
+
+    @staticmethod
+    def write_without_cells(history, frames, malformed=None):
+        """Rewrite the given 1-based frames of a HISTORY to imcon 0, dropping
+        their three cell rows, and give frame ``malformed`` a non-integer
+        step."""
+        lines = history.read_text().splitlines()
+        steps = [k for k, s in enumerate(lines) if s.startswith("timestep")]
+        for frame in sorted(frames, reverse=True):
+            k = steps[frame - 1]
+            tokens = lines[k].split()
+            tokens[4] = "0"
+            if frame == malformed:
+                tokens[1] = "x"
+            lines[k] = " ".join(tokens)
+            del lines[k + 1 : k + 4]
+        history.write_text("\n".join(lines) + "\n")
+
+    def test_frame_without_periodic_cell_exit_code(self, tmp_path, capsys):
+        """Frame 3 of 5 without a cell would add a zero volume to the mean."""
+        generate_dataset(SyntheticConfig(n_frames=5), tmp_path)
+        self.write_without_cells(tmp_path / "HISTORY", [3])
+        assert main(["--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: HISTORY: frame at step 3: imcon=0 gives no periodic cell, "
+            "and g(r) needs one\n"
+        )
+        assert not (tmp_path / "RDF").exists() and not (tmp_path / "POP").exists()
+
+    def test_trajectory_without_periodic_cell_stops_at_frame_1(self, tmp_path, capsys):
+        """Every frame without a cell, and frame 2's record malformed too:
+        the error names step 1, so reading stopped there."""
+        generate_dataset(SyntheticConfig(n_frames=5), tmp_path)
+        self.write_without_cells(tmp_path / "HISTORY", range(1, 6), malformed=2)
+        assert main(["--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: HISTORY: frame at step 1: imcon=0 gives no periodic cell")
+        assert "Traceback" not in err
+        assert not (tmp_path / "RDF").exists() and not (tmp_path / "POP").exists()
 
     def test_generate_subcommand(self, tmp_path, capsys):
         assert main(["generate", "--dir", str(tmp_path), "--frames", "5"]) == 0

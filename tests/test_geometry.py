@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from molrdf.errors import InputError
-from molrdf.geometry import CellTensor, nint, to_reduced, wrap_point
+from molrdf.geometry import CellTensor, nint, to_reduced
 from molrdf.rdf_engine import PairHistogram, accumulate_frame
 from molrdf.unfolding import unfold
 
@@ -73,6 +73,12 @@ class TestCellTensor:
         with pytest.raises(InputError, match="imcon"):
             CellTensor(np.eye(3), imcon=5)
 
+    def test_imcon_zero_rejected(self):
+        """g(r) needs the bulk density N/V, so a cell without periodic
+        boundaries is not a cell here."""
+        with pytest.raises(InputError, match=r"imcon=0 \(supported: \[1, 2, 3, 6\]\)"):
+            CellTensor(np.zeros((3, 3)), 0)
+
     @pytest.mark.parametrize("name", ["matrix", "inverse"])
     def test_arrays_are_read_only(self, name):
         """One cell serves every frame that shares it, so a write into its
@@ -99,11 +105,10 @@ class TestCellTensor:
             again[2][0] = 1.0
 
     def test_periodic_mask_codes(self):
-        periodic = CellTensor(np.zeros((3, 3)), 0).periodic
-        np.testing.assert_array_equal(periodic, [False, False, False])
-        np.testing.assert_array_equal(CellTensor.cubic(10.0).periodic, [True, True, True])
+        periodic = CellTensor.cubic(10.0).periodic
+        np.testing.assert_array_equal(periodic, [True, True, True])
         np.testing.assert_array_equal(CellTensor(np.eye(3), 6).periodic, [True, True, False])
-        with pytest.raises(InputError, match=r"imcon=4 \(supported: \[0, 1, 2, 3, 6\]\)"):
+        with pytest.raises(InputError, match=r"imcon=4 \(supported: \[1, 2, 3, 6\]\)"):
             CellTensor(np.eye(3), 4)
         with pytest.raises(ValueError, match="read-only"):
             periodic[0] = True
@@ -122,11 +127,6 @@ class TestReducedCoordinates:
         cell = CellTensor(TRICLINIC, imcon=3)
         np.testing.assert_allclose(to_reduced(TRICLINIC, cell), np.eye(3), atol=1e-14)
 
-    def test_no_inverse_without_periodicity(self):
-        cell = CellTensor(np.zeros((3, 3)), imcon=0)
-        with pytest.raises(InputError):
-            to_reduced(np.zeros(3), cell)
-
 
 class TestVolume:
     def test_matches_scalar_triple_product(self):
@@ -136,9 +136,6 @@ class TestVolume:
 
     def test_cubic(self):
         assert CellTensor.cubic(30.0).volume == pytest.approx(27000.0, rel=1e-14)
-
-    def test_imcon_zero_is_zero(self):
-        assert CellTensor(np.zeros((3, 3)), 0).volume == 0.0
 
 
 def folded_bond(s_from, s_to, cell):
@@ -163,12 +160,13 @@ class TestMinImage:
         np.testing.assert_allclose(d, [[-0.1, -0.1, 0.9]], atol=1e-15)
 
     def test_no_periodicity_is_plain_difference(self):
-        a, b = np.array([0.1, 0.2, 0.3]), np.array([50.0, -40.0, 30.0])
-        cell = CellTensor(np.zeros((3, 3)), 0)
+        """Along a slab's normal nothing folds, however far apart."""
+        a, b = np.array([0.1, 0.2, 0.3]), np.array([3.0, -2.0, 30.0])
+        cell = CellTensor(np.diag([10.0, 10.0, 40.0]), 6)
         whole = unfold(np.array([[a, b]]), cell)
         np.testing.assert_array_equal(whole[0, 1] - whole[0, 0], b - a)
-        # 70.6 apart: no cell folds the pair closer.
-        hist = PairHistogram.create(1, rmax=100.0, dr=0.5)
+        # 30 apart along a 40 A normal: a periodic c would fold it to 10.
+        hist = PairHistogram.create(1, rmax=40.0, dr=0.5)
         accumulate_frame(hist, np.array([0, 0]), np.array([a, b]), cell)
         r = np.sqrt(((b - a) ** 2).sum())
         assert hist.counts[0, 0, int(nint(r / 0.5))] == 2
@@ -185,49 +183,6 @@ class TestMinImage:
         np.testing.assert_array_equal(d[0], [-0.5, 0.5, -0.5])
         shift = d - (s_to - s_from)
         np.testing.assert_array_equal(shift, np.round(shift))
-
-
-class TestWrapPoint:
-    def test_known_cubic_values(self):
-        cell = CellTensor.cubic(10.0)
-        np.testing.assert_allclose(wrap_point(np.array([6.0, -6.0, 4.9]), cell), [-4.0, 4.0, 4.9])
-
-    def test_cell_midpoint_goes_to_corner(self):
-        # Reduced 0.5 lies on the upper boundary and folds to the lower one.
-        cell = CellTensor.cubic(10.0)
-        np.testing.assert_allclose(wrap_point(np.full(3, 5.0), cell), np.full(3, -5.0))
-
-    def test_idempotent_bitwise(self):
-        cell = CellTensor(TRICLINIC, imcon=3)
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-40, 40, (300, 3))
-        once = wrap_point(pts, cell)
-        np.testing.assert_array_equal(wrap_point(once, cell), once)
-
-    def test_invariant_under_lattice_translation(self):
-        cell = CellTensor(TRICLINIC, imcon=3)
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-10, 10, (200, 3))
-        shifts = rng.integers(-3, 4, (200, 3)) @ TRICLINIC
-        np.testing.assert_allclose(wrap_point(pts + shifts, cell), wrap_point(pts, cell), atol=1e-10)
-
-    def test_wrapped_reduced_range(self):
-        cell = CellTensor(TRICLINIC, imcon=3)
-        rng = np.random.default_rng(9)
-        s = to_reduced(wrap_point(rng.uniform(-50, 50, (400, 3)), cell), cell)
-        assert np.all(s >= -0.5 - 1e-12) and np.all(s < 0.5 + 1e-12)
-
-    def test_slab_wraps_two_directions(self):
-        cell = CellTensor(np.diag([10.0, 10.0, 40.0]), imcon=6)
-        wrapped = wrap_point(np.array([11.0, -7.0, 35.0]), cell)
-        np.testing.assert_allclose(wrapped, [1.0, 3.0, 35.0])
-
-    def test_imcon_zero_copies(self):
-        cell = CellTensor(np.zeros((3, 3)), 0)
-        p = np.array([100.0, -200.0, 3.0])
-        out = wrap_point(p, cell)
-        np.testing.assert_array_equal(out, p)
-        assert out is not p
 
 
 class TestMinImageCutoff:
@@ -269,9 +224,6 @@ class TestMinImageCutoff:
         cell = CellTensor(np.array([[10.0, 0.0, 0.0], [4.0, 12.0, 0.0], [0.0, 0.0, 1.0]]), imcon=6)
         assert cell.min_image_cutoff == pytest.approx(5.0 * 12.0 / np.hypot(4.0, 12.0))
 
-    def test_unbounded_without_periodicity(self):
-        assert CellTensor(np.zeros((3, 3)), 0).min_image_cutoff == np.inf
-
 
 class TestPerpendicularHeights:
     def test_orthorhombic_edges(self):
@@ -288,7 +240,3 @@ class TestPerpendicularHeights:
         assert (ds <= np.linalg.norm(d, axis=1)[:, None] / h * (1 + 1e-12)).all()
         normals = cell.inverse.T / np.linalg.norm(cell.inverse, axis=0)[:, None]
         np.testing.assert_allclose(np.abs(np.diag(to_reduced(normals, cell))), 1.0 / h)
-
-    def test_needs_periodic_cell(self):
-        with pytest.raises(InputError):
-            CellTensor(np.eye(3), 0).heights

@@ -153,14 +153,14 @@ class TestAccumulateFrame:
         with pytest.raises(ValueError):
             accumulate_frame(hist, np.array([1]), np.zeros((1, 3)), CellTensor.cubic(10.0))
 
-    @pytest.mark.parametrize("imcon", [0, 1])
+    @pytest.mark.parametrize("imcon", [1, 6])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, imcon, bad):
         """A NaN distance fails every bin test, so without the check the
         pair would be dropped while the frame still counted."""
         hist = PairHistogram.create(1, rmax=5.0, dr=0.5)
         coms = np.array([[1.0, 1.0, 1.0], [2.0, bad, 1.0]])
-        cell = CellTensor.cubic(10.0) if imcon else CellTensor(np.zeros((3, 3)), 0)
+        cell = CellTensor(np.diag([10.0, 10.0, 40.0 if imcon == 6 else 10.0]), imcon)
         with pytest.raises(ValueError, match="finite"):
             accumulate_frame(hist, np.array([0, 0]), coms, cell)
         assert hist.counts.sum() == 0 and hist.frames_used == 0
@@ -309,9 +309,8 @@ class TestFinalize:
             finalize(hist, point_topology([1]))
 
     def test_zero_volume_rejected(self):
-        hist = PairHistogram.create(1, rmax=5.0, dr=0.5)
-        cell = CellTensor(np.zeros((3, 3)), 0)
-        accumulate_frame(hist, np.zeros(2, dtype=int), np.zeros((2, 3)), cell)
+        counts = np.zeros((1, 1, n_bins(5.0, 0.5)), dtype=np.int64)
+        hist = PairHistogram(counts, 0.5, 5.0, frames_used=1, volume_sum=0.0)
         with pytest.raises(InputError, match="volume"):
             finalize(hist, point_topology([2]))
 
@@ -486,21 +485,68 @@ class TestCandidatePairs:
         assert slots is not None  # the cell search's own order
         assert sum(len(i) for i, _ in pairs) < 0.5 * 1800 * 1799 / 2
 
-    def test_two_molecules_test_all_pairs(self):
+    def test_two_molecules_test_all_pairs(self, monkeypatch):
+        """The spike's frame: two molecules lay no grid at all."""
         pos, cell = self.liquid_frame(2, 30.0)
+        monkeypatch.setattr(rdf_engine, "_cell_grid", mock.Mock(side_effect=AssertionError))
         slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
         assert slots is None and pairs.__name__ == "_pair_strips"
 
-    def test_two_hundred_chains_test_all_pairs(self):
-        """Triclinic cell of about 38 with rmax 12: the full stencil of 343
-        cells meets more than half of the 9 x 8 x 8 grid."""
+    @staticmethod
+    def chains_frame(n, edge):
         rng = np.random.default_rng(1)
-        cell = CellTensor(38.0 * np.array([[1.0, 0, 0], [0.22, 0.96, 0], [-0.12, 0.17, 0.93]]), 3)
-        pos = rng.uniform(0.0, 1.0, (200, 3))
+        cell = CellTensor(edge * np.array([[1.0, 0, 0], [0.22, 0.96, 0], [-0.12, 0.17, 0.93]]), 3)
+        return rng.uniform(0.0, 1.0, (n, 3)), cell
+
+    def test_two_hundred_chains_test_all_pairs(self):
+        """Triclinic cell of about 38 with rmax 12: the stencil of 171
+        offsets meets 60% of the pairs of the 9 x 8 x 8 grid, and 25 rows
+        per molecule and the setup of the search cost more than the other
+        40%."""
+        pos, cell = self.chains_frame(200, 38.0)
         grid = rdf_engine._cell_grid(pos, cell, search_radius(12.0, 0.2))
         assert list(grid.shape) == [9, 8, 8] and len(grid.offsets) == 171
+        assert len(grid.columns) == 25
         slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.0, 0.2))
         assert slots is None and pairs.__name__ == "_pair_strips"
+
+    def test_chains_cell_with_1800_molecules_takes_column_search(self):
+        """The same cell shape, 40 across, with 1800 molecules: 53% of the
+        pairs are candidates, and the rows are few beside them."""
+        pos, cell = self.chains_frame(1800, 40.0)
+        grid = rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1))
+        assert list(grid.shape) == [9, 9, 8]
+        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        assert slots is not None
+        assert sum(len(i) for i, _ in pairs) < 0.55 * 1800 * 1799 / 2
+
+    @pytest.mark.parametrize("n, column_search", [(150, False), (900, True)])
+    def test_slab_takes_the_cheaper_search(self, n, column_search):
+        """A 60 x 60 slab 40 thick: 150 molecules cost the search's setup
+        and rows more than all their pairs; 900 meet 14% of theirs."""
+        rng = np.random.default_rng(n)
+        cell = CellTensor(np.diag([60.0, 60.0, 200.0]), 6)
+        pos = rng.uniform(0.0, 1.0, (n, 3)) * [1.0, 1.0, 0.2]
+        grid = rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1))
+        assert list(grid.shape) == [14, 14, 9]
+        slots, _ = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        assert (slots is not None) == column_search
+
+    @pytest.mark.parametrize("n", [2, 30, 200, 256, 257, 600, 1800])
+    def test_all_pairs_in_row_order(self, n):
+        """Row i holds j = i + 1 .. n - 1; up to 256 molecules, whose pairs
+        fit in one chunk, that chunk is cached and read-only."""
+        chunks = list(rdf_engine._pair_strips(n))
+        i = np.concatenate([c[0] for c in chunks])
+        j = np.concatenate([c[1] for c in chunks])
+        expected_i, expected_j = np.triu_indices(n, 1)
+        np.testing.assert_array_equal(i, expected_i)
+        np.testing.assert_array_equal(j, expected_j)
+        assert max(len(c[0]) for c in chunks) <= rdf_engine._CHUNK_PAIRS
+        assert (len(chunks) == 1) == (n <= 256)
+        if n <= 256:
+            assert chunks[0] is rdf_engine._all_pairs(n)
+            assert not (chunks[0][0].flags.writeable or chunks[0][1].flags.writeable)
 
     def test_few_molecules_in_a_wide_cell_test_all_pairs(self):
         """Few enough molecules that looking up their stencil costs more
@@ -509,10 +555,6 @@ class TestCandidatePairs:
         assert rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1)) is not None
         slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
         assert slots is None and pairs.__name__ == "_pair_strips"
-
-    def test_no_grid_without_periodicity(self):
-        pos = np.random.default_rng(2).uniform(0.0, 100.0, (2000, 3))
-        assert rdf_engine._cell_grid(pos, CellTensor(np.zeros((3, 3)), 0), 5.0) is None
 
     @pytest.mark.parametrize("imcon, thickness", [(3, 4.0), (6, 1.0), (6, 0.4), (6, 0.05)])
     def test_candidates_unique_ordered_and_complete(self, imcon, thickness):
@@ -550,11 +592,12 @@ class TestCandidatePairs:
             counts_with(_cell_search, types, coms, cell, 12.5, 0.1), whole
         )
 
-    @pytest.mark.parametrize("imcon, n", [(1, 28), (3, 28), (6, 10)])
+    @pytest.mark.parametrize("imcon, n", [(1, 138), (3, 138), (6, 138)])
     def test_too_few_molecules_build_no_grid(self, monkeypatch, imcon, n):
-        """Every grid's stencil holds the adjacent cells, 13 of them, or 4 in
-        a slab one cell thick, and below 2 * 14 or 2 * 5 molecules those
-        look-ups never pay, so no grid is laid at all."""
+        """Every grid's stencil holds at least five columns, its own and
+        those of the four adjacent cells in x and y, and below 139 molecules
+        the setup of the search and those rows cost more than all pairs, so
+        no grid is laid at all."""
         cell = make_cell(imcon, (60.0, 60.0, 60.0), (0.1, 0.1, 0.1))
         pos = np.random.default_rng(6).uniform(0.0, 1.0, (n + 1, 3))
         rc = search_radius(5.0, 0.1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from molrdf.errors import InputError
+from molrdf.geometry import CellTensor, to_reduced
 from molrdf.synthetic import (
     SyntheticConfig,
     gen_offsets,
@@ -10,6 +11,7 @@ from molrdf.synthetic import (
     random_in_sphere,
     random_rotation,
     random_unit_vector,
+    wrap_point,
 )
 from molrdf.trajectory_io import HistoryReader, parse_directives, parse_field
 from molrdf.unfolding import centers_of_mass
@@ -30,6 +32,51 @@ class TestConfig:
             SyntheticConfig(n_sites=0)
         with pytest.raises(InputError):
             SyntheticConfig(n_frames=0)
+
+
+TRICLINIC = np.array(
+    [
+        [10.0, 0.0, 0.0],
+        [1.5, 9.0, 0.0],
+        [1.0, 1.2, 8.0],
+    ]
+)
+
+
+class TestWrapPoint:
+    def test_known_cubic_values(self):
+        cell = CellTensor.cubic(10.0)
+        np.testing.assert_allclose(wrap_point(np.array([6.0, -6.0, 4.9]), cell), [-4.0, 4.0, 4.9])
+
+    def test_cell_midpoint_goes_to_corner(self):
+        # Reduced 0.5 lies on the upper boundary and folds to the lower one.
+        cell = CellTensor.cubic(10.0)
+        np.testing.assert_allclose(wrap_point(np.full(3, 5.0), cell), np.full(3, -5.0))
+
+    def test_idempotent_bitwise(self):
+        cell = CellTensor(TRICLINIC, imcon=3)
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-40, 40, (300, 3))
+        once = wrap_point(pts, cell)
+        np.testing.assert_array_equal(wrap_point(once, cell), once)
+
+    def test_invariant_under_lattice_translation(self):
+        cell = CellTensor(TRICLINIC, imcon=3)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-10, 10, (200, 3))
+        shifts = rng.integers(-3, 4, (200, 3)) @ TRICLINIC
+        np.testing.assert_allclose(wrap_point(pts + shifts, cell), wrap_point(pts, cell), atol=1e-10)
+
+    def test_wrapped_reduced_range(self):
+        cell = CellTensor(TRICLINIC, imcon=3)
+        rng = np.random.default_rng(9)
+        s = to_reduced(wrap_point(rng.uniform(-50, 50, (400, 3)), cell), cell)
+        assert np.all(s >= -0.5 - 1e-12) and np.all(s < 0.5 + 1e-12)
+
+    def test_slab_wraps_two_directions(self):
+        cell = CellTensor(np.diag([10.0, 10.0, 40.0]), imcon=6)
+        wrapped = wrap_point(np.array([11.0, -7.0, 35.0]), cell)
+        np.testing.assert_allclose(wrapped, [1.0, 3.0, 35.0])
 
 
 class TestSamplers:

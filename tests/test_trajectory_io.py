@@ -403,10 +403,26 @@ class TestHistoryReader:
             list(reader)
 
     def test_unbounded_frame(self):
-        text = history_text(FRAMES, imcon=0)
-        frames = list(HistoryReader(io.StringIO(text)))
-        assert frames[0].cell.imcon == 0
-        np.testing.assert_allclose(frames[0].positions[1], [4.0, 4.5, -2.0])
+        """A frame with imcon 0 has no periodic cell, so no volume for the
+        density g(r) divides by: an error that names its step."""
+        reader = HistoryReader(io.StringIO(history_text(FRAMES, imcon=0)))
+        with pytest.raises(
+            InputError, match=r"^HISTORY: frame at step 1: imcon=0 gives no periodic cell"
+        ):
+            list(reader)
+        assert reader.frames_read == 0
+
+    def test_unbounded_frame_after_periodic_ones(self):
+        """Frame 2 of 3 written with imcon 0 and no cell rows stops the read
+        at its own record, before its site lines could pass for cell rows."""
+        lines = history_text(FRAMES).splitlines()
+        second_frame = 2 + (1 + 3 + 2 * 2)
+        lines[second_frame] = f"timestep{2:10d}{2:10d}{0:10d}{0:10d}{0.001:12.6f}"
+        del lines[second_frame + 1 : second_frame + 4]
+        frames = []
+        with pytest.raises(InputError, match=r"^HISTORY: frame at step 2: imcon=0"):
+            frames.extend(HistoryReader(io.StringIO("\n".join(lines) + "\n")))
+        assert [frame.step for frame in frames] == [1]
 
     def test_file_source(self, tmp_path):
         path = tmp_path / "HISTORY"
@@ -448,11 +464,6 @@ class TestCellReuse:
         cells = frame_cells(history_text(FRAMES, imcon=3, cell=TILTED))
         assert cells[0] is cells[1] is cells[2]
         np.testing.assert_array_equal(cells[2].matrix, TILTED)
-
-    def test_unbounded_frames_share_one_cell(self):
-        cells = frame_cells(history_text(FRAMES, imcon=0))
-        assert cells[0] is cells[1] is cells[2]
-        assert cells[0].imcon == 0 and not cells[0].matrix.any()
 
     def test_npt_cell_changes_every_frame(self, tmp_path, capsys):
         scales = (1.0, 1.03125, 0.96875)  # exact in binary and in 10 decimals
@@ -518,7 +529,7 @@ class TestBadCell:
         )
         assert self.second_frame_error(text) == (
             "HISTORY: frame at step 2: unsupported periodic-boundary code imcon=4 "
-            "(supported: [0, 1, 2, 3, 6])"
+            "(supported: [1, 2, 3, 6])"
         )
 
     def test_zero_rows(self):
@@ -652,7 +663,7 @@ class TestBlockReader:
         assert_frames(got, frames)
 
     @pytest.mark.parametrize("header", [True, False])
-    @pytest.mark.parametrize("imcon", [0, 1])
+    @pytest.mark.parametrize("imcon", [1, 6])
     def test_header_and_imcon(self, block_sites, header, imcon):
         frames = site_frames(3, self.N_SITES)
         reader, got = read_all(sites_history(frames, header=header, imcon=imcon))
