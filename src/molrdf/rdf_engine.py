@@ -126,51 +126,45 @@ def _pair_strips(n: int):
     yield from _expand_rows(i, i + 1, n - 1 - i)
 
 
-def _half_cube(reach: int) -> np.ndarray:
-    """Cell offsets within +-reach, one of each pair +-o, without (0, 0, 0)."""
-    r = np.arange(-reach, reach + 1)
-    cube = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
-    # Lexicographic order: the offsets after the centre are the positive ones.
-    return cube[len(cube) // 2 + 1 :]
-
-
-_HALF_CUBE = _half_cube(_CELL_REACH)
-
-
 @functools.lru_cache(maxsize=32)
-def _stencil(shape: tuple, widths: tuple | None, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Half stencil of a grid with ``shape`` cells: the offsets of _HALF_CUBE
-    that fit in the grid and, for an orthogonal cell whose cells have edges
-    ``widths``, whose nearest corners lie within ``reach``.
+def _stencil(shape: tuple, widths: tuple | None, reach: float) -> np.ndarray:
+    """Half stencil of a grid with ``shape`` cells, as columns along z: one
+    row (dx, dy, lo, hi) per xy offset, whose cell offsets dz = lo..hi are
+    visited.  The own column (0, 0) comes first, with lo 1, and hi 0 when
+    no cell of it but the own is in reach; the half plane dx > 0 or
+    dx = 0 < dy follows, each column with lo = -hi.
 
-    Returns the offsets and their columns: one row (dx, dy, lo, hi) per xy
-    offset, whose offsets are dz = lo..hi.  The own column (0, 0) comes
-    first, with lo 1, and hi 0 when no cell of it but the own is in reach.
+    Offsets lie within +-_CELL_REACH and fit in the grid; for an orthogonal
+    cell whose cells have edges ``widths``, the nearest corners of the two
+    cells must also lie within ``reach``, which keeps dz by |dz| alone.
     Cached because the cell, and with it the stencil, rarely changes from
-    frame to frame; the returned arrays are read-only.
+    frame to frame; the returned array is read-only.
     """
-    offsets = _HALF_CUBE[(np.abs(_HALF_CUBE) < np.array(shape)).all(axis=1)]
-    if widths is not None:
-        gap = np.maximum(np.abs(offsets) - 1, 0) * np.array(widths)
-        offsets = offsets[(gap**2).sum(axis=1) <= reach**2]
-    # Both filters keep dz by |dz| alone, so the dz of one xy offset are one
-    # run: -k..k, or 1..k above the own cell.
-    runs = {(0, 0): (1, 0)}
-    for dx, dy, dz in offsets.tolist():
-        lo, hi = runs.get((dx, dy), (dz, dz))
-        runs[dx, dy] = (min(lo, dz), max(hi, dz))
-    columns = np.array([(dx, dy, lo, hi) for (dx, dy), (lo, hi) in runs.items()])
-    offsets.flags.writeable = False
+    rx, ry, rz = (min(_CELL_REACH, n - 1) for n in shape)
+    dx, dy = np.mgrid[0 : rx + 1, -ry : ry + 1].reshape(2, -1)
+    half = (dx > 0) | (dy >= 0)
+    dx, dy = dx[half], dy[half]
+    if widths is None:
+        hi = np.full(len(dx), rz)
+    else:
+        wx, wy, wz = widths
+        gx = np.maximum(np.abs(dx) - 1, 0) * wx
+        gy = np.maximum(np.abs(dy) - 1, 0) * wy
+        gz = np.maximum(np.arange(rz + 1) - 1, 0) * wz
+        # A column's dz in reach run from 0 up: their count less one is hi.
+        hi = ((gx**2 + gy**2)[:, None] + gz**2 <= reach**2).sum(axis=1) - 1
+    lo = -hi
+    lo[0] = 1
+    columns = np.stack([dx, dy, lo, hi], axis=1)[hi >= 0]
     columns.flags.writeable = False
-    return offsets, columns
+    return columns
 
 
 class _CellGrid(NamedTuple):
     """Linked cells over a frame: cell index = floor((s - lo) * scale)."""
 
     shape: np.ndarray  # cells along each axis
-    offsets: np.ndarray  # half stencil of cell offsets to visit
-    columns: np.ndarray  # the same offsets as runs along z, see _stencil
+    columns: np.ndarray  # half stencil of cell offsets to visit, see _stencil
     lo: np.ndarray  # reduced coordinates of the grid's corner
     scale: np.ndarray  # cells per unit of reduced coordinate
     periodic: np.ndarray  # axes along which the grid wraps
@@ -209,9 +203,9 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     m = cell.matrix
     orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
     widths = tuple(extent * cell.heights / shape) if orthogonal else None
-    offsets, columns = _stencil(tuple(shape.tolist()), widths, reach)
+    columns = _stencil(tuple(shape.tolist()), widths, reach)
     scale = shape / np.where(extent > 0.0, extent, 1.0)
-    return _CellGrid(shape, offsets, columns, lo, scale, periodic)
+    return _CellGrid(shape, columns, lo, scale, periodic)
 
 
 def _search_pays(n: int, columns: int, work: float = 0.0) -> bool:
@@ -231,7 +225,8 @@ def _cell_search_pays(n: int, grid: _CellGrid) -> bool:
     cell, ghost cells included.
     """
     nx, ny, nz = grid.shape.tolist()
-    candidates = n * (n - 1) / 2 * (2 * len(grid.offsets) + 1) / (nx * ny * nz)
+    lo, hi = grid.columns[:, 2:].T
+    candidates = n * (n - 1) / 2 * (2 * int((hi - lo + 1).sum()) + 1) / (nx * ny * nz)
     entries = nx * ny * (nz + 2 * _CELL_REACH * bool(grid.periodic[2]))
     return _search_pays(n, len(grid.columns), candidates + _ENTRY_COST * entries)
 

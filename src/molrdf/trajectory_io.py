@@ -18,7 +18,8 @@ order; missing keywords fall back to defaults.  FIELD keywords are matched on
 their first four characters, case-insensitively, following the DL_POLY
 convention.  HISTORY files are streamed frame by frame and may lack the
 two-line header (the restart case); a file cut off mid-frame terminates the
-stream gracefully instead of erroring.
+stream gracefully, while a corrupt record with more of the file after it is
+an error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import filterfalse, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -300,31 +302,13 @@ def parse_field(field_text: str) -> Topology:
     return Topology(tuple(molecules))
 
 
-# Sites parsed per block.  The bound keeps the lines held at once small:
-# holding a whole 6600-site keytrj-2 frame as lines raised peak memory by
-# about 3 MB, while 64-256 sites read as fast.
-_BLOCK_SITES = 128
-
-
 def _coordinates(lines: list[str]) -> np.ndarray | None:
     """The first three numbers of each line as an ``(n, 3)`` array, or None
     when a line does not start with three numbers."""
-    # Plain layout first, in one conversion: every fourth token must be one
-    # of the separators put between the lines.  ";" is no number, so the
-    # conversion fails unless all of them sit in those slots, i.e. unless
-    # every line has exactly three tokens.
-    tokens = " ; ".join(lines).split()
-    if len(tokens) == 4 * len(lines) - 1:
-        del tokens[3::4]
-        try:
-            return np.array(tokens, dtype=float).reshape(-1, 3)
-        except ValueError:
-            pass
-    rows = [line.split()[:3] for line in lines]
-    if any(len(row) < 3 for row in rows):
-        return None
     try:
-        return np.array(rows, dtype=float)
+        # comments=None: with the default "#", text from a "#" on would be
+        # dropped instead of making its line bad.
+        return np.loadtxt(lines, usecols=(0, 1, 2), comments=None, ndmin=2)
     except ValueError:
         return None
 
@@ -338,15 +322,16 @@ class HistoryReader:
     frames yielded before it remain valid.
 
     Every record comes from one stream of the file's non-blank lines, so
-    blank lines may stand anywhere.  Cell rows and site records are taken a
-    fixed number of lines at a time, sites in blocks of at most
-    ``_BLOCK_SITES``, and their coordinates are the first three numbers of
-    each line; tokens after them are ignored.  A block cut short, or a cell
-    row or coordinate line that does not start with three numbers, ends the
-    trajectory.  A coordinate that reads as NaN or infinity is an error, and
-    so is a timestep record with a non-integer step, site count, keytrj or
-    imcon that is not the file's last line, and so is a frame with no
-    periodic cell (imcon 0), which has no volume to give g(r) its density.
+    blank lines may stand anywhere.  Cell rows are taken three lines at a
+    time and site records a whole frame at a time, each record 2 to 4 lines
+    by keytrj; their coordinates are the first three numbers of each line,
+    converted with one numpy call per frame, and tokens after them are
+    ignored.  A frame cut short ends the trajectory, and so does a cell row,
+    coordinate line or timestep record that is bad at the end of the file.
+    Anywhere else, where frames follow that would be lost unseen, such a
+    record is an error that names its frame, and so is a coordinate that
+    reads as NaN or infinity, and a frame with no periodic cell (imcon 0),
+    which has no volume to give g(r) its density.
     Frames whose imcon and cell rows repeat the previous frame's, character
     for character, share its :class:`CellTensor` object.
     """
@@ -407,6 +392,14 @@ class HistoryReader:
             yield frame
             line = next(self._lines, None)
 
+    def _cut_or_corrupt(self, message: str) -> None:
+        """None, for a truncation, when the file ends after the bad record;
+        otherwise an InputError, since the frames after it would be lost
+        unseen."""
+        if next(self._lines, None) is None:
+            return None
+        raise InputError(f"HISTORY: {message}") from None
+
     def _read_frame(self, timestep_line: str) -> Frame | None:
         """Parse one frame; None signals truncation (partial frame dropped)."""
         tokens = timestep_line.split()
@@ -418,14 +411,10 @@ class HistoryReader:
             keytrj = int(tokens[3])
             imcon = int(tokens[4])
         except ValueError:
-            # Cut off by the end of the file, the record is a truncation;
-            # with more lines after it, the frames there would be lost unseen.
-            if next(self._lines, None) is None:
-                return None
-            raise InputError(
-                f"HISTORY: frame {self.frames_read + 1}: timestep record needs integer "
+            return self._cut_or_corrupt(
+                f"frame {self.frames_read + 1}: timestep record needs integer "
                 f"step, site count, keytrj and imcon: {timestep_line.strip()!r}"
-            ) from None
+            )
 
         if self._expected_natoms is not None and natoms != self._expected_natoms:
             raise InputError(
@@ -447,7 +436,9 @@ class HistoryReader:
         if (imcon, rows) != self._cell_key:
             matrix = _coordinates(rows) if len(rows) == 3 else None
             if matrix is None:
-                return None
+                return self._cut_or_corrupt(
+                    f"frame at step {step}: a cell row does not start with three numbers"
+                )
             try:
                 self._cell = CellTensor(matrix, imcon)
             except InputError as err:
@@ -456,14 +447,18 @@ class HistoryReader:
         cell = self._cell
 
         per_site = 2 + min(max(keytrj, 0), 2)  # name, coordinates, velocity, force
-        positions = np.empty((natoms, 3))
-        for start in range(0, natoms, _BLOCK_SITES):
-            count = min(_BLOCK_SITES, natoms - start)
-            block = list(islice(self._lines, count * per_site))
-            coords = _coordinates(block[1::per_site]) if len(block) == count * per_site else None
-            if coords is None:
-                return None
-            positions[start : start + count] = coords
+        # zip takes whole site records only, so a frame cut inside its last
+        # record comes up short like one cut between records.
+        records = islice(zip(*[self._lines] * per_site), natoms)
+        lines = list(map(itemgetter(1), records))
+        if len(lines) < natoms:
+            return None
+        # loadtxt warns on no lines at all.
+        positions = _coordinates(lines) if lines else np.empty((0, 3))
+        if positions is None:
+            return self._cut_or_corrupt(
+                f"frame at step {step}: a coordinate line does not start with three numbers"
+            )
         finite = np.isfinite(positions).all(axis=1)
         if not finite.all():
             site = 1 + int(np.argmin(finite))

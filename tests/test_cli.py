@@ -192,6 +192,25 @@ class TestMain:
         assert "Traceback" not in err
         assert not (dataset_dir / "RDF").exists()
 
+    def test_corrupt_coordinate_line_exit_code(self, tmp_path, capsys):
+        """One coordinate of frame 10 of 50 is no number: the 40 frames after
+        it must not be dropped as if the file had been cut there."""
+        generate_dataset(SyntheticConfig(n_frames=50), tmp_path)
+        history = tmp_path / "HISTORY"
+        lines = history.read_text().splitlines()
+        tenth_step = [k for k, s in enumerate(lines) if s.startswith("timestep")][9]
+        site_2 = tenth_step + 1 + 3 + 3  # timestep, cell, first site
+        x, _, z = lines[site_2].split()
+        lines[site_2] = f"{x} x {z}"
+        history.write_text("\n".join(lines) + "\n")
+        assert main(["--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: HISTORY: frame at step 10: a coordinate line does not start "
+            "with three numbers\n"
+        )
+        assert not (tmp_path / "RDF").exists() and not (tmp_path / "POP").exists()
+
     @staticmethod
     def write_without_cells(history, frames, malformed=None):
         """Rewrite the given 1-based frames of a HISTORY to imcon 0, dropping

@@ -505,7 +505,8 @@ class TestCandidatePairs:
         40%."""
         pos, cell = self.chains_frame(200, 38.0)
         grid = rdf_engine._cell_grid(pos, cell, search_radius(12.0, 0.2))
-        assert list(grid.shape) == [9, 8, 8] and len(grid.offsets) == 171
+        lo, hi = grid.columns[:, 2:].T
+        assert list(grid.shape) == [9, 8, 8] and (hi - lo + 1).sum() == 171
         assert len(grid.columns) == 25
         slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.0, 0.2))
         assert slots is None and pairs.__name__ == "_pair_strips"
@@ -698,6 +699,40 @@ class TestColumnSearch:
         np.testing.assert_array_equal(
             hist.counts, counts_with(_all_pairs, types, coms, cell, rmax, dr)
         )
+
+    @staticmethod
+    def reference_columns(shape, widths, reach):
+        """The stencil offset by offset: every offset within +-3 that fits
+        in the grid, with a positive first nonzero component, whose cells'
+        nearest corners lie within reach, merged into (dx, dy, lo, hi)."""
+        runs = {(0, 0): (1, 0)}
+        for dx in range(-3, 4):
+            for dy in range(-3, 4):
+                for dz in range(-3, 4):
+                    o = (dx, dy, dz)
+                    if o <= (0, 0, 0) or any(abs(d) >= n for d, n in zip(o, shape)):
+                        continue
+                    if widths is not None:
+                        gap = np.maximum(np.abs(o) - 1, 0) * np.array(widths)
+                        if (gap**2).sum() > reach**2:
+                            continue
+                    lo, hi = runs.get((dx, dy), (dz, dz))
+                    runs[dx, dy] = (min(lo, dz), max(hi, dz))
+        return [[dx, dy, lo, hi] for (dx, dy), (lo, hi) in runs.items()]
+
+    def test_stencil_matches_offset_by_offset_reference(self):
+        rng = np.random.default_rng(12)
+        for shape in [(1, 1, 1), (1, 2, 9), (3, 1, 4), (7, 7, 7), (9, 8, 2), (4, 9, 5)]:
+            for _ in range(20):
+                if rng.random() < 0.2:
+                    widths, reach = None, 1.0
+                elif rng.random() < 0.5:
+                    edge = float(rng.uniform(1.0, 5.0))  # corners exactly at reach
+                    widths, reach = (edge,) * 3, edge * int(rng.integers(1, 4))
+                else:
+                    widths, reach = tuple(rng.uniform(0.5, 6.0, 3)), rng.uniform(1.0, 15.0)
+                columns = rdf_engine._stencil(shape, widths, reach)
+                assert columns.tolist() == self.reference_columns(shape, widths, reach)
 
 
 class TestKernelPasses:

@@ -1,11 +1,12 @@
 import io
 import logging
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from molrdf import trajectory_io
 from molrdf.cli import main
 from molrdf.errors import InputError
 from molrdf.rdf_engine import RdfTable
@@ -318,10 +319,13 @@ class TestHistoryReader:
     @pytest.mark.parametrize("rows", [(0,), (1,), (2,), (0, 1, 2)])
     @pytest.mark.parametrize("bad", ["10.0 0.0", "10.0 abc 0.0"])
     def test_short_or_bad_cell_row_truncates(self, rows, bad):
+        """At the end of the file; with site records after them, see
+        test_corrupt_record_before_more_frames_is_fatal."""
         lines = history_text(FRAMES).splitlines()
         third_frame = 2 + 2 * (1 + 3 + 2 * 2)  # header, two frames
         for row in rows:
             lines[third_frame + 1 + row] = bad
+        del lines[third_frame + 4 :]
         reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
         frames = list(reader)
         assert reader.frames_read == 2
@@ -341,6 +345,71 @@ class TestHistoryReader:
             lines[k] = " ".join(lines[k].split()[:2])
         reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
         assert len(list(reader)) == 2
+        assert reader.truncated
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize(
+        "line, record",
+        [(1, "cell row"), (3, "cell row"), (5, "coordinate line"), (7, "coordinate line")],
+    )
+    def test_corrupt_record_before_more_frames_is_fatal(self, step, line, record):
+        """A bad cell row or coordinate line in frame 1 or 2 of 3 names its
+        frame instead of dropping the frames after it as truncated."""
+        lines = history_text(FRAMES).splitlines()
+        k = 2 + (step - 1) * (1 + 3 + 2 * 2) + line  # past the header
+        x, _, z = lines[k].split()
+        lines[k] = f"{x} x {z}"
+        frames = []
+        with pytest.raises(
+            InputError, match=rf"^HISTORY: frame at step {step}: a {record} does not start"
+        ):
+            frames.extend(HistoryReader(io.StringIO("\n".join(lines) + "\n")))
+        assert [frame.step for frame in frames] == list(range(1, step))
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1.0E+01", 10.0),
+            ("-.5", -0.5),
+            ("1.", 1.0),
+            ("+2", 2.0),
+            ("inf", math.inf),
+            ("nan", math.nan),
+            ("1_0", None),
+            ("1.0D+00", None),
+            ("\uff11", None),  # a full-width digit 1
+            ("2#", None),
+        ],
+    )
+    def test_number_forms(self, text, value):
+        """The forms numpy's text reader converts; the others make the line
+        bad.  Python's float() also takes "1_0" and non-ASCII digits, and
+        "#" starts no comment."""
+        lines = history_text(FRAMES).splitlines()
+        site_2 = 2 + 1 + 3 + 3  # header, timestep, cell, first site
+        x, y, _ = lines[site_2].split()
+        lines[site_2] = f"{x} {y} {text}"
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
+        if value is None:
+            with pytest.raises(InputError, match="step 1: a coordinate line does not start"):
+                list(reader)
+        elif not math.isfinite(value):
+            with pytest.raises(InputError, match="step 1 has a non-finite coordinate at site 2"):
+                list(reader)
+        else:
+            frames = list(reader)
+            assert frames[0].positions[1, 2] == value
+            assert len(frames) == 3 and not reader.truncated
+
+    def test_reading_emits_no_warning(self):
+        """Two frames of no sites, then a frame cut right after its cell
+        rows: no empty conversion warns."""
+        empty = history_text([[], []], names=(), masses=())
+        cut = "\n".join(history_text(FRAMES[:1], header=False).splitlines()[:4]) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reader, frames = read_all(empty + cut)
+        assert [frame.positions.shape for frame in frames] == [(0, 3), (0, 3)]
         assert reader.truncated
 
     @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-Infinity", "1e400"])
@@ -570,30 +639,30 @@ def assert_frames(got, expected):
 
 
 class TestBlockReader:
-    """Site records are parsed in blocks of ``_BLOCK_SITES``; these tests
-    shrink the blocks so that every frame spans several of them."""
+    """A frame's site records are taken whole and their coordinate lines
+    converted at once.  Every case runs on a file of 2 and of 3 frames, so
+    that its last frame follows one or two complete ones."""
 
     N_SITES = 7
 
     @pytest.fixture(params=[2, 3])
-    def block_sites(self, request, monkeypatch):
-        monkeypatch.setattr(trajectory_io, "_BLOCK_SITES", request.param)
+    def n_frames(self, request):
         return request.param
 
-    def test_cut_at_every_line_of_last_frame(self, block_sites):
-        frames = site_frames(3, self.N_SITES)
+    def test_cut_at_every_line_of_last_frame(self, n_frames):
+        frames = site_frames(n_frames, self.N_SITES)
         lines = sites_history(frames, keytrj=2).splitlines(keepends=True)
         last = len(lines) - (1 + 3 + self.N_SITES * 4)  # last timestep line
         for k in range(last, len(lines) + 1):
             reader, got = read_all("".join(lines[:k]))
-            complete = 3 if k == len(lines) else 2
+            complete = n_frames if k == len(lines) else n_frames - 1
             assert reader.frames_read == complete, k
             # A cut just before a timestep record is a clean end of file.
             assert reader.truncated == (last < k < len(lines)), k
             assert_frames(got, frames[:complete])
 
-    def test_cut_in_the_middle_of_every_line_of_last_frame(self, block_sites):
-        frames = site_frames(3, self.N_SITES)
+    def test_cut_in_the_middle_of_every_line_of_last_frame(self, n_frames):
+        frames = site_frames(n_frames, self.N_SITES)
         lines = sites_history(frames, keytrj=2).splitlines(keepends=True)
         last = len(lines) - (1 + 3 + self.N_SITES * 4)
         for k in range(last, len(lines)):
@@ -601,79 +670,85 @@ class TestBlockReader:
             reader, got = read_all("".join(lines[:k]) + half)
             # Only the presence of a force record is checked, so half of the
             # frame's final line still completes it.
-            complete = 3 if k == len(lines) - 1 else 2
+            complete = n_frames if k == len(lines) - 1 else n_frames - 1
             assert reader.frames_read == complete, k
-            assert reader.truncated == (complete == 2), k
+            assert reader.truncated == (complete < n_frames), k
             assert_frames(got, frames[:complete])
 
     @pytest.mark.parametrize("keytrj", [0, 2])
-    def test_blank_lines_anywhere(self, block_sites, keytrj):
-        frames = site_frames(2, self.N_SITES)
+    def test_blank_lines_anywhere(self, n_frames, keytrj):
+        frames = site_frames(n_frames, self.N_SITES)
         lines = sites_history(frames, keytrj=keytrj).splitlines()
         per_site = 2 + keytrj
-        first_site = 2 + 1 + 3  # header, timestep, cell rows
-        per_block = per_site * block_sites
-        second_frame = first_site + per_site * self.N_SITES
+        per_frame = 1 + 3 + per_site * self.N_SITES
         # From the back, so that earlier indices stay valid.
-        lines.insert(second_frame, "")  # between frames
-        lines.insert(first_site + per_block + 1, "\t")  # inside the second block
-        lines.insert(first_site + per_block - 1, "   ")  # the first block's last line
+        lines.append(" ")
+        for start in range(2 + (n_frames - 1) * per_frame, 1, -per_frame):
+            site_4 = start + 4 + 3 * per_site
+            lines.insert(site_4 + per_site - 1, "   ")  # before a record's last line
+            lines.insert(site_4 + 1, "\t")  # after a name record
+            lines.insert(start + 2, "")  # between cell rows
+            lines.insert(start, "")  # before the timestep record
         reader, got = read_all("\n".join(lines) + "\n")
-        assert reader.frames_read == 2
+        assert reader.frames_read == n_frames
         assert not reader.truncated
         assert_frames(got, frames)
 
-    def test_extra_tokens_are_ignored(self, block_sites):
-        frames = site_frames(2, self.N_SITES)
+    def test_extra_tokens_are_ignored(self, n_frames):
+        frames = site_frames(n_frames, self.N_SITES)
         reader, got = read_all(sites_history(frames, coord_suffix="  7.5 junk"))
-        assert reader.frames_read == 2
+        assert reader.frames_read == n_frames
         assert not reader.truncated
         assert_frames(got, frames)
 
-    def test_short_line_not_made_up_by_a_long_neighbour(self, block_sites):
-        frames = site_frames(2, self.N_SITES)
+    def test_short_line_not_made_up_by_a_long_neighbour(self, n_frames):
+        frames = site_frames(n_frames, self.N_SITES)
         lines = sites_history(frames).splitlines()
         coord = 2 + 1 + 3 + 1  # first coordinate line
         x, y, z = lines[coord].split()
         lines[coord] = f"{x} {y}"
         lines[coord + 2] = f"{z} {lines[coord + 2]}"
-        reader, got = read_all("\n".join(lines) + "\n")
-        assert got == []
-        assert reader.truncated
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
+        with pytest.raises(InputError, match="step 1: a coordinate line does not start"):
+            list(reader)
+        assert reader.frames_read == 0
 
     @pytest.mark.parametrize("frame", [0, 1])
-    def test_garbage_in_second_block_truncates(self, block_sites, frame):
-        frames = site_frames(2, self.N_SITES)
+    def test_garbage_in_second_block_truncates(self, n_frames, frame):
+        """Garbage at a site in the middle of the file's last frame; with
+        frames after it, see test_corrupt_record_before_more_frames_is_fatal."""
+        frames = site_frames(n_frames, self.N_SITES)
         lines = sites_history(frames).splitlines()
-        site = block_sites  # first site of the second block
-        coord = 2 + frame * (4 + 2 * self.N_SITES) + 4 + 2 * site + 1
+        per_frame = 4 + 2 * self.N_SITES
+        coord = 2 + frame * per_frame + 4 + 2 * (self.N_SITES // 2) + 1
         lines[coord] = "1.0 abc 3.0"
+        del lines[2 + (frame + 1) * per_frame :]
         reader, got = read_all("\n".join(lines) + "\n")
         assert reader.frames_read == frame
         assert reader.truncated
         assert_frames(got, frames[:frame])
 
     @pytest.mark.parametrize("keytrj", [-1, 0, 1, 2, 3])
-    def test_keytrj(self, block_sites, keytrj):
+    def test_keytrj(self, n_frames, keytrj):
         # -1 and 0 write no velocity or force lines, 3 writes both.
-        frames = site_frames(3, self.N_SITES)
+        frames = site_frames(n_frames, self.N_SITES)
         reader, got = read_all(sites_history(frames, keytrj=keytrj))
-        assert reader.frames_read == 3
+        assert reader.frames_read == n_frames
         assert not reader.truncated
         assert_frames(got, frames)
 
     @pytest.mark.parametrize("header", [True, False])
     @pytest.mark.parametrize("imcon", [1, 6])
-    def test_header_and_imcon(self, block_sites, header, imcon):
-        frames = site_frames(3, self.N_SITES)
+    def test_header_and_imcon(self, n_frames, header, imcon):
+        frames = site_frames(n_frames, self.N_SITES)
         reader, got = read_all(sites_history(frames, header=header, imcon=imcon))
-        assert reader.frames_read == 3
+        assert reader.frames_read == n_frames
         assert not reader.truncated
         assert_frames(got, frames)
         assert all(f.cell.imcon == imcon for f in got)
 
-    def test_file_source(self, block_sites, tmp_path):
-        frames = site_frames(3, self.N_SITES)
+    def test_file_source(self, n_frames, tmp_path):
+        frames = site_frames(n_frames, self.N_SITES)
         path = tmp_path / "HISTORY"
         path.write_text(sites_history(frames, keytrj=1))
         with HistoryReader(path) as reader:
@@ -682,11 +757,10 @@ class TestBlockReader:
 
 
 def test_plain_and_padded_layouts_agree_bit_for_bit():
-    """A chains-like frame (triclinic cell, keytrj 2, several default-size
-    blocks) read as written and with one extra token on every coordinate
-    line."""
+    """A chains-like frame (triclinic cell, keytrj 2) read as written and
+    with one extra token on every coordinate line."""
     rng = np.random.default_rng(7)
-    n_sites = 2 * trajectory_io._BLOCK_SITES + 100
+    n_sites = 356
     frames = rng.uniform(-20.0, 20.0, (2, n_sites, 3))
     cell = np.array([[37.9, 0.0, 0.0], [8.34, 36.4, 0.0], [-4.55, 6.45, 35.27]])
     plain = sites_history(frames, keytrj=2, imcon=3, cell=cell)
