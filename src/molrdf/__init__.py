@@ -9,7 +9,6 @@ from .trajectory_io import (
     Frame,
     HistoryReader,
     MoleculeSpec,
-    SiteSpec,
     Topology,
     parse_directives,
     parse_field,
@@ -31,7 +30,6 @@ __all__ = [
     "NoFramesError",
     "PairHistogram",
     "RdfTable",
-    "SiteSpec",
     "SyntheticConfig",
     "Topology",
     "accumulate_frame",

@@ -53,23 +53,16 @@ class AnalysisSummary:
         )
 
 
-def _frame_coms(frame: Frame, topology: Topology, masses_by_type):
-    """0-based type indices and centres of mass of all massive molecules."""
-    types = []
-    coms = []
-    start = 0
-    for t, (mol, masses) in enumerate(zip(topology.molecules, masses_by_type)):
-        stop = start + mol.count * mol.n_sites
-        block = frame.positions[start:stop].reshape(mol.count, mol.n_sites, 3)
-        start = stop
-        type_coms = centers_of_mass(block, masses, frame.cell)
-        if type_coms is None:
-            continue
-        types.append(np.full(mol.count, t, dtype=np.int64))
-        coms.append(type_coms)
-    if not coms:
-        return np.empty(0, dtype=np.int64), np.empty((0, 3))
-    return np.concatenate(types), np.concatenate(coms)
+def _frame_coms(frame: Frame, topology: Topology) -> np.ndarray:
+    """Centres of mass of the molecules of ``topology.massive``, type after
+    type; a topology with no massive type gives none, and ``finalize`` then
+    rejects it."""
+    coms = [np.empty((0, 3))]
+    for t, sites in topology.massive:
+        mol = topology.molecules[t]
+        block = frame.positions[sites].reshape(mol.count, mol.n_sites, 3)
+        coms.append(centers_of_mass(block, mol.masses, frame.cell))
+    return np.concatenate(coms)
 
 
 def run_analysis(
@@ -92,13 +85,16 @@ def run_analysis(
     directives = parse_directives(control_path.read_text())
     topology = parse_field(field_path.read_text())
 
-    masses_by_type = [m.masses for m in topology.molecules]
+    # The 0-based type of each centre of mass that _frame_coms returns.
+    types = np.array(
+        [t for t, _ in topology.massive for _ in range(topology.molecules[t].count)],
+        dtype=np.int64,
+    )
     hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
     with HistoryReader(history_path, expected_natoms=topology.total_sites) as reader:
         # Frames are numbered from 1; reading stops after frame ``stop``.
         for frame in itertools.islice(reader, directives.start - 1, directives.stop):
-            types, coms = _frame_coms(frame, topology, masses_by_type)
-            accumulate_frame(hist, types, coms, frame.cell)
+            accumulate_frame(hist, types, _frame_coms(frame, topology), frame.cell)
         frames_read = reader.frames_read
         truncated = reader.truncated
 

@@ -518,11 +518,9 @@ def finalize(hist: PairHistogram, topology: Topology, smooth: bool = False) -> R
             "mean cell volume is not positive; g(r) needs a periodic cell"
         )
 
-    kept = []
+    kept = [t for t, _ in topology.massive]
     for t, mol in enumerate(topology.molecules):
-        if mol.total_mass > 0.0:
-            kept.append(t)
-        else:
+        if t not in kept:
             logger.warning(
                 "molecule type %d (%s) carries no mass and is excluded from "
                 "the distribution functions",

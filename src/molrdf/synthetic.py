@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import CellTensor, to_reduced
-from .trajectory_io import MoleculeSpec, SiteSpec, Topology
+from .trajectory_io import MoleculeSpec, Topology
 
 DEFAULT_SEED = 2024
 
@@ -103,11 +103,9 @@ def gen_topology(cfg: SyntheticConfig, rng: np.random.Generator) -> Topology:
     """Two single-copy molecule types with random 4-decimal site masses."""
 
     def make(name: str, prefix: str) -> MoleculeSpec:
-        sites = tuple(
-            SiteSpec(f"{prefix}{i + 1}", round(rng.uniform(1.0, 20.0), 4), 0.0)
-            for i in range(cfg.n_sites)
-        )
-        return MoleculeSpec(name, 1, sites)
+        names = tuple(f"{prefix}{i + 1}" for i in range(cfg.n_sites))
+        masses = tuple(round(rng.uniform(1.0, 20.0), 4) for _ in range(cfg.n_sites))
+        return MoleculeSpec(name, 1, names, masses)
 
     return Topology((make("RandomA", "A"), make("RandomB", "B")))
 
@@ -130,8 +128,8 @@ def _write_field(topology: Topology, path: Path) -> None:
         lines.append(mol.name)
         lines.append(f"NUMMOLS {mol.count}")
         lines.append(f"ATOMS {mol.n_sites}")
-        for site in mol.sites:
-            lines.append(f"{site.name:<8s}{site.mass:12.4f}{site.charge:12.6f}")
+        for name, mass in zip(mol.site_names, mol.site_masses):
+            lines.append(f"{name:<8s}{mass:12.4f}{0.0:12.6f}")
         lines.append("FINISH")
     lines.append("CLOSE")
     path.write_text("\n".join(lines) + "\n")
@@ -184,8 +182,8 @@ def _format_frame(
     i = 0
     for mol in topology.molecules:
         for _ in range(mol.count):
-            for site in mol.sites:
-                lines.append(f"{site.name:<8s}{i + 1:10d}{site.mass:12.6f}{site.charge:12.6f}")
+            for name, mass in zip(mol.site_names, mol.site_masses):
+                lines.append(f"{name:<8s}{i + 1:10d}{mass:12.6f}{0.0:12.6f}")
                 x, y, z = wrapped[i]
                 lines.append(f"{x:20.12f}{y:20.12f}{z:20.12f}")
                 i += 1

@@ -28,6 +28,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
@@ -68,33 +69,29 @@ class Directives:
 
 
 @dataclass(frozen=True)
-class SiteSpec:
-    """One interaction site after repeat expansion."""
-
-    name: str
-    mass: float
-    charge: float
-
-
-@dataclass(frozen=True)
 class MoleculeSpec:
-    """A molecule type: its name, how many copies exist, and its sites."""
+    """A molecule type: its name, how many copies exist, and the names and
+    masses of its sites in declaration order, after repeat expansion."""
 
     name: str
     count: int
-    sites: tuple[SiteSpec, ...]
+    site_names: tuple[str, ...]
+    site_masses: tuple[float, ...]
 
     @property
     def n_sites(self) -> int:
-        return len(self.sites)
+        return len(self.site_masses)
 
-    @property
+    @cached_property
     def masses(self) -> np.ndarray:
-        return np.array([s.mass for s in self.sites])
+        """The site masses as an array, built once; read-only."""
+        masses = np.array(self.site_masses, dtype=float)
+        masses.flags.writeable = False
+        return masses
 
     @property
     def total_mass(self) -> float:
-        return float(sum(s.mass for s in self.sites))
+        return float(sum(self.site_masses))
 
 
 @dataclass(frozen=True)
@@ -110,6 +107,19 @@ class Topology:
     @property
     def total_sites(self) -> int:
         return sum(m.count * m.n_sites for m in self.molecules)
+
+    @cached_property
+    def massive(self) -> tuple[tuple[int, slice], ...]:
+        """``(t, sites)``, in FIELD order, for every type that has a centre of
+        mass: its 0-based index and the slice of a frame's site rows that its
+        copies fill.  The one place that decides which types are analysed."""
+        massive = []
+        stop = 0
+        for t, mol in enumerate(self.molecules):
+            start, stop = stop, stop + mol.count * mol.n_sites
+            if mol.total_mass > 0.0:
+                massive.append((t, slice(start, stop)))
+        return tuple(massive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +222,20 @@ def parse_field(field_text: str) -> Topology:
                 return pos, line
         return 0, ""
 
+    def count_directive(keyword: str, name: str) -> int:
+        """The positive count that ends the next record, ``keyword n``."""
+        lineno, line = next_content()
+        tokens = line.split()
+        if not line or not _keyword_matches(tokens[0], keyword.lower()):
+            raise InputError(f"FIELD line {lineno or n_lines}: expected {keyword} for {name!r}")
+        try:
+            value = int(tokens[-1])
+        except ValueError:
+            raise InputError(f"FIELD line {lineno}: bad {keyword} value") from None
+        if value < 1:
+            raise InputError(f"FIELD line {lineno}: {keyword} must be >= 1")
+        return value
+
     # Title line, then scan for MOLECULES.
     next_content()
     n_types = None
@@ -237,30 +261,10 @@ def parse_field(field_text: str) -> Topology:
         if not line:
             raise InputError("FIELD: unexpected end of file before molecule name")
         name = line.strip()
+        count = count_directive("NUMMOLS", name)
+        n_sites = count_directive("ATOMS", name)
 
-        lineno, line = next_content()
-        tokens = line.split()
-        if not line or not _keyword_matches(tokens[0], "nummols"):
-            raise InputError(f"FIELD line {lineno or n_lines}: expected NUMMOLS for {name!r}")
-        try:
-            count = int(tokens[-1])
-        except ValueError:
-            raise InputError(f"FIELD line {lineno}: bad NUMMOLS value") from None
-        if count < 1:
-            raise InputError(f"FIELD line {lineno}: NUMMOLS must be >= 1")
-
-        lineno, line = next_content()
-        tokens = line.split()
-        if not line or not _keyword_matches(tokens[0], "atoms"):
-            raise InputError(f"FIELD line {lineno or n_lines}: expected ATOMS for {name!r}")
-        try:
-            n_sites = int(tokens[-1])
-        except ValueError:
-            raise InputError(f"FIELD line {lineno}: bad ATOMS value") from None
-        if n_sites < 1:
-            raise InputError(f"FIELD line {lineno}: ATOMS must be >= 1")
-
-        sites: list[SiteSpec] = []
+        sites: list[tuple[str, float]] = []
         while len(sites) < n_sites:
             lineno, line = next_content()
             if not line:
@@ -272,7 +276,7 @@ def parse_field(field_text: str) -> Topology:
                 )
             try:
                 mass = float(tokens[1])
-                charge = float(tokens[2])
+                float(tokens[2])  # the charge: unused, but must be a number
                 repeat = int(tokens[3]) if len(tokens) > 3 else 1
                 if len(tokens) > 4:
                     int(tokens[4])  # the frozen flag: unused, but must be an integer
@@ -282,12 +286,13 @@ def parse_field(field_text: str) -> Topology:
                 raise InputError(f"FIELD line {lineno}: negative site mass")
             if repeat < 1:
                 raise InputError(f"FIELD line {lineno}: repeat count must be >= 1")
-            sites.extend(SiteSpec(tokens[0], mass, charge) for _ in range(repeat))
-        if len(sites) > n_sites:
-            raise InputError(
-                f"FIELD: repeat counts in {name!r} expand to {len(sites)} sites, "
-                f"ATOMS says {n_sites}"
-            )
+            # Checked before expanding, so that a huge count allocates nothing.
+            if len(sites) + repeat > n_sites:
+                raise InputError(
+                    f"FIELD: repeat counts in {name!r} expand to {len(sites) + repeat} "
+                    f"sites, ATOMS says {n_sites}"
+                )
+            sites += [(tokens[0], mass)] * repeat
 
         # Skip bonds/constraints/... up to the closing FINISH.
         while True:
@@ -297,7 +302,8 @@ def parse_field(field_text: str) -> Topology:
             if _keyword_matches(line.split()[0], "finish"):
                 break
 
-        molecules.append(MoleculeSpec(name, count, tuple(sites)))
+        names, masses = zip(*sites)
+        molecules.append(MoleculeSpec(name, count, names, masses))
 
     return Topology(tuple(molecules))
 
@@ -404,7 +410,10 @@ class HistoryReader:
         """Parse one frame; None signals truncation (partial frame dropped)."""
         tokens = timestep_line.split()
         if tokens[0].lower() != "timestep" or len(tokens) < 5:
-            return None
+            return self._cut_or_corrupt(
+                f"frame {self.frames_read + 1}: expected a timestep record with "
+                f"step, site count, keytrj and imcon: {timestep_line.strip()!r}"
+            )
         try:
             step = int(tokens[1])
             natoms = int(tokens[2])
@@ -422,7 +431,7 @@ class HistoryReader:
                 f"FIELD topology expects {self._expected_natoms}"
             )
         if natoms < 0:
-            return None
+            return self._cut_or_corrupt(f"frame at step {step}: negative site count {natoms}")
 
         # Checked before the cell rows, which such a frame does not have.
         if imcon <= 0:

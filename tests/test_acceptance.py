@@ -26,7 +26,6 @@ from molrdf.synthetic import SyntheticConfig, generate_dataset
 from molrdf.trajectory_io import (
     HistoryReader,
     MoleculeSpec,
-    SiteSpec,
     Topology,
     parse_directives,
     parse_field,
@@ -64,7 +63,7 @@ def test_ideal_gas_is_flat(capsys):
     n_mol, length, n_frames = 200, 20.0, 500
     dr, rmax = 0.25, 9.0
     rng = np.random.default_rng(2024)
-    topo = Topology((MoleculeSpec("Gas", n_mol, (SiteSpec("X", 1.0, 0.0),)),))
+    topo = Topology((MoleculeSpec("Gas", n_mol, ("X",), (1.0,)),))
     cell = CellTensor.cubic(length)
     hist = PairHistogram.create(1, rmax=rmax, dr=dr)
     types = np.zeros(n_mol, dtype=np.int64)
@@ -123,7 +122,7 @@ def test_counts_match_naive_double_loop():
     types = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
     topo = Topology(
         tuple(
-            MoleculeSpec(f"T{i}", c, (SiteSpec("X", 1.0, 0.0),))
+            MoleculeSpec(f"T{i}", c, ("X",), (1.0,))
             for i, c in enumerate([4, 3, 3], start=1)
         )
     )

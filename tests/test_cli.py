@@ -192,6 +192,23 @@ class TestMain:
         assert "Traceback" not in err
         assert not (dataset_dir / "RDF").exists()
 
+    def test_misspelt_timestep_keyword_exit_code(self, tmp_path, capsys):
+        """Frame 10 of 50 reads ``timestap``: the 40 frames after it must not
+        be dropped as if the file had been cut there."""
+        generate_dataset(SyntheticConfig(n_frames=50), tmp_path)
+        history = tmp_path / "HISTORY"
+        lines = history.read_text().splitlines()
+        tenth_step = [k for k, s in enumerate(lines) if s.startswith("timestep")][9]
+        lines[tenth_step] = lines[tenth_step].replace("timestep", "timestap")
+        history.write_text("\n".join(lines) + "\n")
+        assert main(["--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: HISTORY: frame 10: expected a timestep record with step, site "
+            f"count, keytrj and imcon: {lines[tenth_step].strip()!r}\n"
+        )
+        assert not (tmp_path / "RDF").exists() and not (tmp_path / "POP").exists()
+
     def test_corrupt_coordinate_line_exit_code(self, tmp_path, capsys):
         """One coordinate of frame 10 of 50 is no number: the 40 frames after
         it must not be dropped as if the file had been cut there."""

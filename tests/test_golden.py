@@ -8,8 +8,9 @@ frames hold molecules torn across the boundary.
 
 The stored files were written by the per-molecule unfolding of molrdf 0.1.0;
 those of the ``cells_*`` cases, which are large enough for the linked-cell
-pair search, by the all-pairs pair kernel.  Rewrite them only for an intended
-change of output::
+pair search, by the all-pairs pair kernel; those of the ``gap`` case by the
+code as it stood before FIELD types were held as per-type arrays.  Rewrite
+them only for an intended change of output::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -61,6 +62,12 @@ MOLECULES = {
         ("Water", [15.9994, 1.008, 1.008], 24, True),
         ("Ghost", [0.0, 0.0], 16, True),
     ],
+    # a massless type between two massive ones: the labels skip type 2
+    "gap": [
+        ("Water", [15.9994, 1.008, 1.008], 20, True),
+        ("Probe", [0.0, 0.0, 0.0, 0.0], 8, False),
+        ("Chain", [12.0, 14.0, 14.0, 14.0, 15.0], 12, False),
+    ],
     # ~1000 molecules: enough for the linked-cell pair search to be chosen
     "liquid": [
         ("Tri", [15.9994, 1.008, 1.008], 700, True),
@@ -75,6 +82,7 @@ CASES = {
     "slab": ("rigid", 6, np.diag([18.0, 20.0, 40.0]), 8.5, 0.1, False, 4),
     "groups": ("groups", 1, 20.0 * np.eye(3), 9.0, 0.15, False, 4),
     "smooth": ("groups", 3, np.array(TRICLINIC), 8.0, 0.1, True, 4),
+    "gap": ("gap", 2, np.diag([18.0, 20.0, 19.0]), 8.0, 0.1, False, 4),
     "cells_cubic": ("liquid", 1, 28.0 * np.eye(3), 8.0, 0.1, False, 3),
     "cells_triclinic": ("liquid", 3, 1.6 * np.array(TRICLINIC), 7.5, 0.1, False, 3),
 }
@@ -100,16 +108,20 @@ def write_inputs(case: str, directory: Path, seed: int = 7) -> None:
     control.append("end polyana")
     (directory / "CONTROL").write_text("\n".join(control) + "\n")
 
+    site_names = [[f"{name[0]}{i + 1}" for i in range(len(m))] for name, m, _, _ in molecules]
     field = ["golden case " + case, "UNITS internal", f"MOLECULES {len(molecules)}"]
-    for name, masses, count, _ in molecules:
+    for (name, masses, count, _), names in zip(molecules, site_names):
         field += [name, f"NUMMOLS {count}", f"ATOMS {len(masses)}"]
-        field += [f"{name[0]}{i + 1} {m:.4f} 0.0" for i, m in enumerate(masses)]
+        field += [f"{n} {m:.4f} 0.0" for n, m in zip(names, masses)]
         field.append("FINISH")
     field.append("CLOSE")
     (directory / "FIELD").write_text("\n".join(field) + "\n")
 
     templates = [_chain(rng, len(m), 1.2) if rigid else None for _, m, _, rigid in molecules]
     natoms = sum(len(m) * count for _, m, count, _ in molecules)
+    # HISTORY names every site as FIELD does, copy after copy in FIELD order.
+    history_names = [n for (_, _, count, _), names in zip(molecules, site_names)
+                     for n in names * count]
     lines = ["golden case " + case, f"{0:10d}{imcon:10d}{natoms:10d}"]
     for step in range(1, n_frames + 1):
         sites = []
@@ -123,8 +135,8 @@ def write_inputs(case: str, directory: Path, seed: int = 7) -> None:
         wrapped = _wrap(np.vstack(sites), matrix, imcon)
         lines.append(f"timestep{step:10d}{natoms:10d}{0:10d}{imcon:10d}{0.001:12.6f}")
         lines += [f"{x:20.10f}{y:20.10f}{z:20.10f}" for x, y, z in matrix]
-        for i, (x, y, z) in enumerate(wrapped):
-            lines.append(f"S{i + 1:<7d}{i + 1:10d}{1.0:12.6f}{0.0:12.6f}")
+        for i, (n, (x, y, z)) in enumerate(zip(history_names, wrapped)):
+            lines.append(f"{n:<8s}{i + 1:10d}{1.0:12.6f}{0.0:12.6f}")
             lines.append(f"{x:20.10f}{y:20.10f}{z:20.10f}")
     (directory / "HISTORY").write_text("\n".join(lines) + "\n")
 

@@ -20,7 +20,7 @@ from molrdf.rdf_engine import (
     shell_volumes,
     smooth_curve,
 )
-from molrdf.trajectory_io import MoleculeSpec, SiteSpec, Topology
+from molrdf.trajectory_io import MoleculeSpec, Topology
 from test_unfolding import _cell_for as make_cell
 
 
@@ -29,7 +29,7 @@ def point_topology(counts, masses=None):
     masses = masses or [1.0] * len(counts)
     return Topology(
         tuple(
-            MoleculeSpec(f"T{i + 1}", c, (SiteSpec(f"X{i + 1}", m, 0.0),))
+            MoleculeSpec(f"T{i + 1}", c, (f"X{i + 1}",), (m,))
             for i, (c, m) in enumerate(zip(counts, masses))
         )
     )

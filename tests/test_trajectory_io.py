@@ -155,18 +155,39 @@ class TestParseField:
 
     def test_repeat_expansion(self):
         topo = parse_field(WATER_ALCOHOL_FIELD)
-        names = [s.name for s in topo.molecules[0].sites]
-        assert names == ["CH3", "CH2", "CH2", "CH2", "O", "H"]
-        water_sites = topo.molecules[1].sites
-        assert [s.name for s in water_sites] == ["OW", "HW", "HW"]
+        assert topo.molecules[0].site_names == ("CH3", "CH2", "CH2", "CH2", "O", "H")
+        assert topo.molecules[1].site_names == ("OW", "HW", "HW")
         np.testing.assert_allclose(
             topo.molecules[1].masses, [15.9994, 1.008, 1.008]
         )
 
     def test_non_integer_frozen_column_rejected(self):
-        text = "t\nmolecules 1\nM\nnummols 1\natoms 1\nX 1.0 0.0 1 yes\nfinish\n"
-        with pytest.raises(InputError, match="FIELD line 6: bad site record"):
-            parse_field(text)
+        # The charge is not kept either, but it must still be a number.
+        for record in ("X 1.0 0.0 1 yes", "X 1.0 abc"):
+            text = f"t\nmolecules 1\nM\nnummols 1\natoms 1\n{record}\nfinish\n"
+            with pytest.raises(InputError, match=f"FIELD line 6: bad site record '{record}'"):
+                parse_field(text)
+
+    def test_massive_types_and_their_site_rows(self):
+        """A massless type in the middle is left out, and the types after it
+        keep their FIELD index and their place in the frame."""
+        text = (
+            "t\nmolecules 3\n"
+            "W\nnummols 4\natoms 3\nO 16.0 0.0\nH 1.0 0.0 2\nfinish\n"
+            "P\nnummols 2\natoms 2\nX 0.0 0.0 2\nfinish\n"
+            "C\nnummols 5\natoms 1\nC 12.0 0.0\nfinish\n"
+        )
+        topo = parse_field(text)
+        assert topo.massive == ((0, slice(0, 12)), (2, slice(16, 21)))
+        assert topo.molecules[1].site_masses == (0.0, 0.0)
+        assert topo.total_sites == 21
+
+    def test_masses_are_built_once_and_read_only(self):
+        mol = parse_field(WATER_ALCOHOL_FIELD).molecules[1]
+        assert mol.masses is mol.masses
+        np.testing.assert_array_equal(mol.masses, mol.site_masses)
+        with pytest.raises(ValueError):
+            mol.masses[0] = 0.0
 
     def test_total_mass(self):
         topo = parse_field(WATER_ALCOHOL_FIELD)
@@ -196,6 +217,15 @@ class TestParseField:
     def test_repeat_overshoot(self):
         text = "t\nmolecules 1\nM\nnummols 1\natoms 3\nX 1.0 0.0 2\nY 1.0 0.0 2\nfinish\n"
         with pytest.raises(InputError, match="expand"):
+            parse_field(text)
+
+    def test_huge_repeat_count_fails_before_expanding(self):
+        """A repeat count far past ATOMS is rejected without building its
+        sites, which would not fit in memory."""
+        repeat = 10**12
+        text = f"t\nmolecules 1\nM\nnummols 1\natoms 3\nX 1.0 0.0\nY 1.0 0.0 {repeat}\nfinish\n"
+        message = f"^FIELD: repeat counts in 'M' expand to {repeat + 1} sites, ATOMS says 3$"
+        with pytest.raises(InputError, match=message):
             parse_field(text)
 
     def test_negative_mass_rejected(self):
@@ -439,18 +469,30 @@ class TestHistoryReader:
         assert reader.frames_read == good_frames
         assert reader.truncated
 
-    @pytest.mark.parametrize("field", [1, 2, 3, 4])
+    @pytest.mark.parametrize("field", [1, 2, 3, 4, "keyword", "short", "negative"])
     def test_malformed_timestep_record_before_more_frames_is_fatal(self, field):
-        """A non-integer step, site count, keytrj or imcon in frame 2 of 3
+        """A non-integer step, site count, keytrj or imcon in frame 2 of 3, a
+        misspelt keyword, a record of four tokens or a negative site count
         names the frame instead of dropping frames 2 and 3 as truncated."""
         lines = history_text(FRAMES).splitlines()
         second_frame = 2 + (1 + 3 + 2 * 2)
         tokens = lines[second_frame].split()
-        tokens[field] = "x"
+        if field == "keyword":
+            tokens[0] = "timestap"
+            message = r"^HISTORY: frame 2: expected a timestep record with step, site count"
+        elif field == "short":
+            del tokens[4:]
+            message = r"^HISTORY: frame 2: expected a timestep record with step, site count"
+        elif field == "negative":
+            tokens[2] = "-2"
+            message = r"^HISTORY: frame at step 2: negative site count -2$"
+        else:
+            tokens[field] = "x"
+            message = r"^HISTORY: frame 2: timestep record needs integer"
         lines[second_frame] = " ".join(tokens)
         reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
         frames = []
-        with pytest.raises(InputError, match=r"^HISTORY: frame 2: timestep record needs integer"):
+        with pytest.raises(InputError, match=message):
             frames.extend(reader)
         assert [frame.step for frame in frames] == [1]
 
