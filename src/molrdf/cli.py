@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError, InputError, NoFramesError
-from .geometry import nint
-from .rdf_engine import PairHistogram, accumulate_frame, finalize
+from .rdf_engine import PairHistogram, accumulate_frame, finalize, n_bins
 from .synthetic import SyntheticConfig, generate_dataset
 from .trajectory_io import (
     Frame,
@@ -55,9 +54,8 @@ class AnalysisSummary:
 
 def _frame_coms(frame: Frame, topology: Topology) -> np.ndarray:
     """Centres of mass of the molecules of ``topology.massive``, type after
-    type; a topology with no massive type gives none, and ``finalize`` then
-    rejects it."""
-    coms = [np.empty((0, 3))]
+    type."""
+    coms = []
     for t, sites in topology.massive:
         mol = topology.molecules[t]
         block = frame.positions[sites].reshape(mol.count, mol.n_sites, 3)
@@ -84,6 +82,8 @@ def run_analysis(
 
     directives = parse_directives(control_path.read_text())
     topology = parse_field(field_path.read_text())
+    if not topology.massive:
+        raise InputError("every molecule type is massless; nothing to analyse")
 
     # The 0-based type of each centre of mass that _frame_coms returns.
     types = np.array(
@@ -173,7 +173,7 @@ def _cmd_generate(argv: list[str]) -> int:
     print(f"wrote {dataset.control_path}, {dataset.field_path}, {dataset.history_path}")
     print(
         f"expected g(r) spike: r = {cfg.distance} "
-        f"(bin {int(1 + nint(cfg.distance / 0.1))} at dr = 0.1)"
+        f"(bin {n_bins(cfg.distance, 0.1)} at dr = 0.1)"
     )
     return 0
 

@@ -17,10 +17,10 @@ Supported periodic-image convention codes (``imcon``):
 6      slab: periodic along the first two lattice vectors only
 ====== ====================================================
 
-Downstream histogram bin edges depend on the rounding convention of
-:func:`nint`: halves round away from zero (the Fortran NINT convention), so a
-reduced displacement component of exactly +0.5 folds to -0.5 and -0.5 folds
-to +0.5.
+:func:`nint` rounds halves away from zero (the Fortran NINT convention) for
+every layer: unfolding, the pair kernel's minimum-image fold and the bin count
+all call it, so a reduced displacement component of exactly +0.5 folds to -0.5
+and -0.5 folds to +0.5, and histogram bin edges follow the same rule.
 """
 
 from __future__ import annotations
@@ -44,15 +44,27 @@ _PERIODIC_AXES = {
     6: (True, True, False),
 }
 
+# The sign bit of a float64 and the bits of 0.5, as int64.
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+_HALF_BITS = np.float64(0.5).view(np.int64)
 
-def nint(x):
+
+def nint(x, out=None):
     """Nearest integer with halves rounded away from zero (Fortran NINT).
 
-    Works elementwise on arrays; returns floats so the result can be
-    subtracted from reduced coordinates without casting.
+    Elementwise, as floats, so reduced coordinates can subtract it without
+    casting; written into ``out`` if given, which must not overlap x.  The
+    copysign(0.5, x) of trunc(x + copysign(0.5, x)) is made by setting the
+    bits of 0.5 under x's sign bit: integer ops, which numpy vectorises where
+    it does not vectorise np.copysign.
     """
     x = np.asarray(x, dtype=float)
-    return np.trunc(x + np.copysign(0.5, x))
+    out = np.empty_like(x) if out is None else out
+    bits = out.view(np.int64)
+    np.bitwise_and(x.view(np.int64), _SIGN_BIT, out=bits)
+    bits |= _HALF_BITS
+    out += x
+    return np.trunc(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,10 +61,6 @@ _ENTRY_COST = 0.25
 # Relative padding of the search radius, so rounding cannot lose a pair.
 _PAD = 1e-9
 
-# The sign bit of a float64 and the bits of 0.5, as int64.
-_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
-_HALF_BITS = np.float64(0.5).view(np.int64)
-
 SMOOTH_KERNEL = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
 
 
@@ -327,22 +323,6 @@ def _candidate_pairs(pos: np.ndarray, cell: CellTensor, rc: float):
     return None, _pair_strips(n)
 
 
-def _fold(f: np.ndarray, half: np.ndarray) -> None:
-    """f -= nint(f) in place; ``half`` is scratch of f's shape, left holding
-    nint(f).
-
-    nint(f) = trunc(f + copysign(0.5, f)), with copysign(0.5, f) made by
-    setting the bits of 0.5 under f's sign bit: the same bits, from integer
-    ops that numpy vectorises where it does not vectorise np.copysign.
-    """
-    bits = half.view(np.int64)
-    np.bitwise_and(f.view(np.int64), _SIGN_BIT, out=bits)
-    bits |= _HALF_BITS
-    half += f
-    np.trunc(half, out=half)
-    f -= half
-
-
 def accumulate_frame(
     hist: PairHistogram,
     types: np.ndarray,
@@ -411,7 +391,8 @@ def accumulate_frame(
         d = buf[0, : 3 * k].reshape(3, k)
         for row, axis in zip(d, axes):
             np.subtract(axis[j_arr], axis[i_arr], out=row)
-        _fold(d[:folded], buf[1, : folded * k].reshape(folded, k))
+        f = d[:folded]
+        f -= nint(f, out=buf[1, : folded * k].reshape(folded, k))
         # The transpose of d.T @ m, with the same sums.
         d = np.matmul(m.T, d, out=buf[1, : 3 * k].reshape(3, k))
         # Same sums in the same order as np.linalg.norm(d, axis=0), so the

@@ -180,6 +180,8 @@ def parse_directives(control_text: str) -> Directives:
                     f"CONTROL line {lineno}: bad numeric value {tokens[1]!r} "
                     f"for '{keyword}'"
                 ) from None
+            if keyword in ("start", "stop") and abs(value) > sys.maxsize:
+                raise InputError(f"CONTROL line {lineno}: '{keyword}' out of range, got {tokens[1]!r}")
             if not math.isfinite(value):
                 raise InputError(
                     f"CONTROL line {lineno}: '{keyword}' must be finite, got {tokens[1]!r}"

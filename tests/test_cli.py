@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,36 @@ class TestMain:
         assert main(["--dir", str(dataset_dir)]) == 1
         err = capsys.readouterr().err
         assert "error: FIELD line" in err and "MOLECULES must be >= 1" in err
+        assert "Traceback" not in err
+        assert not (dataset_dir / "RDF").exists()
+
+    @pytest.mark.parametrize("history", ["full", "empty"])
+    def test_all_massless_field_exit_code(self, dataset_dir, capsys, history):
+        """Every site mass zeroed: rejected before HISTORY is read, so an
+        empty HISTORY gives the same error, not "no usable frames"."""
+        field = dataset_dir / "FIELD"
+        text, n = re.subn(r"^(\S+\s+)\d+\.\d+(\s+\S+)$", r"\g<1>0.0\2", field.read_text(), flags=re.M)
+        assert n == 16
+        field.write_text(text)
+        if history == "empty":
+            (dataset_dir / "HISTORY").write_text("")
+        assert main(["--dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "massless" in err
+        assert "Traceback" not in err
+        assert not (dataset_dir / "RDF").exists()
+
+    @pytest.mark.parametrize("value", ["99999999999999999999", "-" + "9" * 400])
+    @pytest.mark.parametrize("keyword", ["start", "stop"])
+    def test_huge_start_or_stop_exit_code(self, dataset_dir, capsys, keyword, value):
+        """Beyond what islice and math.isfinite take, in either direction."""
+        control = dataset_dir / "CONTROL"
+        control.write_text(
+            control.read_text().replace("polyana\n", f"polyana\n  {keyword} {value}\n", 1)
+        )
+        assert main(["--dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: CONTROL line 6: '{keyword}' out of range" in err
         assert "Traceback" not in err
         assert not (dataset_dir / "RDF").exists()
 

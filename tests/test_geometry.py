@@ -47,6 +47,38 @@ class TestNint:
             nint([-1.5, -0.2, 0.0, 0.2, 1.5]), [-2.0, 0.0, 0.0, 0.0, 2.0]
         )
 
+    def test_sign_bit_form_is_copysign_form_bit_for_bit(self):
+        """nint builds copysign(0.5, x) from x's sign bit; with and without
+        ``out`` it gives the bits of trunc(x + copysign(0.5, x)) on halves,
+        the largest double below 1/2, signed zeros and infinities, nan,
+        2^52 +- 0.5, subnormals and random values, on a 0-d input as n_bins
+        passes, and into a slice of a 2-D buffer as the pair kernel passes."""
+
+        def reference(x):
+            return np.trunc(x + np.copysign(0.5, x))
+
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, 0.5, 0.49999999999999994, 1.5, 2.5, np.inf, np.nan]
+        special += [2.0**52 - 0.5, 2.0**52, 2.0**52 + 0.5, tiny, 1e3 * tiny, 2.0**-1022]
+        rng = np.random.default_rng(12)
+        x = np.concatenate(
+            [special, np.negative(special), rng.uniform(-3, 3, 5000), rng.normal(0, 1e6, 500)]
+        )
+        assert np.signbit(x).any() and np.signbit(np.negative(0.0))
+        assert nint(x).tobytes() == reference(x).tobytes()
+        for v in x[: 2 * len(special)]:
+            assert nint(v).tobytes() == reference(v).tobytes()
+            assert nint(np.array(v)).shape == ()
+        # Into a row slice of a 2-D buffer, flat and reshaped to 2-D as the
+        # kernel's scratch rows are; the rest of the buffer is left alone.
+        for shape in [(-1,), (2, -1)]:
+            buf = np.full((2, x.size + 4), 7.0)
+            out = buf[1, 2 : x.size + 2].reshape(shape)
+            assert nint(x.reshape(shape), out=out) is out
+            assert out.tobytes() == reference(x.reshape(shape)).tobytes()
+            assert (buf[0] == 7.0).all() and (buf[1, [0, 1, -2, -1]] == 7.0).all()
+        assert nint(0.49999999999999994) == 1.0 and nint(-0.5) == -1.0
+
 
 class TestCellTensor:
     def test_cubic_factory(self):

@@ -736,25 +736,6 @@ class TestColumnSearch:
 
 
 class TestKernelPasses:
-    def test_sign_bit_fold_is_nint_bit_for_bit(self):
-        """The fold builds copysign(0.5, f) from f's sign bit; it leaves
-        nint(f) in its scratch and f - nint(f) in f, with the bits of
-        geometry.nint, on halves, the largest double below 1/2, signed
-        zeros, 2^52, subnormals and random values."""
-        tiny = np.nextafter(0.0, 1.0)
-        special = [0.0, 0.5, 0.49999999999999994, 1.5, 2.0**52, tiny, 1e3 * tiny, 2.0**-1022]
-        rng = np.random.default_rng(12)
-        f = np.concatenate(
-            [special, np.negative(special), rng.uniform(-3, 3, 5000), rng.normal(0, 1e6, 500)]
-        ).reshape(2, -1)
-        assert np.signbit(f).any() and np.signbit(-0.0)
-        folded = f.copy()
-        half = np.empty_like(f)
-        rdf_engine._fold(folded, half)
-        assert half.tobytes() == nint(f).tobytes()
-        assert folded.tobytes() == (f - nint(f)).tobytes()
-        assert nint(0.49999999999999994) == 1.0 and nint(-0.5) == -1.0
-
     @pytest.mark.parametrize("imcon", [3, 6])
     def test_pair_orientation_does_not_move_a_count(self, imcon):
         """Every candidate handed over as (j, i) instead of (i, j), by the
