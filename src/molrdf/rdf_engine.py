@@ -36,13 +36,15 @@ logger = logging.getLogger(__name__)
 # Candidate pairs are handled in chunks of at most this many.  The size is set
 # for cache, not only for memory: a chunk's scratch arrays (about 120 B per
 # pair) then stay within a core's L2 cache between the kernel's passes,
-# instead of every pass streaming the whole frame through memory.  It also
-# bounds the rows the cell search lays out at once.
+# instead of every pass streaming the whole frame through memory.
 _CHUNK_PAIRS = 32_768
 
-# Linked-cell search: every cell is at least rc / _CELL_REACH high across each
-# pair of faces, so a molecule's partners lie within +-_CELL_REACH cells.
+# Linked-cell search: cells are at least rc / _CELL_REACH wide across x and
+# y, so a molecule's partners lie in the columns along z within +-_CELL_REACH
+# of its own, and at least rc / _Z_CELLS high along z, so a molecule's own z
+# window, rc either side, reaches at most _Z_CELLS cells beyond its own.
 _CELL_REACH = 3
+_Z_CELLS = 8
 # Cells per axis are capped to keep cell keys small; wider cells only add
 # candidates.
 _MAX_CELLS = 1024
@@ -55,9 +57,9 @@ _TABLE_CELLS = 1 << 16
 # Costs of the column search beyond its candidate pairs, in units of the
 # time all pairs spend on one pair: the setup of a frame's search, a row, and
 # an entry of the cell table.
-_SEARCH_SETUP = 8192
+_SEARCH_SETUP = 16384
 _ROW_COST = 2
-_ENTRY_COST = 0.25
+_ENTRY_COST = 0.125
 # Relative padding of the search radius, so rounding cannot lose a pair.
 _PAD = 1e-9
 
@@ -123,35 +125,17 @@ def _pair_strips(n: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _stencil(shape: tuple, widths: tuple | None, reach: float) -> np.ndarray:
-    """Half stencil of a grid with ``shape`` cells, as columns along z: one
-    row (dx, dy, lo, hi) per xy offset, whose cell offsets dz = lo..hi are
-    visited.  The own column (0, 0) comes first, with lo 1, and hi 0 when
-    no cell of it but the own is in reach; the half plane dx > 0 or
-    dx = 0 < dy follows, each column with lo = -hi.
-
-    Offsets lie within +-_CELL_REACH and fit in the grid; for an orthogonal
-    cell whose cells have edges ``widths``, the nearest corners of the two
-    cells must also lie within ``reach``, which keeps dz by |dz| alone.
-    Cached because the cell, and with it the stencil, rarely changes from
-    frame to frame; the returned array is read-only.
+def _stencil(widths: tuple, reach: float) -> np.ndarray:
+    """Half stencil of columns along z, as rows of xy cell offsets (dx, dy)
+    within +-_CELL_REACH: the own column (0, 0) first, then the half plane
+    dx > 0 or dx = 0 < dy, less the columns whose nearest corner lies beyond
+    ``reach`` for cells ``widths`` wide in x and y (zero widths keep all).
+    Cached, as the cell rarely changes from frame to frame; read-only.
     """
-    rx, ry, rz = (min(_CELL_REACH, n - 1) for n in shape)
-    dx, dy = np.mgrid[0 : rx + 1, -ry : ry + 1].reshape(2, -1)
-    half = (dx > 0) | (dy >= 0)
-    dx, dy = dx[half], dy[half]
-    if widths is None:
-        hi = np.full(len(dx), rz)
-    else:
-        wx, wy, wz = widths
-        gx = np.maximum(np.abs(dx) - 1, 0) * wx
-        gy = np.maximum(np.abs(dy) - 1, 0) * wy
-        gz = np.maximum(np.arange(rz + 1) - 1, 0) * wz
-        # A column's dz in reach run from 0 up: their count less one is hi.
-        hi = ((gx**2 + gy**2)[:, None] + gz**2 <= reach**2).sum(axis=1) - 1
-    lo = -hi
-    lo[0] = 1
-    columns = np.stack([dx, dy, lo, hi], axis=1)[hi >= 0]
+    dx, dy = np.mgrid[0 : _CELL_REACH + 1, -_CELL_REACH : _CELL_REACH + 1].reshape(2, -1)
+    gx = np.maximum(dx - 1, 0) * widths[0]
+    gy = np.maximum(np.abs(dy) - 1, 0) * widths[1]
+    columns = np.stack([dx, dy], axis=1)[((dx > 0) | (dy >= 0)) & (gx**2 + gy**2 <= reach**2)]
     columns.flags.writeable = False
     return columns
 
@@ -160,10 +144,12 @@ class _CellGrid(NamedTuple):
     """Linked cells over a frame: cell index = floor((s - lo) * scale)."""
 
     shape: np.ndarray  # cells along each axis
-    columns: np.ndarray  # half stencil of cell offsets to visit, see _stencil
+    columns: np.ndarray  # half stencil of xy cell offsets, see _stencil
     lo: np.ndarray  # reduced coordinates of the grid's corner
     scale: np.ndarray  # cells per unit of reduced coordinate
     periodic: np.ndarray  # axes along which the grid wraps
+    widths: np.ndarray  # x and y cell widths in z cell heights; 0 if not orthogonal
+    reach: float  # the search radius in z cell heights
 
 
 def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None:
@@ -171,9 +157,9 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     return None where the cell search cannot be used.
 
     ``pos`` are reduced coordinates, unwrapped or not.  Cells too thin to
-    hold 2 * _CELL_REACH + 1 cells along a periodic axis get no grid: this
-    keeps the single-image semantics of the minimum-image fold when rmax
-    exceeds ``cell.min_image_cutoff``.
+    hold 2 * _CELL_REACH + 1 cells rc / _CELL_REACH high along a periodic
+    axis get no grid: this keeps the single-image semantics of the
+    minimum-image fold when rmax exceeds ``cell.min_image_cutoff``.
     """
     if len(pos) < 2:
         return None
@@ -186,22 +172,27 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     if not periodic.all():
         lo[~periodic] = pos[:, ~periodic].min(axis=0)
         extent[~periodic] = pos[:, ~periodic].max(axis=0) - lo[~periodic]
-    shape = np.floor(extent * cell.heights * _CELL_REACH / reach)
-    shape = np.clip(shape, 1, _MAX_CELLS)
-    thinnest = np.where(periodic, 2 * _CELL_REACH + 1, 1)
-    if (shape < thinnest).any():
+    # A slab thinner than a z cell, a flat one too, is one z cell high.
+    extent = np.maximum(extent, reach / (_Z_CELLS * cell.heights))
+    if (np.floor(cell.heights[periodic] * _CELL_REACH / reach) < 2 * _CELL_REACH + 1).any():
         return None
-    entries = shape.prod() * (1.0 + 2 * _CELL_REACH * periodic[2] / shape[2])
+    split = np.array([_CELL_REACH, _CELL_REACH, _Z_CELLS])
+    shape = np.clip(np.floor(extent * cell.heights * split / reach), 1, _MAX_CELLS)
+    # A window spans at most 2 * _Z_CELLS + 1 cells; a periodic z keeps as
+    # many, so that no window meets a molecule twice, through a ghost copy.
+    thinnest = np.where(periodic, 2 * split + 1, 1)
+    entries = shape.prod() * (1.0 + 2 * _Z_CELLS * periodic[2] / shape[2])
     budget = max(_CELLS_PER_MOLECULE * len(pos), _TABLE_CELLS)
     if entries > budget:
         shape = np.maximum(np.floor(shape * (budget / entries) ** (1 / 3)), thinnest)
     shape = shape.astype(np.int64)
+    edges = extent * cell.heights / shape
     m = cell.matrix
     orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
-    widths = tuple(extent * cell.heights / shape) if orthogonal else None
-    columns = _stencil(tuple(shape.tolist()), widths, reach)
-    scale = shape / np.where(extent > 0.0, extent, 1.0)
-    return _CellGrid(shape, columns, lo, scale, periodic)
+    widths = edges[:2] if orthogonal else np.zeros(2)
+    columns = _stencil(tuple(widths.tolist()), reach)
+    z_edge = edges[2]
+    return _CellGrid(shape, columns, lo, shape / extent, periodic, widths / z_edge, reach / z_edge)
 
 
 def _search_pays(n: int, columns: int, work: float = 0.0) -> bool:
@@ -216,14 +207,17 @@ def _cell_search_pays(n: int, grid: _CellGrid) -> bool:
     """Whether the column search over ``grid`` is expected to beat testing
     all pairs.
 
-    Molecules spread evenly over the cells meet (2H + 1) / n_cells of all
-    pairs through a stencil of H offsets; the cell table holds an entry per
-    cell, ghost cells included.
+    Molecules spread evenly over the cells meet, in each column, the cells
+    of a window 2h + 1 cells long on average, h as seen from the middle of
+    their own cell, and half of that in their own column; the cell table
+    holds an entry per cell, ghost cells included.
     """
     nx, ny, nz = grid.shape.tolist()
-    lo, hi = grid.columns[:, 2:].T
-    candidates = n * (n - 1) / 2 * (2 * int((hi - lo + 1).sum()) + 1) / (nx * ny * nz)
-    entries = nx * ny * (nz + 2 * _CELL_REACH * bool(grid.periodic[2]))
+    gaps = np.maximum(np.abs(grid.columns) - 0.5, 0.0) * grid.widths
+    h2 = grid.reach**2 - (gaps**2).sum(axis=1)
+    cells = np.where(h2 >= 0.0, 2.0 * np.sqrt(np.maximum(h2, 0.0)) + 1.0, 0.0)
+    candidates = n * (n - 1) / 2 * (2.0 * cells.sum() - cells[0]) / (nx * ny * nz)
+    entries = nx * ny * (nz + 2 * _Z_CELLS * bool(grid.periodic[2]))
     return _search_pays(n, len(grid.columns), candidates + _ENTRY_COST * entries)
 
 
@@ -236,19 +230,24 @@ def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
     once.
 
     Molecules are sorted by cell, z fastest, so the cells of a column are
-    one run of slots.  Along a periodic z every column gets _CELL_REACH ghost
-    cells at each end, copies of the cells that wrap there, so the cells in
-    reach of any cell are one run too; the slab normal is never wrapped and
-    its runs are clipped instead.  Each molecule meets, in its own column,
-    the slots after its own up to the top of its run, and the whole run of
-    every other column of the half stencil: one row per column.
+    one run of slots.  Each molecule gets one row per column of the half
+    stencil: the molecules of the cells that its own z window meets there,
+    z +- sqrt(rc^2 - g^2) for the xy gap g between the molecule and the
+    column (taken as 0 in a non-orthogonal cell); in its own column, only
+    the slots after its own.  Along a periodic z every column gets _Z_CELLS
+    ghost cells at each end, copies of the cells that wrap there, so a window
+    is one run of slots across the boundary too; the slab normal is never
+    wrapped and its windows are clipped instead.
     """
     shape, periodic, columns = grid.shape, grid.periodic, grid.columns
     nx, ny, nz = shape.tolist()
-    cells = np.floor((pos - grid.lo) * grid.scale).astype(np.int64)
-    cells[:, periodic] %= shape[periodic]
-    np.minimum(cells, shape - 1, out=cells)  # a point on the slab's top face
-    ghost = _CELL_REACH if periodic[2] else 0
+    place = (pos - grid.lo) * grid.scale
+    cells = np.floor(place)
+    if not periodic[2]:
+        np.minimum(cells[:, 2], nz - 1, out=cells[:, 2])  # a point on the slab's top face
+    place -= cells  # where each molecule sits in its cell, 0 to 1
+    cells = cells.astype(np.int64) % shape
+    ghost = _Z_CELLS if periodic[2] else 0
     height = nz + 2 * ghost  # cells per column, ghosts included
     cells[:, 2] += ghost
     n = len(pos)
@@ -266,27 +265,51 @@ def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
     # Cell c holds slots table[c] to table[c + 1].
     table = np.zeros(nx * ny * height + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=nx * ny * height), out=table[1:])
-    # A run's table entries, first and end, as a term per axis looked up by
-    # the molecule's own cell along that axis; x and y always wrap.
-    dx, dy, lo, hi = columns.T
-    x_term = (np.arange(nx)[:, None] + dx) % nx * (ny * height)
-    y_term = (np.arange(ny)[:, None] + dy) % ny * height
-    z = np.arange(height)[:, None]
-    z_first = np.clip(z + lo, 0, height - 1)
-    z_end = np.clip(z + hi, 0, height - 1) + 1
+    # A row's column in the table, as a term per axis looked up by the
+    # molecule's own cell; x and y always wrap.  Rows are (column, molecule),
+    # so that every pass runs along molecules.
+    dx, dy = columns.T
+    x_term = (np.arange(nx) + dx[:, None]) % nx * (ny * height)
+    y_term = (np.arange(ny) + dy[:, None]) % ny * height
+    offsets = np.arange(-_CELL_REACH, _CELL_REACH + 1)[:, None] + 0.5
     real = np.flatnonzero(order < n)  # the slots that are not copies
-    where = cells[slots[real]]
-    per_block = max(1, _CHUNK_PAIRS // len(columns))
+    where, place = (np.ascontiguousarray(a[slots[real]].T) for a in (cells, place))
+    z = where[2] + place[2]
+    bottom = np.maximum(where[2] - _Z_CELLS, 0)
+    top = np.minimum(where[2] + _Z_CELLS, height - 1)
+    # Rows for _CHUNK_PAIRS / 8 (column, molecule) pairs at a time: arrays of
+    # 32 KiB, far below the allocator's mmap threshold, reuse heap memory
+    # instead of faulting in fresh pages, three times faster than 256 KiB.
+    per_block = max(1, _CHUNK_PAIRS // (8 * len(columns)))
 
     def chunks():
         for p0 in range(0, n, per_block):
-            s = real[p0 : p0 + per_block]
-            cx, cy, cz = where[p0 : p0 + per_block].T
-            base = x_term[cx] + y_term[cy]
-            first = table[base + z_first[cz]]
-            first[:, 0] = s + 1
-            sizes = table[base + z_end[cz]] - first
-            yield from _expand_rows(np.repeat(s, len(columns)), first.ravel(), sizes.ravel())
+            block = slice(p0, p0 + per_block)
+            s = real[block]
+            # Squared x and y gaps to the cells -3..3 away, in z cells.
+            gaps = np.maximum(np.abs(offsets - place[:2, None, block]) - 0.5, 0.0)
+            gaps *= grid.widths[:, None, None]
+            gaps *= gaps
+            h2 = grid.reach**2 - gaps[0, dx + _CELL_REACH]
+            h2 -= gaps[1, dy + _CELL_REACH]
+            # Half the window in z cells.  A column beyond reach gets -1/2:
+            # z +- 1/2 then bound an empty window (the own cell below z = 1/2).
+            h = np.sqrt(h2, out=np.full_like(h2, -0.5), where=h2 >= 0.0)
+            base = x_term[:, where[0, block]]
+            base += y_term[:, where[1, block]]
+            # Its first and last cells: truncation floors, as z - h < 0 only
+            # where the clip to the bottom applies.
+            first = np.subtract(z[block], h).astype(np.int64)
+            np.maximum(first, bottom[block], out=first)
+            end = np.add(z[block], h, out=h).astype(np.int64)
+            np.minimum(end, top[block], out=end)
+            first += base
+            end += base
+            first = table[first]
+            first[0] = s + 1
+            sizes = table[1:][end]
+            sizes -= first
+            yield from _expand_rows(np.tile(s, len(columns)), first.ravel(), sizes.ravel())
 
     return slots, chunks()
 

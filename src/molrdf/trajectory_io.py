@@ -148,6 +148,7 @@ def parse_directives(control_text: str) -> Directives:
     in_block = False
     block_seen = False
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}  # the line that set each value
 
     for lineno, line in enumerate(control_text.splitlines(), start=1):
         tokens = line.split()
@@ -187,6 +188,7 @@ def parse_directives(control_text: str) -> Directives:
                     f"CONTROL line {lineno}: '{keyword}' must be finite, got {tokens[1]!r}"
                 )
             values[keyword] = value
+            lines[keyword] = lineno
         elif keyword == "smooth":
             values["smooth"] = True
         else:
@@ -194,7 +196,12 @@ def parse_directives(control_text: str) -> Directives:
 
     if in_block:
         raise InputError("CONTROL: 'polyana' block is never closed by 'end polyana'")
-    return Directives(**values)
+    try:
+        return Directives(**values)
+    except InputError as exc:
+        # The line of the first setting the message names that CONTROL set.
+        keyword = next(word for word in str(exc).split() if word in lines)
+        raise InputError(f"CONTROL line {lines[keyword]}: {exc}") from None
 
 
 def _keyword_matches(token: str, keyword: str) -> bool:

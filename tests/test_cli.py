@@ -180,6 +180,22 @@ class TestMain:
         assert "Traceback" not in err
         assert not (dataset_dir / "RDF").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("polyana\n", "polyana\n  start 0\n", "CONTROL line 6: start must be >= 1, got 0"),
+            ("rmax 12.5", "rmax 0.1", "CONTROL line 6: rmax (0.1) must exceed dr (0.1)"),
+        ],
+        ids=["start-0", "rmax-not-above-dr"],
+    )
+    def test_directive_out_of_range_names_its_line(self, dataset_dir, capsys, old, new, message):
+        control = dataset_dir / "CONTROL"
+        control.write_text(control.read_text().replace(old, new, 1))
+        assert main(["--dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (dataset_dir / "RDF").exists()
+
     def test_non_finite_coordinate_exit_code(self, dataset_dir, capsys):
         history = dataset_dir / "HISTORY"
         lines = history.read_text().splitlines()

@@ -126,6 +126,26 @@ class TestParseDirectives:
         assert parse_directives(text).rmax == 9.0
 
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("start 0\nrmax 9\n", "line 4: start must be >= 1, got 0"),
+            ("stop 2\nstart 5\n", "line 4: stop (2) must be >= start (5)"),
+            ("dr 0\nrmax 9\n", "line 4: dr must be positive, got 0.0"),
+            ("dr 0.5\nrmax 0.5\n", "line 5: rmax (0.5) must exceed dr (0.5)"),
+            ("dr 20\n", "line 4: rmax (12.5) must exceed dr (20.0)"),
+            ("rmax 3\nrmax 0.05\n", "line 5: rmax (0.05) must exceed dr (0.1)"),
+        ],
+    )
+    def test_out_of_range_names_the_line(self, block, message):
+        """The line of the setting at fault, or of the other setting it is
+        checked against when it was left at its default."""
+        text = f"t\nfinish\npolyana\n{block}end polyana\n"
+        with pytest.raises(InputError) as excinfo:
+            parse_directives(text)
+        assert str(excinfo.value) == f"CONTROL {message}"
+
+
 class TestDirectivesValidation:
     def test_stop_before_start(self):
         with pytest.raises(InputError):
