@@ -8,8 +8,10 @@ dataset instead.  Exit codes: 0 success, 1 bad input, 2 no usable frames.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,9 +93,11 @@ def run_analysis(
         dtype=np.int64,
     )
     hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
-    with HistoryReader(history_path, expected_natoms=topology.total_sites) as reader:
-        # Frames are numbered from 1; reading stops after frame ``stop``.
-        for frame in itertools.islice(reader, directives.start - 1, directives.stop):
+    with HistoryReader(
+        history_path, expected_natoms=topology.total_sites, start=directives.start
+    ) as reader:
+        # The reader yields from frame ``start`` on; reading stops after frame ``stop``.
+        for frame in itertools.islice(reader, directives.stop - directives.start + 1):
             accumulate_frame(hist, types, _frame_coms(frame, topology), frame.cell)
         frames_read = reader.frames_read
         truncated = reader.truncated
@@ -171,7 +175,7 @@ def _cmd_generate(argv: list[str]) -> int:
     )
     dataset = generate_dataset(cfg, args.dir)
     print(f"wrote {dataset.control_path}, {dataset.field_path}, {dataset.history_path}")
-    print(
+    _print_flushed(
         f"expected g(r) spike: r = {cfg.distance} "
         f"(bin {n_bins(cfg.distance, 0.1)} at dr = 0.1)"
     )
@@ -188,11 +192,40 @@ def _cmd_analyze(argv: list[str]) -> int:
         rdf_out=args.rdf_out,
         pop_out=args.pop_out,
     )
-    print(summary)
+    _print_flushed(summary)
     return 0
 
 
+def _print_flushed(text: str) -> None:
+    """Print ``text`` to stdout now, so that a failed write is raised here
+    for main to report.  After a failure stdout's descriptor is pointed at
+    devnull (the recipe in Python's note on SIGPIPE): bytes left in its
+    buffer would otherwise fail again when the interpreter flushes stdout at
+    exit, printing a second error and exiting 120."""
+    try:
+        print(text, flush=True)
+    except OSError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # no descriptor, as under capture
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    the exit code.
+
+    main freezes the garbage collector's view of the heap (``gc.freeze``)
+    and leaves it frozen: a caller that goes on after main returns and wants
+    those objects collectable again calls ``gc.unfreeze()``.
+    """
+    # The heap of the imports lives until exit; frozen, no collection walks it.
+    gc.freeze()
     if argv is None:
         argv = sys.argv[1:]
     logging.basicConfig(
@@ -204,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_analyze(argv)
     except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
         return 0 if not exc.code else 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input or output file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NoFramesError as exc:

@@ -328,6 +328,10 @@ def _coordinates(lines: list[str]) -> np.ndarray | None:
         return None
 
 
+# What HistoryReader._read_frame returns for a frame it only walked.
+_WALKED = object()
+
+
 class HistoryReader:
     """Streaming reader for HISTORY trajectories.
 
@@ -349,9 +353,20 @@ class HistoryReader:
     which has no volume to give g(r) its density.
     Frames whose imcon and cell rows repeat the previous frame's, character
     for character, share its :class:`CellTensor` object.
+
+    Frames are numbered from 1, and the first one yielded is frame ``start``.
+    A frame before it is walked, not converted: its timestep record is
+    checked as for any frame, then its lines are counted off, so a cut
+    inside it still ends the trajectory but a bad cell row or coordinate in
+    it is not seen.  ``frames_read`` counts walked frames too.
     """
 
-    def __init__(self, source: str | Path | IO[str], expected_natoms: int | None = None):
+    def __init__(
+        self,
+        source: str | Path | IO[str],
+        expected_natoms: int | None = None,
+        start: int = 1,
+    ):
         if hasattr(source, "readline"):
             self._fh = source
             self._owns_fh = False
@@ -361,6 +376,7 @@ class HistoryReader:
         # The file's non-blank lines; file objects never yield "".
         self._lines = filterfalse(str.isspace, self._fh)
         self._expected_natoms = expected_natoms
+        self._start = start
         # The last frame's cell and the (imcon, raw cell rows) it came from.
         self._cell = None
         self._cell_key = None
@@ -399,12 +415,13 @@ class HistoryReader:
     def __iter__(self) -> Iterator[Frame]:
         line = self._consume_header()
         while line is not None:
-            frame = self._read_frame(line)
+            frame = self._read_frame(line, convert=self.frames_read + 1 >= self._start)
             if frame is None:
                 self.truncated = True
                 return
             self.frames_read += 1
-            yield frame
+            if frame is not _WALKED:
+                yield frame
             line = next(self._lines, None)
 
     def _cut_or_corrupt(self, message: str) -> None:
@@ -415,8 +432,9 @@ class HistoryReader:
             return None
         raise InputError(f"HISTORY: {message}") from None
 
-    def _read_frame(self, timestep_line: str) -> Frame | None:
-        """Parse one frame; None signals truncation (partial frame dropped)."""
+    def _read_frame(self, timestep_line: str, convert: bool) -> Frame | object | None:
+        """Parse one frame, or only walk its lines when not ``convert`` and
+        return ``_WALKED``; None signals truncation (partial frame dropped)."""
         tokens = timestep_line.split()
         if tokens[0].lower() != "timestep" or len(tokens) < 5:
             return self._cut_or_corrupt(
@@ -448,6 +466,15 @@ class HistoryReader:
                 f"HISTORY: frame at step {step}: imcon={imcon} gives no periodic "
                 "cell, and g(r) needs one"
             )
+        per_site = 2 + min(max(keytrj, 0), 2)  # name, coordinates, velocity, force
+        if not convert:
+            # The last of the cell rows and site records: None if the file
+            # ends before it.  A count past sys.maxsize cannot be there.
+            n_lines = min(3 + natoms * per_site, sys.maxsize)
+            if next(islice(self._lines, n_lines - 1, None), None) is None:
+                return None
+            return _WALKED
+
         # A frame whose imcon and cell rows repeat the last frame's, as in
         # every constant-volume run, gets the last frame's cell object.
         rows = list(islice(self._lines, 3))
@@ -464,7 +491,6 @@ class HistoryReader:
             self._cell_key = (imcon, rows)
         cell = self._cell
 
-        per_site = 2 + min(max(keytrj, 0), 2)  # name, coordinates, velocity, force
         # zip takes whole site records only, so a frame cut inside its last
         # record comes up short like one cut between records.
         records = islice(zip(*[self._lines] * per_site), natoms)

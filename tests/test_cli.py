@@ -1,9 +1,17 @@
+import gc
+import itertools
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import molrdf
+from molrdf import cli
 from molrdf.cli import main, run_analysis
 from molrdf.errors import InputError, NoFramesError
 from molrdf.synthetic import SyntheticConfig, generate_dataset
@@ -14,6 +22,18 @@ from molrdf.trajectory_io import HistoryReader
 def dataset_dir(tmp_path):
     generate_dataset(SyntheticConfig(n_frames=40), tmp_path)
     return tmp_path
+
+
+def run_cli(*args, **kwargs):
+    """``python -m molrdf.cli`` in a fresh process, on this checkout's package."""
+    src = str(Path(molrdf.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "molrdf.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+        **kwargs,
+    )
 
 
 class TestRunAnalysis:
@@ -345,3 +365,177 @@ class TestMain:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "CONTROL" not in capsys.readouterr().err
+
+    def test_rdf_out_is_a_directory_exit_code(self, dataset_dir, capsys):
+        assert main(["--dir", str(dataset_dir), "--rdf-out", "."]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(dataset_dir)!r}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_pop_out_on_a_full_device_exit_code(self, dataset_dir, capsys):
+        assert main(["--dir", str(dataset_dir), "--pop-out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_a_full_device_exit_code(self, dataset_dir):
+        with open("/dev/full", "w") as full:
+            result = run_cli("--dir", str(dataset_dir), stdout=full, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 1
+        assert result.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "command",
+        [["--dir", "{dir}"], ["generate", "--dir", "{dir}/g"]],
+        ids=["analyze", "generate"],
+    )
+    def test_stdout_that_keeps_unwritten_bytes(self, dataset_dir, command):
+        # A stdout whose failed flush keeps its bytes, to flush them again
+        # when the interpreter exits: that second failure would print
+        # "Exception ignored" and exit 120 unless main's failed write left
+        # descriptor 1 on devnull.
+        script = (
+            "import os, sys\n"
+            "from molrdf import cli\n"
+            "class Out:\n"
+            "    closed = False\n"
+            "    def __init__(self): self.pending = []\n"
+            "    def write(self, text): self.pending.append(text); return len(text)\n"
+            "    def flush(self):\n"
+            "        if self.pending:\n"
+            "            os.write(1, ''.join(self.pending).encode())\n"
+            "            self.pending.clear()\n"
+            "    def fileno(self): return 1\n"
+            "sys.stdout = Out()\n"
+            f"sys.exit(cli.main({[a.format(dir=dataset_dir) for a in command]!r}))\n"
+        )
+        src = str(Path(molrdf.__file__).resolve().parent.parent)
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        assert result.stderr == "error: [Errno 28] No space left on device\n"
+        assert result.returncode == 1
+
+    def test_stdout_without_a_descriptor_is_left_alone(self, monkeypatch):
+        class Out:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Out())
+        with pytest.raises(OSError) as excinfo:
+            cli._print_flushed("summary")
+        assert excinfo.value.errno == 28
+
+
+class TestFrozenHeap:
+    """main freezes the heap it starts with; run_analysis leaves the
+    collector alone."""
+
+    def test_main_freezes_the_heap(self, dataset_dir):
+        assert gc.get_freeze_count() == 0
+        assert main(["--dir", str(dataset_dir)]) == 0
+        assert gc.get_freeze_count() > 0
+
+    def test_run_analysis_does_not(self, dataset_dir):
+        before = gc.get_freeze_count()
+        run_analysis(dataset_dir)
+        assert gc.get_freeze_count() == before
+
+    def test_process_output_matches_an_in_process_run(self, tmp_path, capsys):
+        """Nothing the process prints or writes is lost at its exit."""
+        generate_dataset(SyntheticConfig(n_frames=20), tmp_path)
+        result = run_cli("--dir", str(tmp_path), capture_output=True, text=True)
+        assert result.returncode == 0 and result.stderr == ""
+        outputs = [(tmp_path / name).read_bytes() for name in ("RDF", "POP")]
+        assert main(["--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 4
+        assert result.stdout == out
+        assert outputs == [(tmp_path / name).read_bytes() for name in ("RDF", "POP")]
+
+
+class ConvertEveryFrame(HistoryReader):
+    """The frame selection of a reader that converts every frame and drops
+    those before ``start`` with islice: the reference for walked frames."""
+
+    def __init__(self, source, expected_natoms=None, start=1):
+        super().__init__(source, expected_natoms)
+        self._first = start - 1
+
+    def __iter__(self):
+        return itertools.islice(super().__iter__(), self._first, None)
+
+
+class TestFramesBeforeStart:
+    """Frames before ``start`` are walked, not converted: RDF, POP, the
+    summary, errors and warnings equal those of converting every frame."""
+
+    def outcome(self, directory, capsys, caplog):
+        caplog.clear()
+        code = main(["--dir", str(directory)])
+        captured = capsys.readouterr()
+        outputs = []
+        for name in ("RDF", "POP"):
+            path = directory / name
+            outputs.append(path.read_bytes() if path.exists() else None)
+            path.unlink(missing_ok=True)
+        return code, captured.out, captured.err, caplog.messages, outputs
+
+    @pytest.mark.parametrize(
+        "start, stop, cut, code",
+        [
+            (1, None, None, 0),
+            (2, None, None, 0),
+            (13, 30, None, 0),
+            (40, None, None, 0),
+            (41, None, None, 2),
+            (10, None, (5, 2), 2),  # a cut in the cell rows of a walked frame
+            (10, None, (5, 9), 2),  # and in its site records
+            (5, None, (5, 9), 2),  # in the first converted frame
+            (3, 20, (5, 9), 0),  # in a converted frame after walked ones
+        ],
+    )
+    def test_same_outcome_as_converting_every_frame(
+        self, dataset_dir, capsys, caplog, monkeypatch, start, stop, cut, code
+    ):
+        control = dataset_dir / "CONTROL"
+        selection = f"  start {start}\n" + (f"  stop {stop}\n" if stop else "")
+        control.write_text(control.read_text().replace("polyana\n", "polyana\n" + selection, 1))
+        if cut is not None:
+            frame, line = cut
+            history = dataset_dir / "HISTORY"
+            lines = history.read_text().splitlines()
+            step = [k for k, s in enumerate(lines) if s.startswith("timestep")][frame - 1]
+            history.write_text("\n".join(lines[: step + line]) + "\n")
+
+        walked = self.outcome(dataset_dir, capsys, caplog)
+        monkeypatch.setattr(cli, "HistoryReader", ConvertEveryFrame)
+        assert self.outcome(dataset_dir, capsys, caplog) == walked
+        assert walked[0] == code
+        assert any("abnormally terminated" in m for m in walked[3]) == (cut is not None)
+
+    def test_corrupt_coordinate_before_start_is_not_reported(self, dataset_dir, capsys, caplog):
+        """The corrupt coordinate line of test_corrupt_coordinate_line_exit_code,
+        in frame 10 with the analysis starting at frame 11."""
+        control = dataset_dir / "CONTROL"
+        control.write_text(control.read_text().replace("polyana\n", "polyana\n  start 11\n", 1))
+        clean = self.outcome(dataset_dir, capsys, caplog)
+        history = dataset_dir / "HISTORY"
+        lines = history.read_text().splitlines()
+        tenth_step = [k for k, s in enumerate(lines) if s.startswith("timestep")][9]
+        site_2 = tenth_step + 1 + 3 + 3
+        x, _, z = lines[site_2].split()
+        lines[site_2] = f"{x} x {z}"
+        history.write_text("\n".join(lines) + "\n")
+        assert self.outcome(dataset_dir, capsys, caplog) == clean
+        assert clean[0] == 0 and "frames used:      30" in clean[1]

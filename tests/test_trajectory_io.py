@@ -489,11 +489,13 @@ class TestHistoryReader:
         assert reader.frames_read == good_frames
         assert reader.truncated
 
+    @pytest.mark.parametrize("start", [1, 3])
     @pytest.mark.parametrize("field", [1, 2, 3, 4, "keyword", "short", "negative"])
-    def test_malformed_timestep_record_before_more_frames_is_fatal(self, field):
+    def test_malformed_timestep_record_before_more_frames_is_fatal(self, field, start):
         """A non-integer step, site count, keytrj or imcon in frame 2 of 3, a
         misspelt keyword, a record of four tokens or a negative site count
-        names the frame instead of dropping frames 2 and 3 as truncated."""
+        names the frame instead of dropping frames 2 and 3 as truncated, also
+        when frame 2 comes before ``start`` and is only walked."""
         lines = history_text(FRAMES).splitlines()
         second_frame = 2 + (1 + 3 + 2 * 2)
         tokens = lines[second_frame].split()
@@ -510,11 +512,12 @@ class TestHistoryReader:
             tokens[field] = "x"
             message = r"^HISTORY: frame 2: timestep record needs integer"
         lines[second_frame] = " ".join(tokens)
-        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"), start=start)
         frames = []
         with pytest.raises(InputError, match=message):
             frames.extend(reader)
-        assert [frame.step for frame in frames] == [1]
+        assert [frame.step for frame in frames] == [1][start - 1 :]
+        assert reader.frames_read == 1
 
     @pytest.mark.parametrize("record", ["timestep 3 2 0 x 0.001", "timestep 3 2 0 1."])
     def test_malformed_timestep_record_at_end_of_file_truncates(self, record):
@@ -528,10 +531,14 @@ class TestHistoryReader:
         with pytest.raises(InputError, match="neither a header nor a timestep"):
             list(reader)
 
-    def test_natoms_mismatch_is_fatal(self):
-        reader = HistoryReader(io.StringIO(history_text(FRAMES)), expected_natoms=99)
+    @pytest.mark.parametrize("start", [1, 2])
+    def test_natoms_mismatch_is_fatal(self, start):
+        reader = HistoryReader(
+            io.StringIO(history_text(FRAMES)), expected_natoms=99, start=start
+        )
         with pytest.raises(InputError, match="99"):
             list(reader)
+        assert reader.frames_read == 0
 
     def test_unbounded_frame(self):
         """A frame with imcon 0 has no periodic cell, so no volume for the
@@ -543,17 +550,35 @@ class TestHistoryReader:
             list(reader)
         assert reader.frames_read == 0
 
-    def test_unbounded_frame_after_periodic_ones(self):
+    @pytest.mark.parametrize("start", [1, 3])
+    def test_unbounded_frame_after_periodic_ones(self, start):
         """Frame 2 of 3 written with imcon 0 and no cell rows stops the read
-        at its own record, before its site lines could pass for cell rows."""
+        at its own record, before its site lines could pass for cell rows,
+        also when it comes before ``start``."""
         lines = history_text(FRAMES).splitlines()
         second_frame = 2 + (1 + 3 + 2 * 2)
         lines[second_frame] = f"timestep{2:10d}{2:10d}{0:10d}{0:10d}{0.001:12.6f}"
         del lines[second_frame + 1 : second_frame + 4]
         frames = []
         with pytest.raises(InputError, match=r"^HISTORY: frame at step 2: imcon=0"):
-            frames.extend(HistoryReader(io.StringIO("\n".join(lines) + "\n")))
-        assert [frame.step for frame in frames] == [1]
+            frames.extend(HistoryReader(io.StringIO("\n".join(lines) + "\n"), start=start))
+        assert [frame.step for frame in frames] == [1][start - 1 :]
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("line", [1, 3, 5, 7])
+    def test_corrupt_record_before_start_is_not_seen(self, step, line):
+        """The bad cell row or coordinate line of
+        test_corrupt_record_before_more_frames_is_fatal, in a frame before
+        ``start``: the frame is walked, not converted, so nothing reads it."""
+        lines = history_text(FRAMES).splitlines()
+        k = 2 + (step - 1) * (1 + 3 + 2 * 2) + line
+        x, _, z = lines[k].split()
+        lines[k] = f"{x} x {z}"
+        reader, got = read_all("\n".join(lines) + "\n", start=3)
+        assert reader.frames_read == 3
+        assert not reader.truncated
+        assert [frame.step for frame in got] == [3]
+        np.testing.assert_array_equal(got[0].positions, FRAMES[2])
 
     def test_file_source(self, tmp_path):
         path = tmp_path / "HISTORY"
@@ -629,6 +654,17 @@ class TestCellReuse:
         for cell in cells:
             np.testing.assert_array_equal(cell.matrix, 10.0 * np.eye(3))
 
+    @pytest.mark.parametrize("start", [2, 3])
+    def test_first_frame_after_start_builds_its_own_cell(self, start):
+        """Walked frames build no cell, so the first converted frame cannot
+        take a walked frame's, whether or not its rows repeat."""
+        matrices = np.array([TILTED, 1.03125 * TILTED, 1.03125 * TILTED])
+        text = history_text(FRAMES, imcon=3, cell=matrices)
+        cells = [frame.cell for frame in HistoryReader(io.StringIO(text), start=start)]
+        assert len(cells) == 4 - start
+        assert cells[0] is cells[-1]
+        np.testing.assert_array_equal(cells[0].matrix, matrices[start - 1])
+
     def test_changed_row_after_repeated_rows_is_picked_up(self):
         third_row = TILTED.copy()
         third_row[2] = [0.5, -0.75, 8.5]
@@ -689,8 +725,8 @@ def sites_history(frames, **kwargs):
     return history_text(frames, names=("A",) * n_sites, masses=(1.0,) * n_sites, **kwargs)
 
 
-def read_all(text):
-    reader = HistoryReader(io.StringIO(text))
+def read_all(text, start=1):
+    reader = HistoryReader(io.StringIO(text), start=start)
     return reader, list(reader)
 
 
@@ -715,27 +751,30 @@ class TestBlockReader:
         frames = site_frames(n_frames, self.N_SITES)
         lines = sites_history(frames, keytrj=2).splitlines(keepends=True)
         last = len(lines) - (1 + 3 + self.N_SITES * 4)  # last timestep line
-        for k in range(last, len(lines) + 1):
-            reader, got = read_all("".join(lines[:k]))
-            complete = n_frames if k == len(lines) else n_frames - 1
-            assert reader.frames_read == complete, k
-            # A cut just before a timestep record is a clean end of file.
-            assert reader.truncated == (last < k < len(lines)), k
-            assert_frames(got, frames[:complete])
+        # The last frame converted, and walked as a frame before start.
+        for start in (1, n_frames, n_frames + 1):
+            for k in range(last, len(lines) + 1):
+                reader, got = read_all("".join(lines[:k]), start)
+                complete = n_frames if k == len(lines) else n_frames - 1
+                assert reader.frames_read == complete, (start, k)
+                # A cut just before a timestep record is a clean end of file.
+                assert reader.truncated == (last < k < len(lines)), (start, k)
+                assert_frames(got, frames[start - 1 : complete])
 
     def test_cut_in_the_middle_of_every_line_of_last_frame(self, n_frames):
         frames = site_frames(n_frames, self.N_SITES)
         lines = sites_history(frames, keytrj=2).splitlines(keepends=True)
         last = len(lines) - (1 + 3 + self.N_SITES * 4)
-        for k in range(last, len(lines)):
-            half = lines[k][: len(lines[k]) // 2]
-            reader, got = read_all("".join(lines[:k]) + half)
-            # Only the presence of a force record is checked, so half of the
-            # frame's final line still completes it.
-            complete = n_frames if k == len(lines) - 1 else n_frames - 1
-            assert reader.frames_read == complete, k
-            assert reader.truncated == (complete < n_frames), k
-            assert_frames(got, frames[:complete])
+        for start in (1, n_frames, n_frames + 1):
+            for k in range(last, len(lines)):
+                half = lines[k][: len(lines[k]) // 2]
+                reader, got = read_all("".join(lines[:k]) + half, start)
+                # Only the presence of a force record is checked, so half of the
+                # frame's final line still completes it.
+                complete = n_frames if k == len(lines) - 1 else n_frames - 1
+                assert reader.frames_read == complete, (start, k)
+                assert reader.truncated == (complete < n_frames), (start, k)
+                assert_frames(got, frames[start - 1 : complete])
 
     @pytest.mark.parametrize("keytrj", [0, 2])
     def test_blank_lines_anywhere(self, n_frames, keytrj):
@@ -751,10 +790,11 @@ class TestBlockReader:
             lines.insert(site_4 + 1, "\t")  # after a name record
             lines.insert(start + 2, "")  # between cell rows
             lines.insert(start, "")  # before the timestep record
-        reader, got = read_all("\n".join(lines) + "\n")
-        assert reader.frames_read == n_frames
-        assert not reader.truncated
-        assert_frames(got, frames)
+        for start in (1, n_frames, n_frames + 1):
+            reader, got = read_all("\n".join(lines) + "\n", start)
+            assert reader.frames_read == n_frames
+            assert not reader.truncated
+            assert_frames(got, frames[start - 1 :])
 
     def test_extra_tokens_are_ignored(self, n_frames):
         frames = site_frames(n_frames, self.N_SITES)
@@ -794,10 +834,11 @@ class TestBlockReader:
     def test_keytrj(self, n_frames, keytrj):
         # -1 and 0 write no velocity or force lines, 3 writes both.
         frames = site_frames(n_frames, self.N_SITES)
-        reader, got = read_all(sites_history(frames, keytrj=keytrj))
-        assert reader.frames_read == n_frames
-        assert not reader.truncated
-        assert_frames(got, frames)
+        for start in (1, n_frames, n_frames + 1):
+            reader, got = read_all(sites_history(frames, keytrj=keytrj), start)
+            assert reader.frames_read == n_frames
+            assert not reader.truncated
+            assert_frames(got, frames[start - 1 :])
 
     @pytest.mark.parametrize("header", [True, False])
     @pytest.mark.parametrize("imcon", [1, 6])
