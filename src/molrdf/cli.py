@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -54,15 +55,54 @@ class AnalysisSummary:
         )
 
 
-def _frame_coms(frame: Frame, topology: Topology) -> np.ndarray:
-    """Centres of mass of the molecules of ``topology.massive``, type after
-    type."""
+#: A block of frames that share a cell holds at most this many sites (96 KiB
+#: of positions); a frame of more sites is a block of one.
+_BLOCK_SITES = 4096
+
+
+def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
+    """Centres of mass ``(k, n, 3)`` of the molecules of ``topology.massive``,
+    type after type, in each of the ``k`` frames, which share one cell.
+
+    One ``centers_of_mass`` call per type takes its copies in every frame of
+    the block; the arithmetic of each molecule, and so its bits, is that of
+    a call on its frame alone.
+    """
+    k = len(frames)
+    # A block of one is a view of its frame's positions, not a copy.
+    positions = frames[0].positions[None] if k == 1 else np.stack([f.positions for f in frames])
     coms = []
     for t, sites in topology.massive:
         mol = topology.molecules[t]
-        block = frame.positions[sites].reshape(mol.count, mol.n_sites, 3)
-        coms.append(centers_of_mass(block, mol.masses, frame.cell))
-    return np.concatenate(coms)
+        block = positions[:, sites].reshape(k * mol.count, mol.n_sites, 3)
+        coms.append(centers_of_mass(block, mol.masses, frames[0].cell).reshape(k, mol.count, 3))
+    return np.concatenate(coms, axis=1)
+
+
+def _cell_blocks(frames: Iterator[Frame], size: int) -> Iterator[list[Frame]]:
+    """Runs of consecutive ``frames`` that share one cell object, at most
+    ``size`` frames each, every run yielded as soon as it is complete.
+
+    When reading a frame raises an InputError, the run before that frame is
+    yielded first, so that it counts, warns and fails as if each frame had
+    been handled as soon as it was read.
+    """
+    block: list[Frame] = []
+    try:
+        for frame in frames:
+            if block and frame.cell is not block[0].cell:
+                yield block
+                block = []
+            block.append(frame)
+            if len(block) == size:
+                yield block
+                block = []
+    except InputError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
 
 
 def run_analysis(
@@ -87,7 +127,7 @@ def run_analysis(
     if not topology.massive:
         raise InputError("every molecule type is massless; nothing to analyse")
 
-    # The 0-based type of each centre of mass that _frame_coms returns.
+    # The 0-based type of each centre of mass of a frame that _block_coms returns.
     types = np.array(
         [t for t, _ in topology.massive for _ in range(topology.molecules[t].count)],
         dtype=np.int64,
@@ -97,8 +137,20 @@ def run_analysis(
         history_path, expected_natoms=topology.total_sites, start=directives.start
     ) as reader:
         # The reader yields from frame ``start`` on; reading stops after frame ``stop``.
-        for frame in itertools.islice(reader, directives.stop - directives.start + 1):
-            accumulate_frame(hist, types, _frame_coms(frame, topology), frame.cell)
+        frames = itertools.islice(reader, directives.stop - directives.start + 1)
+        for block in _cell_blocks(frames, max(1, _BLOCK_SITES // topology.total_sites)):
+            # Coordinates near the float limit overflow here; such a frame is
+            # reported below instead of warned about.
+            with np.errstate(over="ignore", invalid="ignore"):
+                coms = _block_coms(block, topology)
+            finite = np.isfinite(coms).all(axis=(1, 2)).tolist()
+            for frame, frame_coms, ok in zip(block, coms, finite):
+                if not ok:
+                    raise InputError(
+                        f"HISTORY: frame at step {frame.step}: a centre of mass is "
+                        "not finite; its coordinates are too large"
+                    )
+                accumulate_frame(hist, types, frame_coms, frame.cell)
         frames_read = reader.frames_read
         truncated = reader.truncated
 

@@ -492,8 +492,9 @@ class HistoryReader:
         cell = self._cell
 
         # zip takes whole site records only, so a frame cut inside its last
-        # record comes up short like one cut between records.
-        records = islice(zip(*[self._lines] * per_site), natoms)
+        # record comes up short like one cut between records.  A count past
+        # sys.maxsize comes up short too.
+        records = islice(zip(*[self._lines] * per_site), min(natoms, sys.maxsize))
         lines = list(map(itemgetter(1), records))
         if len(lines) < natoms:
             return None

@@ -56,7 +56,9 @@ def centers_of_mass(
     ``positions`` is ``(count, n_sites, 3)`` as for :func:`unfold` and
     ``masses`` holds one non-negative mass per site.  Returns None when the
     type carries no mass.  Massless sites still link the chain while the
-    molecule is mended but carry no weight here.
+    molecule is mended but carry no weight here.  The copies may come from
+    several frames that share ``cell``, stacked along the first axis: each
+    copy's row has the bits that a call on its own frame gives.
     """
     masses = np.asarray(masses, dtype=float)
     if masses.min(initial=0.0) < 0.0:

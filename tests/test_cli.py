@@ -464,6 +464,20 @@ class TestFrozenHeap:
         assert outputs == [(tmp_path / name).read_bytes() for name in ("RDF", "POP")]
 
 
+def outcome(directory, capsys, caplog):
+    """Exit code, stdout, stderr, log messages, and the RDF and POP bytes (or
+    None) of one ``main`` run on ``directory``; the outputs are removed."""
+    caplog.clear()
+    code = main(["--dir", str(directory)])
+    captured = capsys.readouterr()
+    outputs = []
+    for name in ("RDF", "POP"):
+        path = directory / name
+        outputs.append(path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return code, captured.out, captured.err, caplog.messages, outputs
+
+
 class ConvertEveryFrame(HistoryReader):
     """The frame selection of a reader that converts every frame and drops
     those before ``start`` with islice: the reference for walked frames."""
@@ -479,17 +493,6 @@ class ConvertEveryFrame(HistoryReader):
 class TestFramesBeforeStart:
     """Frames before ``start`` are walked, not converted: RDF, POP, the
     summary, errors and warnings equal those of converting every frame."""
-
-    def outcome(self, directory, capsys, caplog):
-        caplog.clear()
-        code = main(["--dir", str(directory)])
-        captured = capsys.readouterr()
-        outputs = []
-        for name in ("RDF", "POP"):
-            path = directory / name
-            outputs.append(path.read_bytes() if path.exists() else None)
-            path.unlink(missing_ok=True)
-        return code, captured.out, captured.err, caplog.messages, outputs
 
     @pytest.mark.parametrize(
         "start, stop, cut, code",
@@ -518,9 +521,9 @@ class TestFramesBeforeStart:
             step = [k for k, s in enumerate(lines) if s.startswith("timestep")][frame - 1]
             history.write_text("\n".join(lines[: step + line]) + "\n")
 
-        walked = self.outcome(dataset_dir, capsys, caplog)
+        walked = outcome(dataset_dir, capsys, caplog)
         monkeypatch.setattr(cli, "HistoryReader", ConvertEveryFrame)
-        assert self.outcome(dataset_dir, capsys, caplog) == walked
+        assert outcome(dataset_dir, capsys, caplog) == walked
         assert walked[0] == code
         assert any("abnormally terminated" in m for m in walked[3]) == (cut is not None)
 
@@ -529,7 +532,7 @@ class TestFramesBeforeStart:
         in frame 10 with the analysis starting at frame 11."""
         control = dataset_dir / "CONTROL"
         control.write_text(control.read_text().replace("polyana\n", "polyana\n  start 11\n", 1))
-        clean = self.outcome(dataset_dir, capsys, caplog)
+        clean = outcome(dataset_dir, capsys, caplog)
         history = dataset_dir / "HISTORY"
         lines = history.read_text().splitlines()
         tenth_step = [k for k, s in enumerate(lines) if s.startswith("timestep")][9]
@@ -537,5 +540,112 @@ class TestFramesBeforeStart:
         x, _, z = lines[site_2].split()
         lines[site_2] = f"{x} x {z}"
         history.write_text("\n".join(lines) + "\n")
-        assert self.outcome(dataset_dir, capsys, caplog) == clean
+        assert outcome(dataset_dir, capsys, caplog) == clean
         assert clean[0] == 0 and "frames used:      30" in clean[1]
+
+
+def edit_history(directory, frame, line, edit):
+    """Apply ``edit`` to one line of a HISTORY: ``line`` counts from 1 after
+    the timestep record of the 1-based ``frame``."""
+    history = directory / "HISTORY"
+    lines = history.read_text().splitlines()
+    k = [k for k, s in enumerate(lines) if s.startswith("timestep")][frame - 1] + line
+    lines[k] = edit(lines[k])
+    history.write_text("\n".join(lines) + "\n")
+
+
+def new_cell(directory, frame, edge):
+    """Give ``frame`` a cubic cell of ``edge`` instead of the 30 A one."""
+    for row in (1, 2, 3):
+        edit_history(directory, frame, row, lambda s: s.replace("30.0", f"{edge:.1f}"))
+
+
+def overflow(directory, frame):
+    edit_history(directory, frame, 5, lambda s: "1.0e308 1.0e308 1.0e308")
+
+
+class TestFrameBlocks:
+    """Consecutive frames that share a cell are unfolded in blocks: RDF, POP,
+    the summary, the exit code, errors and warnings equal those of a run
+    that takes one frame at a time.  The 40 frames of 16 sites make one
+    block by default, and blocks of 5 frames with an 80-site cap."""
+
+    @pytest.mark.parametrize("block_sites", [cli._BLOCK_SITES, 80])
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("cell changes", 0),
+            ("start and stop", 0),
+            ("cut last frame", 0),
+            ("range warning", 0),
+            ("corrupt coordinate", 1),
+            ("range warning, corrupt coordinate", 1),
+            ("overflow", 1),
+        ],
+    )
+    def test_same_outcome_as_one_frame_at_a_time(
+        self, dataset_dir, capsys, caplog, monkeypatch, block_sites, case, code
+    ):
+        if case == "cell changes":
+            for frame in (7, 8, 9, 12):
+                new_cell(dataset_dir, frame, 31.0 if frame < 12 else 32.0)
+        control = dataset_dir / "CONTROL"
+        if case == "start and stop":
+            selection = "polyana\n  start 13\n  stop 31\n"
+            control.write_text(control.read_text().replace("polyana\n", selection))
+        if case.startswith("range warning"):
+            control.write_text(control.read_text().replace("rmax 12.5", "rmax 16.0"))
+        if case == "cut last frame":
+            history = dataset_dir / "HISTORY"
+            history.write_text("\n".join(history.read_text().splitlines()[:-5]) + "\n")
+        if case.endswith("corrupt coordinate"):
+            edit_history(dataset_dir, 8, 5, lambda s: "0.0 x 0.0")
+        if case == "overflow":
+            overflow(dataset_dir, 8)
+
+        monkeypatch.setattr(cli, "_BLOCK_SITES", block_sites)
+        blocked = outcome(dataset_dir, capsys, caplog)
+        monkeypatch.setattr(cli, "_BLOCK_SITES", 1)
+        assert outcome(dataset_dir, capsys, caplog) == blocked
+        assert blocked[0] == code
+        if code:
+            assert "step 8" in blocked[2] and blocked[4] == [None, None]
+        assert any("exceeds" in m for m in blocked[3]) == case.startswith("range warning")
+
+    @pytest.mark.parametrize("block_sites, blocks", [(None, 2), (8, 300), (160, 30)])
+    def test_calls_per_frame_and_per_block(self, tmp_path, monkeypatch, block_sites, blocks):
+        """On 300 frames of 16 sites, accumulate_frame runs once per frame and
+        centers_of_mass once per massive type per block: blocks of 256 + 44
+        frames by default, of 10 frames with a 160-site cap, and of one frame
+        when a frame exceeds the cap."""
+        generate_dataset(SyntheticConfig(n_frames=300), tmp_path)
+        if block_sites is not None:
+            monkeypatch.setattr(cli, "_BLOCK_SITES", block_sites)
+        calls = {"accumulate_frame": 0, "centers_of_mass": 0}
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        assert run_analysis(tmp_path).frames_used == 300
+        assert calls == {"accumulate_frame": 300, "centers_of_mass": 2 * blocks}
+
+    def test_overflowing_centre_of_mass_exit_code(self, tmp_path):
+        """A site at 1e308 in frame 2 overflows its molecule's centre of mass:
+        an error that names the step, with no numpy warning and no traceback."""
+        generate_dataset(SyntheticConfig(n_frames=50), tmp_path)
+        overflow(tmp_path, 2)
+        result = run_cli("--dir", str(tmp_path), capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: HISTORY: frame at step 2: a centre of mass is not finite; "
+            "its coordinates are too large\n"
+        )
+        assert not (tmp_path / "RDF").exists() and not (tmp_path / "POP").exists()

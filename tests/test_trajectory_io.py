@@ -489,6 +489,19 @@ class TestHistoryReader:
         assert reader.frames_read == good_frames
         assert reader.truncated
 
+    @pytest.mark.parametrize("start", [1, 2])
+    def test_site_count_past_maxsize_truncates(self, start):
+        """A site count beyond sys.maxsize, with no expected count to check it
+        against, ends the read as a cut, in a converted frame as in a walked
+        one."""
+        text = "timestep 1 99999999999999999999 0 1 0.001\n" + "".join(
+            f"{row[0]} {row[1]} {row[2]}\n" for row in 10.0 * np.eye(3)
+        )
+        reader, got = read_all(text, start=start)
+        assert got == []
+        assert reader.truncated
+        assert reader.frames_read == 0
+
     @pytest.mark.parametrize("start", [1, 3])
     @pytest.mark.parametrize("field", [1, 2, 3, 4, "keyword", "short", "negative"])
     def test_malformed_timestep_record_before_more_frames_is_fatal(self, field, start):

@@ -232,3 +232,58 @@ class TestUnfoldProperty:
         assert coms.shape == (count, 3)
         assert lattice_residual(coms - true_coms, cell).max() < 1e-9
         assert_whole(unfold(observed, cell), true, cell)
+
+
+def wrap(positions, cell):
+    """Every site folded into the cell along its periodic directions, as a
+    trajectory writes it: a molecule that straddles a face comes apart."""
+    s = positions @ cell.inverse
+    s[..., cell.periodic] -= np.floor(s[..., cell.periodic])
+    return s @ cell.matrix
+
+
+class TestStackedFrames:
+    """The copies of a type in k frames that share a cell, stacked into one
+    ``(k * count, n_sites, 3)`` array, get the centres of mass of k calls on
+    their frames alone, bit for bit: to_reduced, the fold product and the
+    mass product run per molecule on the same shapes either way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        imcon=st.sampled_from([1, 2, 3, 6]),
+        frames=st.integers(2, 64),
+        count=st.integers(1, 19),
+        n_sites=st.integers(1, 30),
+        lengths=st.tuples(*[st.floats(8.0, 40.0)] * 3),
+        tilts=st.tuples(*[st.floats(-0.4, 0.4)] * 3),
+        massless_share=st.floats(0.0, 0.9),
+        one_torn=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_centres_of_mass_equal_frame_by_frame(
+        self, imcon, frames, count, n_sites, lengths, tilts, massless_share, one_torn, seed
+    ):
+        cell = _cell_for(imcon, lengths, tilts)
+        rng = np.random.default_rng(seed)
+        # Bonds shorter than a quarter of the narrowest periodic width.
+        longest = 0.5 * min(cell.min_image_cutoff, 20.0)
+        steps = rng.standard_normal((frames, count, n_sites - 1, 3))
+        steps *= (rng.uniform(0.0, longest, steps.shape[:3]) / np.linalg.norm(steps, axis=3))[..., None]
+        true = np.concatenate([np.zeros((frames, count, 1, 3)), np.cumsum(steps, axis=2)], axis=2)
+        true += rng.uniform(0.0, 1.0, (frames, count, 1, 3)) @ cell.matrix
+        masses = rng.uniform(0.5, 20.0, n_sites) * (rng.uniform(size=n_sites) >= massless_share)
+        masses[rng.integers(n_sites)] = rng.uniform(0.5, 20.0)
+        if one_torn:
+            # Only one frame needs a fold; the others are whole as given.
+            positions = true.copy()
+            torn = rng.integers(frames)
+            positions[torn] = scatter(true[torn], cell, rng)
+            for f, whole in enumerate(positions):
+                if f != torn:
+                    assert unfold(whole, cell) is whole
+        else:
+            positions = wrap(true, cell)
+
+        stacked = centers_of_mass(positions.reshape(frames * count, n_sites, 3), masses, cell)
+        one_by_one = np.stack([centers_of_mass(p, masses, cell) for p in positions])
+        assert stacked.tobytes() == one_by_one.tobytes()
