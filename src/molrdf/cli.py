@@ -60,6 +60,12 @@ class AnalysisSummary:
 _BLOCK_SITES = 4096
 
 
+#: A centre of mass may lie at most this many of its cell's smallest heights
+#: from the origin along each axis.  Its reduced coordinates then stay below
+#: 2^21, and keep 31 of their 52 bits below one cell for the fold.
+_FAR_HEIGHTS = 2.0**20
+
+
 def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
     """Centres of mass ``(k, n, 3)`` of the molecules of ``topology.massive``,
     type after type, in each of the ``k`` frames, which share one cell.
@@ -143,12 +149,19 @@ def run_analysis(
             # reported below instead of warned about.
             with np.errstate(over="ignore", invalid="ignore"):
                 coms = _block_coms(block, topology)
-            finite = np.isfinite(coms).all(axis=(1, 2)).tolist()
-            for frame, frame_coms, ok in zip(block, coms, finite):
+            # One test fails NaN, inf and centres of mass too far out to fold.
+            limit = _FAR_HEIGHTS * block[0].cell.heights.min()
+            within = (np.abs(coms) <= limit).all(axis=(1, 2)).tolist()
+            for frame, frame_coms, ok in zip(block, coms, within):
                 if not ok:
+                    where = (
+                        f"more than {limit:.6g} A (2^20 cell heights) from the origin"
+                        if np.isfinite(frame_coms).all()
+                        else "not finite"
+                    )
                     raise InputError(
                         f"HISTORY: frame at step {frame.step}: a centre of mass is "
-                        "not finite; its coordinates are too large"
+                        f"{where}; its coordinates are too large"
                     )
                 accumulate_frame(hist, types, frame_coms, frame.cell)
         frames_read = reader.frames_read

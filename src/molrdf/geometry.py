@@ -126,6 +126,11 @@ class CellTensor:
         return periodic
 
     @cached_property
+    def n_periodic(self) -> int:
+        """The number of periodic lattice directions, which come first."""
+        return sum(_PERIODIC_AXES[self.imcon])
+
+    @cached_property
     def volume(self) -> float:
         """Cell volume ``|det(C)|`` in cubic Angstrom, computed once per cell."""
         return float(abs(np.linalg.det(self.matrix)))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,10 +34,10 @@ from .trajectory_io import Topology
 
 logger = logging.getLogger(__name__)
 
-# Candidate pairs are handled in chunks of at most this many.  The size is set
-# for cache, not only for memory: a chunk's scratch arrays (about 120 B per
-# pair) then stay within a core's L2 cache between the kernel's passes,
-# instead of every pass streaming the whole frame through memory.
+# Candidate pairs are handled in chunks of about this many, one row of
+# candidates at the least.  The size bounds the kernel's scratch, about 57 B
+# per pair of the largest chunk (1.9 MB per thread at this size), whatever
+# the number of molecules.
 _CHUNK_PAIRS = 32_768
 
 # Linked-cell search: cells are at least rc / _CELL_REACH wide across x and
@@ -62,6 +63,46 @@ _ROW_COST = 2
 _ENTRY_COST = 0.125
 # Relative padding of the search radius, so rounding cannot lose a pair.
 _PAD = 1e-9
+
+
+def _grown(size: int, k: int) -> int:
+    """Room for k pairs in a buffer that held ``size``: at least twice
+    ``size`` up to _CHUNK_PAIRS, so that chunks growing a little at a time
+    regrow it once, not each time."""
+    return max(k, min(2 * size, _CHUNK_PAIRS))
+
+
+class _Scratch(threading.local):
+    """One thread's buffers for the pair kernel, kept from chunk to chunk and
+    from frame to frame: a warm frame allocates no chunk-sized array beyond
+    each chunk's pair indices and its list of pairs in range.  Each buffer
+    grows to the largest chunk that the thread has met and never shrinks.
+    Per thread, as histograms may be accumulated in threads at once."""
+
+    buf = np.empty(0)
+    ints = buf.view(np.int64)
+    mask = np.empty(0, dtype=bool)
+    iota = np.arange(0)
+
+    def rows(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Room for six rows of k pairs, as one flat float64 buffer and its
+        int64 view, and a bool row."""
+        if len(self.mask) < k:
+            size = _grown(len(self.mask), k)
+            self.buf = np.empty(6 * size)
+            self.ints = self.buf.view(np.int64)
+            self.mask = np.empty(size, dtype=bool)
+        return self.buf, self.ints, self.mask
+
+    def arange(self, k: int) -> np.ndarray:
+        """0, 1, ..., k - 1, read-only."""
+        if len(self.iota) < k:
+            self.iota = np.arange(_grown(len(self.iota), k))
+            self.iota.flags.writeable = False
+        return self.iota[:k]
+
+
+_SCRATCH = _Scratch()
 
 SMOOTH_KERNEL = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
 
@@ -277,9 +318,11 @@ def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
     z = where[2] + place[2]
     bottom = np.maximum(where[2] - _Z_CELLS, 0)
     top = np.minimum(where[2] + _Z_CELLS, height - 1)
-    # Rows for _CHUNK_PAIRS / 8 (column, molecule) pairs at a time: arrays of
-    # 32 KiB, far below the allocator's mmap threshold, reuse heap memory
-    # instead of faulting in fresh pages, three times faster than 256 KiB.
+    # Rows for _CHUNK_PAIRS / 8 (column, molecule) pairs at a time, about
+    # 4000: a block's row arrays are then 32 KiB, which the heap reuses from
+    # block to block, and its candidates about one chunk (a liquid's rows
+    # hold 8 to 9 each).  Row arrays for a whole frame took three times as
+    # long per row, faulting in fresh pages.
     per_block = max(1, _CHUNK_PAIRS // (8 * len(columns)))
 
     def chunks():
@@ -327,7 +370,9 @@ def _expand_rows(owners, starts, sizes):
         if total:
             i = np.repeat(owners[r0:r1], size)
             shift = starts[r0:r1] - (ends[r0:r1] - size - base)
-            yield i, np.repeat(shift, size) + np.arange(total)
+            j = np.repeat(shift, size)
+            j += _SCRATCH.arange(total)
+            yield i, j
         r0 = r1
 
 
@@ -383,7 +428,7 @@ def accumulate_frame(
 
     pos = to_reduced(coms, cell)
     # The periodic axes lead: all three, or the first two of a slab.
-    folded = int(cell.periodic.sum())
+    folded = cell.n_periodic
     m = cell.matrix
 
     nbins = hist.counts.shape[2]
@@ -398,51 +443,61 @@ def accumulate_frame(
         # Into the search's own order once, so chunks index it directly.
         pos = pos[slots]
         types = types[slots]
-    # One row per axis, so every gather and pass below is over 1-D arrays.
+    # One row per axis: a chunk's three rows of d are one gather.
     axes = np.ascontiguousarray(pos.T)
-    # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin.  A pair may
-    # come as (i, j) or as (j, i): the fold, the cell product and r^2 are
-    # exactly odd or even in d, and the counts are symmetrised below.
-    key_j = types * nbins
+    # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin, with one
+    # overflow bin past the last per pair of types, for the pairs that the
+    # prefilter keeps but that get no bin.  A pair may come as (i, j) or as
+    # (j, i): the fold, the cell product and r^2 are exactly odd or even in
+    # d, and the counts are symmetrised below.
+    key_j = types * (nbins + 1)
     key_i = key_j * hist.n_types
-    flat = np.zeros(hist.counts.size, dtype=np.int64)
-    buf = np.empty((2, 0))  # displacements, and scratch, reused across chunks
+    flat = np.zeros(hist.n_types**2 * (nbins + 1), dtype=np.int64)
     for i_arr, j_arr in chunks:
         k = len(i_arr)
-        if buf.shape[1] < 3 * k:
-            buf = np.empty((2, 3 * k))
-        d = buf[0, : 3 * k].reshape(3, k)
-        for row, axis in zip(d, axes):
-            np.subtract(axis[j_arr], axis[i_arr], out=row)
+        # This thread's scratch: d in the first (3, k) block, then the
+        # squares, r^2 and r; the fold in the second, then the cell product,
+        # then the bins and keys as integers.
+        buf, ints, mask = _SCRATCH.rows(k)
+        d = buf[: 3 * k].reshape(3, k)
+        e = buf[3 * k : 6 * k].reshape(3, k)
+        # Every index is in range; mode="clip" lets take write straight into
+        # ``out``, where the default mode writes through a buffer.
+        axes.take(j_arr, axis=1, out=d, mode="clip")
+        d -= axes.take(i_arr, axis=1, out=e, mode="clip")
         f = d[:folded]
-        f -= nint(f, out=buf[1, : folded * k].reshape(folded, k))
+        f -= nint(f, out=e[:folded])
         # The transpose of d.T @ m, with the same sums.
-        d = np.matmul(m.T, d, out=buf[1, : 3 * k].reshape(3, k))
+        np.matmul(m.T, d, out=e)
         # Same sums in the same order as np.linalg.norm(d, axis=0), so the
         # same bits, without its slow length-3 reduction per pair.
-        x, y, z = d
-        r2 = x * x
-        sq = y * y
-        r2 += sq
-        np.multiply(z, z, out=sq)
-        r2 += sq
-        near = np.flatnonzero(r2 <= r2_max)
-        r = np.sqrt(r2[near])
+        r2, y2, z2 = np.multiply(e, e, out=d)
+        r2 += y2
+        r2 += z2
+        near = np.less_equal(r2, r2_max, out=mask[:k]).nonzero()[0]
+        n_near = len(near)
+        r = r2.take(near, out=y2[:n_near], mode="clip")
+        np.sqrt(r, out=r)
         r /= dr
         # Acceptance is by bin, not by raw distance: a pair counts whenever
         # its bin exists, so the shell around rmax itself fills completely
         # instead of being cut in half at the boundary.  For r >= 0,
-        # truncating r / dr + 1/2 is nint(r / dr).
+        # truncating r / dr + 1/2 is nint(r / dr).  A pair past the last
+        # bin goes to the overflow bin.
         r += 0.5
-        idx = r.astype(np.int64)
-        keep = idx < nbins
-        near = near[keep]
-        key = key_i[i_arr[near]]
-        key += key_j[j_arr[near]]
-        key += idx[keep]
+        idx = ints[3 * k : 3 * k + n_near]
+        key = ints[4 * k : 4 * k + n_near]
+        tmp = ints[5 * k : 5 * k + n_near]
+        np.copyto(idx, r, casting="unsafe")
+        np.minimum(idx, nbins, out=idx)
+        key_i.take(i_arr.take(near, out=tmp, mode="clip"), out=key, mode="clip")
+        key += idx
+        key_j.take(j_arr.take(near, out=tmp, mode="clip"), out=idx, mode="clip")
+        key += idx
         binned = np.bincount(key)
         flat[: binned.size] += binned
-    counts = flat.reshape(hist.counts.shape)
+    # The overflow bins are dropped here.
+    counts = flat.reshape(hist.n_types, hist.n_types, nbins + 1)[..., :nbins]
     hist.counts += counts
     hist.counts += counts.transpose(1, 0, 2)
 

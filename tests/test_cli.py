@@ -560,8 +560,9 @@ def new_cell(directory, frame, edge):
         edit_history(directory, frame, row, lambda s: s.replace("30.0", f"{edge:.1f}"))
 
 
-def overflow(directory, frame):
-    edit_history(directory, frame, 5, lambda s: "1.0e308 1.0e308 1.0e308")
+def overflow(directory, frame, value="1.0e308"):
+    """Move the first site of ``frame`` to ``value`` on each axis."""
+    edit_history(directory, frame, 5, lambda s: f"{value} {value} {value}")
 
 
 class TestFrameBlocks:
@@ -581,6 +582,7 @@ class TestFrameBlocks:
             ("corrupt coordinate", 1),
             ("range warning, corrupt coordinate", 1),
             ("overflow", 1),
+            ("far from the cell", 1),
         ],
     )
     def test_same_outcome_as_one_frame_at_a_time(
@@ -602,6 +604,8 @@ class TestFrameBlocks:
             edit_history(dataset_dir, 8, 5, lambda s: "0.0 x 0.0")
         if case == "overflow":
             overflow(dataset_dir, 8)
+        if case == "far from the cell":
+            overflow(dataset_dir, 8, "1.0e17")
 
         monkeypatch.setattr(cli, "_BLOCK_SITES", block_sites)
         blocked = outcome(dataset_dir, capsys, caplog)
@@ -649,3 +653,25 @@ class TestFrameBlocks:
             "its coordinates are too large\n"
         )
         assert not (tmp_path / "RDF").exists() and not (tmp_path / "POP").exists()
+
+    @pytest.mark.parametrize("value", ["1.0e17", "-1.0e200"])
+    def test_centre_of_mass_far_from_the_cell_exit_code(self, dataset_dir, capsys, value):
+        """A site at 1e17 or -1e200 leaves its molecule's centre of mass
+        finite, but so far out that its reduced coordinates keep no bits
+        below one cell, and every fold would give distance 0: an error that
+        names the step, and no output."""
+        overflow(dataset_dir, 2, value)
+        assert main(["--dir", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: HISTORY: frame at step 2: a centre of mass is more than "
+            "3.14573e+07 A (2^20 cell heights) from the origin; its coordinates "
+            "are too large\n"
+        )
+        assert not (dataset_dir / "RDF").exists() and not (dataset_dir / "POP").exists()
+
+    def test_centre_of_mass_within_the_limit_is_analysed(self, dataset_dir, capsys):
+        """A molecule a million A out, 33 333 cells of 30 A, lies within
+        2^20 cell heights of the origin and is analysed."""
+        overflow(dataset_dir, 2, "1.0e6")
+        assert main(["--dir", str(dataset_dir)]) == 0
+        assert "frames used:      40" in capsys.readouterr().out
