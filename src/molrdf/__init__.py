@@ -2,7 +2,7 @@
 
 from .errors import AnalysisError, InputError, NoFramesError
 from .geometry import CellTensor
-from .rdf_engine import PairHistogram, RdfTable, accumulate_frame, finalize, merge
+from .rdf_engine import CentreOfMassError, PairHistogram, RdfTable, accumulate_frame, finalize, merge
 from .synthetic import SyntheticConfig, generate_dataset
 from .trajectory_io import (
     Directives,
@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisError",
     "CellTensor",
+    "CentreOfMassError",
     "Directives",
     "Frame",
     "HistoryReader",

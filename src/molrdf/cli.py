@@ -20,9 +20,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AnalysisError, InputError, NoFramesError
-from .rdf_engine import PairHistogram, accumulate_frame, finalize, n_bins
+from .rdf_engine import CentreOfMassError, PairHistogram, accumulate_frame, finalize, n_bins
 from .synthetic import SyntheticConfig, generate_dataset
 from .trajectory_io import (
+    Directives,
     Frame,
     HistoryReader,
     Topology,
@@ -58,12 +59,6 @@ class AnalysisSummary:
 #: A block of frames that share a cell holds at most this many sites (96 KiB
 #: of positions); a frame of more sites is a block of one.
 _BLOCK_SITES = 4096
-
-
-#: A centre of mass may lie at most this many of its cell's smallest heights
-#: from the origin along each axis.  Its reduced coordinates then stay below
-#: 2^21, and keep 31 of their 52 bits below one cell for the fold.
-_FAR_HEIGHTS = 2.0**20
 
 
 def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
@@ -111,6 +106,35 @@ def _cell_blocks(frames: Iterator[Frame], size: int) -> Iterator[list[Frame]]:
         yield block
 
 
+def accumulate_history(
+    history_path: Path, topology: Topology, directives: Directives
+) -> tuple[PairHistogram, int, bool]:
+    """The histogram of frames ``start``..``stop`` of one HISTORY, the number
+    of frames read, and whether the file ends inside a frame."""
+    # The 0-based type of each centre of mass of a frame that _block_coms returns.
+    massive = [t for t, _ in topology.massive]
+    types = np.repeat(massive, [topology.molecules[t].count for t in massive])
+    hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
+    with HistoryReader(
+        history_path, expected_natoms=topology.total_sites, start=directives.start
+    ) as reader:
+        # The reader yields from frame ``start`` on; reading stops after frame ``stop``.
+        frames = itertools.islice(reader, directives.stop - directives.start + 1)
+        for block in _cell_blocks(frames, max(1, _BLOCK_SITES // topology.total_sites)):
+            # Coordinates near the float limit overflow here; accumulate_frame rejects them.
+            with np.errstate(over="ignore", invalid="ignore"):
+                coms = _block_coms(block, topology)
+            for frame, frame_coms in zip(block, coms):
+                try:
+                    accumulate_frame(hist, types, frame_coms, frame.cell)
+                except CentreOfMassError as exc:
+                    raise InputError(
+                        f"HISTORY: frame at step {frame.step}: {exc}; "
+                        "its coordinates are too large"
+                    ) from None
+        return hist, reader.frames_read, reader.truncated
+
+
 def run_analysis(
     directory: str | Path = ".",
     control: str = "CONTROL",
@@ -121,9 +145,7 @@ def run_analysis(
 ) -> AnalysisSummary:
     """Analyse one trajectory directory and write the RDF and POP files."""
     directory = Path(directory)
-    control_path = directory / control
-    field_path = directory / field
-    history_path = directory / history
+    control_path, field_path, history_path = (directory / f for f in (control, field, history))
     for path in (control_path, field_path, history_path):
         if not path.is_file():
             raise InputError(f"input file not found: {path}")
@@ -133,40 +155,7 @@ def run_analysis(
     if not topology.massive:
         raise InputError("every molecule type is massless; nothing to analyse")
 
-    # The 0-based type of each centre of mass of a frame that _block_coms returns.
-    types = np.array(
-        [t for t, _ in topology.massive for _ in range(topology.molecules[t].count)],
-        dtype=np.int64,
-    )
-    hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
-    with HistoryReader(
-        history_path, expected_natoms=topology.total_sites, start=directives.start
-    ) as reader:
-        # The reader yields from frame ``start`` on; reading stops after frame ``stop``.
-        frames = itertools.islice(reader, directives.stop - directives.start + 1)
-        for block in _cell_blocks(frames, max(1, _BLOCK_SITES // topology.total_sites)):
-            # Coordinates near the float limit overflow here; such a frame is
-            # reported below instead of warned about.
-            with np.errstate(over="ignore", invalid="ignore"):
-                coms = _block_coms(block, topology)
-            # One test fails NaN, inf and centres of mass too far out to fold.
-            limit = _FAR_HEIGHTS * block[0].cell.heights.min()
-            within = (np.abs(coms) <= limit).all(axis=(1, 2)).tolist()
-            for frame, frame_coms, ok in zip(block, coms, within):
-                if not ok:
-                    where = (
-                        f"more than {limit:.6g} A (2^20 cell heights) from the origin"
-                        if np.isfinite(frame_coms).all()
-                        else "not finite"
-                    )
-                    raise InputError(
-                        f"HISTORY: frame at step {frame.step}: a centre of mass is "
-                        f"{where}; its coordinates are too large"
-                    )
-                accumulate_frame(hist, types, frame_coms, frame.cell)
-        frames_read = reader.frames_read
-        truncated = reader.truncated
-
+    hist, frames_read, truncated = accumulate_history(history_path, topology, directives)
     if truncated:
         logger.warning(
             "the trajectory was abnormally terminated; results cover the %d "
@@ -180,19 +169,12 @@ def run_analysis(
         )
 
     table = finalize(hist, topology, smooth=directives.smooth)
-    rdf_path = directory / rdf_out
-    pop_path = directory / pop_out
+    rdf_path, pop_path = directory / rdf_out, directory / pop_out
     write_rdf(table, rdf_path)
     write_pop(table, pop_path)
-
     return AnalysisSummary(
-        frames_read=frames_read,
-        frames_used=hist.frames_used,
-        n_types=topology.n_types,
-        mean_volume=table.mean_volume,
-        truncated=truncated,
-        rdf_path=rdf_path,
-        pop_path=pop_path,
+        frames_read=frames_read, frames_used=hist.frames_used, n_types=topology.n_types,
+        mean_volume=table.mean_volume, truncated=truncated, rdf_path=rdf_path, pop_path=pop_path,
     )
 
 

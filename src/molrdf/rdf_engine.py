@@ -63,6 +63,14 @@ _ROW_COST = 2
 _ENTRY_COST = 0.125
 # Relative padding of the search radius, so rounding cannot lose a pair.
 _PAD = 1e-9
+# A centre of mass may lie at most this many of its cell's smallest heights
+# from the origin along each axis: its reduced coordinates then stay below
+# 2^21, and keep 31 of their 52 bits below one cell for the fold.
+_FAR_HEIGHTS = 2.0**20
+
+
+class CentreOfMassError(ValueError):
+    """A centre of mass that is not finite, or too far out to fold."""
 
 
 def _grown(size: int, k: int) -> int:
@@ -404,14 +412,21 @@ def accumulate_frame(
     periodic directions of the cell.  Candidate pairs come from a linked-cell
     search where that pays, from all pairs otherwise; every candidate's
     distance is computed the same way, so the choice never moves a count.
+
+    CentreOfMassError is raised, before anything is counted or warned, for a
+    centre of mass that is not finite (a NaN distance passes no bin test) or
+    more than 2^20 of the cell's smallest heights from the origin along an
+    axis (the fold would give it distance 0 to every molecule).
     """
     coms = np.asarray(coms, dtype=float)
     types = np.asarray(types, dtype=np.int64)
     if coms.ndim != 2 or coms.shape[1] != 3 or len(types) != len(coms):
         raise ValueError("types and coms must be matching (n,) and (n, 3) arrays")
-    if not np.isfinite(coms).all():
-        # A NaN distance passes no bin test, so the pair would vanish unseen.
-        raise ValueError("coms must be finite")
+    limit = _FAR_HEIGHTS * min(cell.heights.tolist())
+    if not (np.abs(coms).max(initial=0.0) <= limit):  # NaN and inf fail too
+        where = (f"more than {limit:.6g} A (2^20 cell heights) from the origin"
+                 if np.isfinite(coms).all() else "not finite")
+        raise CentreOfMassError(f"a centre of mass is {where}")
     if types.size and (types.min() < 0 or types.max() >= hist.n_types):
         raise ValueError("type index out of range for this histogram")
 

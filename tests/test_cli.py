@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ import molrdf
 from molrdf import cli
 from molrdf.cli import main, run_analysis
 from molrdf.errors import InputError, NoFramesError
+from molrdf.rdf_engine import merge
 from molrdf.synthetic import SyntheticConfig, generate_dataset
-from molrdf.trajectory_io import HistoryReader
+from molrdf.trajectory_io import HistoryReader, parse_directives, parse_field
 
 
 @pytest.fixture()
@@ -111,6 +113,27 @@ class TestRunAnalysis:
         summary = run_analysis(dataset_dir, history="TRAJ", rdf_out="out.rdf")
         assert summary.rdf_path.name == "out.rdf"
         assert summary.rdf_path.is_file()
+
+
+class TestAccumulateHistory:
+    def test_split_trajectory_merges_to_the_whole_run(self, dataset_dir):
+        """Frames 1-20 and 21-40 of one HISTORY, analysed apart, merge to
+        the histogram of all 40; the second half walks frames 1-20 first.
+        volume_sum is summed in another order, so it agrees to rounding."""
+        directives = parse_directives((dataset_dir / "CONTROL").read_text())
+        topology = parse_field((dataset_dir / "FIELD").read_text())
+        history = dataset_dir / "HISTORY"
+        whole, frames_read, truncated = cli.accumulate_history(history, topology, directives)
+        assert (frames_read, truncated) == (40, False)
+        halves = [
+            cli.accumulate_history(history, topology, replace(directives, start=a, stop=b))
+            for a, b in ((1, 20), (21, 40))
+        ]
+        assert [half[1:] for half in halves] == [(20, False), (40, False)]
+        merged = merge(halves[0][0], halves[1][0])
+        assert (merged.counts == whole.counts).all() and whole.counts.sum() > 0
+        assert merged.frames_used == whole.frames_used == 40
+        assert merged.volume_sum == pytest.approx(whole.volume_sum, rel=1e-12)
 
 
 class TestMain:
@@ -668,6 +691,29 @@ class TestFrameBlocks:
             "are too large\n"
         )
         assert not (dataset_dir / "RDF").exists() and not (dataset_dir / "POP").exists()
+
+    @pytest.mark.parametrize(
+        "value, where",
+        [
+            ("1.0e308", "not finite"),
+            ("1.0e17", "more than 3.14573e+07 A (2^20 cell heights) from the origin"),
+        ],
+    )
+    def test_bad_first_frame_is_an_error_without_a_range_warning(
+        self, dataset_dir, value, where
+    ):
+        """rmax 16 exceeds the 15 A minimum-image radius of the 30 A cell,
+        but a first frame whose centre of mass cannot be used stops the run
+        before anything is warned: one error line, and nothing else."""
+        control = dataset_dir / "CONTROL"
+        control.write_text(control.read_text().replace("rmax 12.5", "rmax 16.0"))
+        overflow(dataset_dir, 1, value)
+        result = run_cli("--dir", str(dataset_dir), capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == (
+            f"error: HISTORY: frame at step 1: a centre of mass is {where}; "
+            "its coordinates are too large\n"
+        )
 
     def test_centre_of_mass_within_the_limit_is_analysed(self, dataset_dir, capsys):
         """A molecule a million A out, 33 333 cells of 30 A, lies within

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -155,17 +156,38 @@ class TestAccumulateFrame:
         with pytest.raises(ValueError):
             accumulate_frame(hist, np.array([1]), np.zeros((1, 3)), CellTensor.cubic(10.0))
 
-    @pytest.mark.parametrize("imcon", [1, 6])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("imcon", [1, 3, 6])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e17, -1e200])
     def test_non_finite_position_rejected(self, imcon, bad):
         """A NaN distance fails every bin test, so without the check the
-        pair would be dropped while the frame still counted."""
+        pair would be dropped while the frame still counted.  A centre of
+        mass 1e17 or 1e200 out is finite, but its reduced coordinates keep
+        no bits below one cell, so the fold would put the pair at r = 0."""
         hist = PairHistogram.create(1, rmax=5.0, dr=0.5)
+        matrix = np.diag([10.0, 10.0, 40.0 if imcon == 6 else 10.0])
+        if imcon == 3:
+            matrix[1, 0], matrix[2, :2] = 2.0, (1.0, -1.5)
+        cell = CellTensor(matrix, imcon)
+        accumulate_frame(hist, np.array([0, 0]), np.array([[1.0, 1, 1], [2.0, 1, 1]]), cell)
+        before = (hist.counts.copy(), hist.frames_used, hist.volume_sum)
         coms = np.array([[1.0, 1.0, 1.0], [2.0, bad, 1.0]])
-        cell = CellTensor(np.diag([10.0, 10.0, 40.0 if imcon == 6 else 10.0]), imcon)
-        with pytest.raises(ValueError, match="finite"):
+        limit = f"more than {2.0**20 * cell.heights.min():.6g} A (2^20 cell heights)"
+        match = re.escape(limit) if np.isfinite(bad) else "finite"
+        with pytest.raises(rdf_engine.CentreOfMassError, match=match):
             accumulate_frame(hist, np.array([0, 0]), coms, cell)
-        assert hist.counts.sum() == 0 and hist.frames_used == 0
+        assert issubclass(rdf_engine.CentreOfMassError, ValueError)
+        assert (hist.counts == before[0]).all()
+        assert (hist.frames_used, hist.volume_sum) == before[1:]
+
+    @pytest.mark.parametrize("x", [0.0, 1e6, -1e6])
+    def test_far_position_within_the_limit_is_binned(self, x):
+        """Two molecules 5 A apart a million A out, 33 333 cells of 30 A,
+        lie within 2^20 cell heights of the origin: bin 50, as at x = 0."""
+        hist = PairHistogram.create(1, rmax=12.5, dr=0.1)
+        coms = np.array([[x, 1.0, 1.0], [x + 5.0, 1.0, 1.0]])
+        accumulate_frame(hist, np.array([0, 0]), coms, CellTensor.cubic(30.0))
+        assert np.flatnonzero(hist.counts[0, 0]).tolist() == [50]
+        assert hist.counts.sum() == 2
 
 
 class TestAgainstNaiveReference:
