@@ -564,7 +564,6 @@ class RdfTable:
     g: np.ndarray  # (n_pairs, n_bins)
     pop: np.ndarray  # (n_pairs, n_bins)
     mean_volume: float
-    frames_used: int
 
 
 def shell_volumes(nbins: int, dr: float) -> np.ndarray:
@@ -606,29 +605,21 @@ def finalize(hist: PairHistogram, topology: Topology, smooth: bool = False) -> R
 
     labels = [(t, t) for t in kept]
     labels += [(a, b) for k, a in enumerate(kept) for b in kept[k + 1 :]]
+    a, b = np.array(labels).T
+    count = np.array([mol.count for mol in topology.molecules])
 
     nbins = hist.counts.shape[2]
-    centers = np.arange(nbins) * hist.dr
-    vshell = shell_volumes(nbins, hist.dr)
-
-    g = np.empty((len(labels), nbins))
-    pop = np.empty_like(g)
-    for p, (a, b) in enumerate(labels):
-        n_a = topology.molecules[a].count
-        n_b = topology.molecules[b].count
-        h_mean = hist.counts[a, b] / (hist.frames_used * n_a)
-        rho_b = n_b / mean_volume
-        g[p] = h_mean / (vshell * rho_b)
-        pop[p] = np.cumsum(h_mean)
+    h_mean = hist.counts[a, b] / (hist.frames_used * count[a])[:, None]
+    g = h_mean / (shell_volumes(nbins, hist.dr) * (count[b] / mean_volume)[:, None])
+    pop = np.cumsum(h_mean, axis=1)
 
     if smooth:
         g = smooth_curve(g)
 
     return RdfTable(
         pair_labels=tuple((a + 1, b + 1) for a, b in labels),
-        bin_centers=centers,
+        bin_centers=np.arange(nbins) * hist.dr,
         g=g,
         pop=pop,
         mean_volume=mean_volume,
-        frames_used=hist.frames_used,
     )

@@ -25,8 +25,6 @@ from .errors import InputError
 from .geometry import CellTensor, to_reduced
 from .trajectory_io import MoleculeSpec, Topology
 
-DEFAULT_SEED = 2024
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -37,7 +35,7 @@ class SyntheticConfig:
     distance: float = 5.0
     cell_length: float = 30.0
     n_frames: int = 200
-    seed: int = DEFAULT_SEED
+    seed: int = 2024
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -64,7 +62,6 @@ class GeneratedDataset:
     history_path: Path
     topology: Topology
     cell: CellTensor
-    offsets: tuple[np.ndarray, np.ndarray]  # COM-centred site offsets per type
     unwrapped_frames: tuple[np.ndarray, ...]  # pre-wrap site positions per frame
 
 
@@ -193,7 +190,6 @@ def _format_frame(
 def generate_dataset(
     cfg: SyntheticConfig,
     out_dir: str | Path,
-    with_header: bool = True,
 ) -> GeneratedDataset:
     """Write CONTROL, FIELD and HISTORY into out_dir and return the ground truth.
 
@@ -221,8 +217,6 @@ def generate_dataset(
         unwrapped = np.vstack([sites1, sites2])
         frames.append(unwrapped)
         history_lines.extend(_format_frame(k + 1, wrap_point(unwrapped, cell), topology, cell))
-    if not with_header:
-        history_lines = history_lines[2:]
 
     control_path = out_dir / "CONTROL"
     field_path = out_dir / "FIELD"
@@ -237,6 +231,5 @@ def generate_dataset(
         history_path=history_path,
         topology=topology,
         cell=cell,
-        offsets=offsets,
         unwrapped_frames=tuple(frames),
     )

@@ -41,20 +41,15 @@ from .geometry import CellTensor
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_START = 1
-DEFAULT_STOP = sys.maxsize
-DEFAULT_RMAX = 12.5
-DEFAULT_DR = 0.1
-
 
 @dataclass(frozen=True)
 class Directives:
     """Analysis settings read from the CONTROL file."""
 
-    start: int = DEFAULT_START
-    stop: int = DEFAULT_STOP
-    rmax: float = DEFAULT_RMAX
-    dr: float = DEFAULT_DR
+    start: int = 1
+    stop: int = sys.maxsize
+    rmax: float = 12.5
+    dr: float = 0.1
     smooth: bool = False
 
     def __post_init__(self):
@@ -129,11 +124,6 @@ class Frame:
     step: int
     cell: CellTensor
     positions: np.ndarray  # (sites, 3), Angstrom, FIELD declaration order
-
-
-def _first_token(line: str) -> str:
-    parts = line.split(maxsplit=1)
-    return parts[0].lower() if parts else ""
 
 
 def parse_directives(control_text: str) -> Directives:
@@ -399,7 +389,7 @@ class HistoryReader:
         if first is None:
             self.truncated = True  # empty trajectory counts as abnormal
             return None
-        if _first_token(first) == "timestep":
+        if first.lower().split(maxsplit=1)[:1] == ["timestep"]:
             return first
         # Header: title line just read, then the levcfg/imcon/natoms line.
         info = next(self._lines, None)
@@ -514,21 +504,12 @@ class HistoryReader:
         return Frame(step, cell, positions)
 
 
-def _pair_header(labels, prefix: str) -> str:
-    cols = [f"{prefix}({a},{b})" for a, b in labels]
-    return "#" + f"{'r':>13}" + "".join(f"{c:>14}" for c in cols)
-
-
 def _write_table(table, values: np.ndarray, destination, prefix: str) -> None:
-    lines = [_pair_header(table.pair_labels, prefix)]
-    for n, r in enumerate(table.bin_centers):
-        row = f"{r:14.6E}" + "".join(f"{values[p, n]:14.6E}" for p in range(len(table.pair_labels)))
-        lines.append(row)
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    """One row per bin: r, then one column per pair, each ``%14.6E``;
+    ``destination`` is a path or a text stream."""
+    columns = ["r".rjust(13)] + [f"{prefix}({a},{b})".rjust(14) for a, b in table.pair_labels]
+    np.savetxt(destination, np.column_stack([table.bin_centers, values.T]),
+               fmt="%14.6E", delimiter="", header="".join(columns), comments="#")
 
 
 def write_rdf(table, destination) -> None:

@@ -268,6 +268,16 @@ class TestMain:
         )
         assert not (dataset_dir / "RDF").exists()
 
+    @pytest.mark.parametrize("row", [1, 3])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_row_exit_code(self, dataset_dir, capsys, bad, row):
+        edit_history(dataset_dir, 2, row, lambda s: f"{bad} {s.split(maxsplit=1)[1]}")
+        assert main(["--dir", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: HISTORY: frame at step 2: cell matrix contains non-finite entries\n"
+        )
+        assert not (dataset_dir / "RDF").exists() and not (dataset_dir / "POP").exists()
+
     def test_malformed_timestep_exit_code(self, dataset_dir, capsys):
         history = dataset_dir / "HISTORY"
         lines = history.read_text().splitlines()
@@ -376,6 +386,14 @@ class TestMain:
         code = main(["generate", "--dir", str(tmp_path), "--distance", "12", "--radius", "4"])
         assert code == 1
         assert "half the cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--radius", "--distance", "--cell"])
+    def test_generate_rejects_a_non_positive_length(self, tmp_path, capsys, flag):
+        assert main(["generate", "--dir", str(tmp_path / "out"), flag, "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: radius, distance and cell_length must be positive\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_bad_flag_exits_nonzero(self, capsys):
         assert main(["--no-such-flag"]) == 1

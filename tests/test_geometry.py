@@ -101,6 +101,10 @@ class TestCellTensor:
         with pytest.raises(InputError, match="singular"):
             CellTensor(m, imcon=3)
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(InputError, match=r"^cell matrix must be 3x3, got shape \(2, 3\)$"):
+            CellTensor(np.ones((2, 3)), imcon=3)
+
     def test_unsupported_imcon(self):
         with pytest.raises(InputError, match="imcon"):
             CellTensor(np.eye(3), imcon=5)

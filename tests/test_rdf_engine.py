@@ -151,6 +151,22 @@ class TestAccumulateFrame:
             accumulate_frame(hist, np.array([0]), coms, cell)
         assert caplog.text.count("minimum-image") == 1
 
+    def test_histogram_needs_a_type(self):
+        with pytest.raises(ValueError, match="^need at least one molecule type$"):
+            PairHistogram.create(0, rmax=5.0, dr=0.5)
+
+    @pytest.mark.parametrize(
+        "types, coms",
+        [([0], np.zeros((2, 3))), ([0, 0], np.zeros((2, 2))), ([0, 0, 0], np.zeros(3))],
+        ids=["fewer types", "two columns", "one row"],
+    )
+    def test_types_and_coms_must_match(self, types, coms):
+        hist = PairHistogram.create(1, rmax=5.0, dr=0.5)
+        with pytest.raises(ValueError, match=re.escape(
+                "types and coms must be matching (n,) and (n, 3) arrays")):
+            accumulate_frame(hist, np.array(types), coms, CellTensor.cubic(10.0))
+        assert hist.frames_used == 0 and hist.counts.sum() == 0
+
     def test_type_out_of_range(self):
         hist = PairHistogram.create(1, rmax=5.0, dr=0.5)
         with pytest.raises(ValueError):
@@ -326,6 +342,20 @@ class TestFinalize:
             table = finalize(hist, topo)
         assert table.pair_labels == ((1, 1), (3, 3), (1, 3))
         assert "type 2" in caplog.text and "no mass" in caplog.text
+
+    def test_topology_of_another_type_count_rejected(self):
+        hist = PairHistogram.create(2, rmax=5.0, dr=0.5)
+        accumulate_frame(hist, np.array([0, 1]), np.zeros((2, 3)), CellTensor.cubic(12.0))
+        with pytest.raises(ValueError, match="^topology does not match histogram type count$"):
+            finalize(hist, point_topology([1, 1, 1]))
+
+    def test_all_massless_topology_rejected(self, caplog):
+        hist = PairHistogram.create(2, rmax=5.0, dr=0.5)
+        accumulate_frame(hist, np.array([0, 1]), np.zeros((2, 3)), CellTensor.cubic(12.0))
+        with caplog.at_level(logging.WARNING, logger="molrdf.rdf_engine"):
+            with pytest.raises(InputError, match="^every molecule type is massless; nothing to analyse$"):
+                finalize(hist, point_topology([1, 1], masses=[0.0, 0.0]))
+        assert "type 1" in caplog.text and "type 2" in caplog.text
 
     def test_no_frames_rejected(self):
         hist = PairHistogram.create(1, rmax=5.0, dr=0.5)

@@ -173,7 +173,9 @@ class TestGeneratedFiles:
         np.testing.assert_allclose(frames[0].cell.matrix, 30.0 * np.eye(3))
 
     def test_headerless_option(self, tmp_path):
-        ds = generate_dataset(SyntheticConfig(n_frames=2), tmp_path, with_header=False)
+        ds = generate_dataset(SyntheticConfig(n_frames=2), tmp_path)
+        text = ds.history_path.read_text()
+        ds.history_path.write_text(text.split("\n", 2)[2])
         first = ds.history_path.read_text().split(maxsplit=1)[0]
         assert first == "timestep"
         with HistoryReader(ds.history_path) as reader:

@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import re
 import sys
 import warnings
 
@@ -262,6 +263,36 @@ class TestParseField:
     def test_missing_finish(self):
         text = "t\nmolecules 1\nM\nnummols 1\natoms 1\nX 1.0 0.0\n"
         with pytest.raises(InputError, match="FINISH"):
+            parse_field(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t\nmolecules 1\nM\natoms 1\nX 1.0 0.0\nfinish\n",
+             "FIELD line 4: expected NUMMOLS for 'M'"),
+            ("t\nmolecules 1\nM\nnummols 1\nX 1.0 0.0\nfinish\n",
+             "FIELD line 5: expected ATOMS for 'M'"),
+            ("t\nmolecules 1\nM\n", "FIELD line 3: expected NUMMOLS for 'M'"),
+            ("t\nmolecules 1\nM\nnummols many\natoms 1\nX 1.0 0.0\nfinish\n",
+             "FIELD line 4: bad NUMMOLS value"),
+            ("t\nmolecules 1\nM\nnummols 1\natoms 1.5\nX 1.0 0.0\nfinish\n",
+             "FIELD line 5: bad ATOMS value"),
+            ("t\nmolecules two\nM\nnummols 1\natoms 1\nX 1.0 0.0\nfinish\n",
+             "FIELD line 2: bad MOLECULES count"),
+            ("t\nmolecules 2\nM\nnummols 1\natoms 1\nX 1.0 0.0\nfinish\n",
+             "FIELD: unexpected end of file before molecule name"),
+            ("t\nmolecules 1\nM\nnummols 1\natoms 2\nX 1.0 0.0\n",
+             "FIELD: unexpected end of file in ATOMS of 'M'"),
+            ("t\nmolecules 1\nM\nnummols 1\natoms 1\nX 1.0\nfinish\n",
+             "FIELD line 6: site record needs name, mass and charge"),
+            ("t\nmolecules 1\nM\nnummols 1\natoms 1\nX 1.0 0.0 0\nfinish\n",
+             "FIELD line 6: repeat count must be >= 1"),
+        ],
+        ids=["no-nummols", "no-atoms", "eof-at-nummols", "bad-nummols", "bad-atoms",
+             "bad-molecules", "eof-before-name", "eof-in-atoms", "no-charge", "zero-repeat"],
+    )
+    def test_malformed_record_names_the_line(self, text, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             parse_field(text)
 
 
@@ -901,7 +932,6 @@ class TestWriters:
             g=np.array([[0.0, 1.0, 2.0], [0.5, 1.5, 2.5], [0.25, 1.25, 2.25]]),
             pop=np.array([[0.0, 0.1, 0.2], [0.0, 0.2, 0.4], [0.0, 0.3, 0.6]]),
             mean_volume=1000.0,
-            frames_used=10,
         )
 
     def test_rdf_layout(self, tmp_path):
