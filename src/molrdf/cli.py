@@ -110,11 +110,15 @@ def accumulate_history(
     history_path: Path, topology: Topology, directives: Directives
 ) -> tuple[PairHistogram, int, bool]:
     """The histogram of frames ``start``..``stop`` of one HISTORY, the number
-    of frames read, and whether the file ends inside a frame."""
+    of frames read, and whether the file ends inside a frame.
+
+    Warns once, after the first counted frame whose cell is too small for
+    rmax (``cell.min_image_cutoff``), that g(r) is unreliable beyond it."""
     # The 0-based type of each centre of mass of a frame that _block_coms returns.
     massive = [t for t, _ in topology.massive]
     types = np.repeat(massive, [topology.molecules[t].count for t in massive])
     hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
+    warned = False
     with HistoryReader(
         history_path, expected_natoms=topology.total_sites, start=directives.start
     ) as reader:
@@ -132,6 +136,14 @@ def accumulate_history(
                         f"HISTORY: frame at step {frame.step}: {exc}; "
                         "its coordinates are too large"
                     ) from None
+                if not warned and hist.rmax > frame.cell.min_image_cutoff + 1e-9:
+                    warned = True
+                    logger.warning(
+                        "rmax %.4f exceeds the safe minimum-image radius %.4f of the "
+                        "cell; g(r) is unreliable beyond that distance",
+                        hist.rmax,
+                        frame.cell.min_image_cutoff,
+                    )
         return hist, reader.frames_read, reader.truncated
 
 

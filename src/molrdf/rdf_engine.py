@@ -128,7 +128,6 @@ class PairHistogram:
     rmax: float
     frames_used: int = 0
     volume_sum: float = 0.0
-    range_warned: bool = False
 
     @classmethod
     def create(cls, n_types: int, rmax: float, dr: float) -> "PairHistogram":
@@ -210,8 +209,6 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     axis get no grid: this keeps the single-image semantics of the
     minimum-image fold when rmax exceeds ``cell.min_image_cutoff``.
     """
-    if len(pos) < 2:
-        return None
     periodic = cell.periodic
     reach = rc * (1.0 + _PAD)
     # Reduced extent to cover: the cell along periodic axes, the frame's own
@@ -413,10 +410,11 @@ def accumulate_frame(
     search where that pays, from all pairs otherwise; every candidate's
     distance is computed the same way, so the choice never moves a count.
 
-    CentreOfMassError is raised, before anything is counted or warned, for a
-    centre of mass that is not finite (a NaN distance passes no bin test) or
-    more than 2^20 of the cell's smallest heights from the origin along an
-    axis (the fold would give it distance 0 to every molecule).
+    CentreOfMassError is raised, before anything is counted, for a centre of
+    mass that is not finite (a NaN distance passes no bin test) or more than
+    2^20 of the cell's smallest heights from the origin along an axis (the
+    fold would give it distance 0 to every molecule).  Nothing is logged: a
+    caller compares ``hist.rmax`` with ``cell.min_image_cutoff`` itself.
     """
     coms = np.asarray(coms, dtype=float)
     types = np.asarray(types, dtype=np.int64)
@@ -429,17 +427,6 @@ def accumulate_frame(
         raise CentreOfMassError(f"a centre of mass is {where}")
     if types.size and (types.min() < 0 or types.max() >= hist.n_types):
         raise ValueError("type index out of range for this histogram")
-
-    if not hist.range_warned:
-        cutoff = cell.min_image_cutoff
-        if hist.rmax > cutoff + 1e-9:
-            hist.range_warned = True
-            logger.warning(
-                "rmax %.4f exceeds the safe minimum-image radius %.4f of the "
-                "cell; g(r) is unreliable beyond that distance",
-                hist.rmax,
-                cutoff,
-            )
 
     pos = to_reduced(coms, cell)
     # The periodic axes lead: all three, or the first two of a slab.
@@ -530,7 +517,6 @@ def merge(a: PairHistogram, b: PairHistogram) -> PairHistogram:
         a.rmax,
         a.frames_used + b.frames_used,
         a.volume_sum + b.volume_sum,
-        a.range_warned or b.range_warned,
     )
 
 

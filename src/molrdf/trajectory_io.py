@@ -209,24 +209,15 @@ def parse_field(field_text: str) -> Topology:
     as are the force-field sections after the last block.
     """
     lines = field_text.splitlines()
-    pos = 0
-    n_lines = len(lines)
-
-    def next_content() -> tuple[int, str]:
-        nonlocal pos
-        while pos < n_lines:
-            line = lines[pos]
-            pos += 1
-            if line.strip():
-                return pos, line
-        return 0, ""
+    # The non-blank lines with their 1-based numbers; (0, "") past the last.
+    content = ((k, line) for k, line in enumerate(lines, 1) if line.strip())
 
     def count_directive(keyword: str, name: str) -> int:
         """The positive count that ends the next record, ``keyword n``."""
-        lineno, line = next_content()
+        lineno, line = next(content, (0, ""))
         tokens = line.split()
         if not line or not _keyword_matches(tokens[0], keyword.lower()):
-            raise InputError(f"FIELD line {lineno or n_lines}: expected {keyword} for {name!r}")
+            raise InputError(f"FIELD line {lineno or len(lines)}: expected {keyword} for {name!r}")
         try:
             value = int(tokens[-1])
         except ValueError:
@@ -236,10 +227,10 @@ def parse_field(field_text: str) -> Topology:
         return value
 
     # Title line, then scan for MOLECULES.
-    next_content()
+    next(content, (0, ""))
     n_types = None
     while True:
-        lineno, line = next_content()
+        lineno, line = next(content, (0, ""))
         if not line:
             raise InputError("FIELD: no MOLECULES directive found")
         tokens = line.split()
@@ -256,7 +247,7 @@ def parse_field(field_text: str) -> Topology:
 
     molecules = []
     for _ in range(n_types):
-        lineno, line = next_content()
+        lineno, line = next(content, (0, ""))
         if not line:
             raise InputError("FIELD: unexpected end of file before molecule name")
         name = line.strip()
@@ -265,7 +256,7 @@ def parse_field(field_text: str) -> Topology:
 
         sites: list[tuple[str, float]] = []
         while len(sites) < n_sites:
-            lineno, line = next_content()
+            lineno, line = next(content, (0, ""))
             if not line:
                 raise InputError(f"FIELD: unexpected end of file in ATOMS of {name!r}")
             tokens = line.split()
@@ -295,7 +286,7 @@ def parse_field(field_text: str) -> Topology:
 
         # Skip bonds/constraints/... up to the closing FINISH.
         while True:
-            lineno, line = next_content()
+            lineno, line = next(content, (0, ""))
             if not line:
                 raise InputError(f"FIELD: missing FINISH for molecule {name!r}")
             if _keyword_matches(line.split()[0], "finish"):

@@ -135,6 +135,49 @@ class TestAccumulateHistory:
         assert merged.frames_used == whole.frames_used == 40
         assert merged.volume_sum == pytest.approx(whole.volume_sum, rel=1e-12)
 
+    def test_rmax_beyond_the_cell_warns_once(self, dataset_dir, caplog, monkeypatch):
+        """rmax 14 fits the 30 A cell of frames 1-6 and the 31 A cell of
+        frames 7-9, not the 26 A cell of frames 12-40 (radius 13 A).  Over
+        blocks of 5 frames the run warns once, from molrdf.cli, at frame 12."""
+        control = dataset_dir / "CONTROL"
+        control.write_text(control.read_text().replace("rmax 12.5", "rmax 14.0"))
+        for frame in range(7, 41):
+            if not 10 <= frame <= 11:
+                new_cell(dataset_dir, frame, 31.0 if frame < 10 else 26.0)
+        monkeypatch.setattr(cli, "_BLOCK_SITES", 80)
+        directives = parse_directives(control.read_text())
+        topology = parse_field((dataset_dir / "FIELD").read_text())
+        with caplog.at_level(logging.DEBUG, logger="molrdf"):
+            hist, _, _ = cli.accumulate_history(dataset_dir / "HISTORY", topology, directives)
+        assert hist.frames_used == 40
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
+            "molrdf.cli",
+            "WARNING",
+            "rmax 14.0000 exceeds the safe minimum-image radius 13.0000 of the cell; "
+            "g(r) is unreliable beyond that distance",
+        )]
+
+    def test_merge_of_a_warned_run_holds_no_range_state(self, dataset_dir, caplog):
+        """Each half of a run with rmax 16 in a 30 A cell warns once; the
+        histograms, and their merge, hold the counts and their bookkeeping
+        only."""
+        control = dataset_dir / "CONTROL"
+        control.write_text(control.read_text().replace("rmax 12.5", "rmax 16.0"))
+        directives = parse_directives(control.read_text())
+        topology = parse_field((dataset_dir / "FIELD").read_text())
+        with caplog.at_level(logging.WARNING, logger="molrdf"):
+            halves = [
+                cli.accumulate_history(
+                    dataset_dir / "HISTORY", topology, replace(directives, start=a, stop=b)
+                )[0]
+                for a, b in ((1, 20), (21, 40))
+            ]
+        assert [r.name for r in caplog.records if "exceeds" in r.getMessage()] == ["molrdf.cli"] * 2
+        fields = ["counts", "dr", "rmax", "frames_used", "volume_sum"]
+        for hist in [*halves, merge(*halves)]:
+            assert list(vars(hist)) == fields
+        assert merge(*halves).frames_used == 40
+
 
 class TestMain:
     def test_zero_arguments_analyzes_cwd(self, dataset_dir, monkeypatch, capsys):

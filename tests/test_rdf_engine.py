@@ -142,14 +142,17 @@ class TestAccumulateFrame:
             accumulate_frame(h, np.array([0, 0]), coms, cell)
             assert h.counts[0, 0, -1] == expected, x
 
-    def test_unsafe_rmax_warns_once(self, caplog):
+    def test_rmax_beyond_the_cell_logs_nothing(self, caplog):
+        """rmax 12.5 exceeds the 10 A minimum-image radius of a 20 A cell:
+        the kernel counts the pair 5 A apart and logs nothing."""
         hist = PairHistogram.create(1, rmax=12.5, dr=0.1)
         cell = CellTensor.cubic(20.0)
-        coms = np.zeros((1, 3))
-        with caplog.at_level(logging.WARNING, logger="molrdf.rdf_engine"):
-            accumulate_frame(hist, np.array([0]), coms, cell)
-            accumulate_frame(hist, np.array([0]), coms, cell)
-        assert caplog.text.count("minimum-image") == 1
+        coms = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        with caplog.at_level(logging.DEBUG, logger="molrdf"):
+            accumulate_frame(hist, np.array([0, 0]), coms, cell)
+            accumulate_frame(hist, np.array([0, 0]), coms, cell)
+        assert caplog.records == []
+        assert hist.frames_used == 2 and hist.counts[0, 0, 50] == 4
 
     def test_histogram_needs_a_type(self):
         with pytest.raises(ValueError, match="^need at least one molecule type$"):
