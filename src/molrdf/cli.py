@@ -112,7 +112,7 @@ def accumulate_history(
     """The histogram of frames ``start``..``stop`` of one HISTORY, the number
     of frames read, and whether the file ends inside a frame.
 
-    Warns once, after the first counted frame whose cell is too small for
+    Warns once, after the first counted block whose cell is too small for
     rmax (``cell.min_image_cutoff``), that g(r) is unreliable beyond it."""
     # The 0-based type of each centre of mass of a frame that _block_coms returns.
     massive = [t for t, _ in topology.massive]
@@ -128,22 +128,29 @@ def accumulate_history(
             # Coordinates near the float limit overflow here; accumulate_frame rejects them.
             with np.errstate(over="ignore", invalid="ignore"):
                 coms = _block_coms(block, topology)
-            for frame, frame_coms in zip(block, coms):
-                try:
-                    accumulate_frame(hist, types, frame_coms, frame.cell)
-                except CentreOfMassError as exc:
-                    raise InputError(
-                        f"HISTORY: frame at step {frame.step}: {exc}; "
-                        "its coordinates are too large"
-                    ) from None
-                if not warned and hist.rmax > frame.cell.min_image_cutoff + 1e-9:
-                    warned = True
-                    logger.warning(
-                        "rmax %.4f exceeds the safe minimum-image radius %.4f of the "
-                        "cell; g(r) is unreliable beyond that distance",
-                        hist.rmax,
-                        frame.cell.min_image_cutoff,
-                    )
+            cell, bad = block[0].cell, None
+            try:
+                # A block of one goes in as its frame, (n, 3), whose molecules
+                # perfbench's probe counts as len(coms).
+                accumulate_frame(hist, types, coms if len(block) > 1 else coms[0], cell)
+            except CentreOfMassError as exc:
+                bad = exc
+            # One frame at a time, the frames before a bad one would count
+            # and warn; the error then ends the run, histogram and all.
+            counted = len(block) if bad is None else bad.frame
+            if counted and not warned and hist.rmax > cell.min_image_cutoff + 1e-9:
+                warned = True
+                logger.warning(
+                    "rmax %.4f exceeds the safe minimum-image radius %.4f of the "
+                    "cell; g(r) is unreliable beyond that distance",
+                    hist.rmax,
+                    cell.min_image_cutoff,
+                )
+            if bad is not None:
+                raise InputError(
+                    f"HISTORY: frame at step {block[bad.frame].step}: {bad}; "
+                    "its coordinates are too large"
+                )
         return hist, reader.frames_read, reader.truncated
 
 

@@ -70,7 +70,12 @@ _FAR_HEIGHTS = 2.0**20
 
 
 class CentreOfMassError(ValueError):
-    """A centre of mass that is not finite, or too far out to fold."""
+    """A centre of mass that is not finite, or too far out to fold, in frame
+    ``frame`` of a block."""
+
+    def __init__(self, message: str, frame: int = 0):
+        super().__init__(message)
+        self.frame = frame
 
 
 def _grown(size: int, k: int) -> int:
@@ -147,29 +152,33 @@ class PairHistogram:
         return self.counts.shape[0]
 
 
-@functools.lru_cache(maxsize=8)
-def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All i < j index pairs of n molecules in one read-only chunk.
+def _pair_strips(n: int, k: int):
+    """All i < j index pairs of each of k frames of n molecules, stacked
+    frame after frame, row i holding j = i + 1 up to the last molecule of its
+    frame, in chunks of bounded size; as one cached chunk when they fit in
+    one."""
+    pairs = k * (n * (n - 1) // 2)
+    if pairs > _CHUNK_PAIRS:
+        yield from _expand_rows(*_rows(n, k))
+    elif pairs:
+        yield _all_pairs(n, k)
 
-    Cached because the molecule count rarely changes from frame to frame.
-    """
-    i = np.arange(n - 1)
-    ((i, j),) = _expand_rows(i, i + 1, n - 1 - i)
+
+def _rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owners, first partners and sizes of the rows of _pair_strips."""
+    owners = np.arange(k * n).reshape(k, n)[:, :-1].ravel()
+    return owners, owners + 1, np.tile(np.arange(n - 1, 0, -1), k)
+
+
+@functools.lru_cache(maxsize=8)
+def _all_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of _pair_strips(n, k), which fit in one chunk, as one
+    read-only chunk.  Cached, as the molecule count and the block size rarely
+    change from block to block."""
+    ((i, j),) = _expand_rows(*_rows(n, k))
     i.flags.writeable = False
     j.flags.writeable = False
     return i, j
-
-
-def _pair_strips(n: int):
-    """All i < j index pairs, row i holding j = i + 1 .. n - 1, in chunks of
-    bounded size; as one cached chunk when they fit in one."""
-    if n < 2:
-        return
-    if n * (n - 1) // 2 <= _CHUNK_PAIRS:
-        yield _all_pairs(n)
-        return
-    i = np.arange(n - 1)
-    yield from _expand_rows(i, i + 1, n - 1 - i)
 
 
 @functools.lru_cache(maxsize=32)
@@ -381,19 +390,35 @@ def _expand_rows(owners, starts, sizes):
         r0 = r1
 
 
-def _candidate_pairs(pos: np.ndarray, cell: CellTensor, rc: float):
-    """Every pair closer than ``rc``, among others, as ``(slots, chunks)``:
-    ``chunks`` yields index arrays (i, j) into the order ``slots`` of the
-    molecules, or into the molecules themselves when ``slots`` is None."""
-    n = len(pos)
+def _candidate_pairs(frames: np.ndarray, cell: CellTensor, rc: float):
+    """Every pair closer than ``rc`` within each of the ``(k, n, 3)``
+    frames, among others, as ``(slots, chunks)``: ``chunks`` yields index
+    arrays (i, j) into the order ``slots`` of the frames' stacked molecules,
+    or into the stacked molecules themselves when ``slots`` is None."""
+    k, n = frames.shape[:2]
     # Every grid's stencil holds at least its own column and the four of
     # the adjacent cells in x and y, so too few molecules for those never
     # pay for a grid.
-    if _search_pays(n, 5):
-        grid = _cell_grid(pos, cell, rc)
-        if grid is not None and _cell_search_pays(n, grid):
-            return _cell_pairs(pos, grid)
-    return None, _pair_strips(n)
+    if k and _search_pays(n, 5):
+        grids = [_cell_grid(pos, cell, rc) for pos in frames]
+        if all(grid is not None and _cell_search_pays(n, grid) for grid in grids):
+            searches = [_cell_pairs(pos, grid) for pos, grid in zip(frames, grids)]
+            slots = np.concatenate([s + f * n for f, (s, _) in enumerate(searches)])
+            return slots, _stacked(searches)
+    return None, _pair_strips(n, k)
+
+
+def _stacked(searches):
+    """The chunks of each frame's search, its slots offset past those of
+    the frames before it."""
+    start = 0
+    for slots, chunks in searches:
+        for i, j in chunks:
+            if start:
+                i += start
+                j += start
+            yield i, j
+        start += len(slots)
 
 
 def accumulate_frame(
@@ -402,33 +427,42 @@ def accumulate_frame(
     coms: np.ndarray,
     cell: CellTensor,
 ) -> None:
-    """Add one frame's centre-of-mass pair distances to the histogram.
+    """Add the centre-of-mass pair distances of one frame, or of a block of
+    frames that share ``cell``, to the histogram.
 
-    ``types`` holds the 0-based type index of each molecule and ``coms`` the
-    matching positions.  Distances use the minimum-image convention along the
-    periodic directions of the cell.  Candidate pairs come from a linked-cell
-    search where that pays, from all pairs otherwise; every candidate's
-    distance is computed the same way, so the choice never moves a count.
+    ``types`` holds the 0-based type index of each of a frame's n molecules
+    and ``coms`` their positions: ``(n, 3)`` for one frame, ``(k, n, 3)``
+    for k frames, which count as k frames taken one at a time.  Distances
+    use the minimum-image convention along the periodic directions of the
+    cell.  Candidate pairs come from a linked-cell search where that pays,
+    from all pairs otherwise; every candidate's distance is computed the same
+    way, so the choice never moves a count.
 
     CentreOfMassError is raised, before anything is counted, for a centre of
     mass that is not finite (a NaN distance passes no bin test) or more than
     2^20 of the cell's smallest heights from the origin along an axis (the
-    fold would give it distance 0 to every molecule).  Nothing is logged: a
-    caller compares ``hist.rmax`` with ``cell.min_image_cutoff`` itself.
+    fold would give it distance 0 to every molecule); its ``frame`` is the
+    index in the block of the first frame that holds one.  Nothing is
+    logged: a caller compares ``hist.rmax`` with ``cell.min_image_cutoff``
+    itself.
     """
     coms = np.asarray(coms, dtype=float)
     types = np.asarray(types, dtype=np.int64)
-    if coms.ndim != 2 or coms.shape[1] != 3 or len(types) != len(coms):
-        raise ValueError("types and coms must be matching (n,) and (n, 3) arrays")
+    frames = coms[None] if coms.ndim == 2 else coms
+    if frames.ndim != 3 or frames.shape[2] != 3 or len(types) != frames.shape[1]:
+        raise ValueError(
+            "types and coms must be matching (n,) and (n, 3) arrays, or (k, n, 3) for k frames"
+        )
     limit = _FAR_HEIGHTS * min(cell.heights.tolist())
-    if not (np.abs(coms).max(initial=0.0) <= limit):  # NaN and inf fail too
+    if not (np.abs(frames).max(initial=0.0) <= limit):  # NaN and inf fail too
+        f = next(f for f, c in enumerate(frames) if not (np.abs(c).max(initial=0.0) <= limit))
         where = (f"more than {limit:.6g} A (2^20 cell heights) from the origin"
-                 if np.isfinite(coms).all() else "not finite")
-        raise CentreOfMassError(f"a centre of mass is {where}")
+                 if np.isfinite(frames[f]).all() else "not finite")
+        raise CentreOfMassError(f"a centre of mass is {where}", f)
     if types.size and (types.min() < 0 or types.max() >= hist.n_types):
         raise ValueError("type index out of range for this histogram")
 
-    pos = to_reduced(coms, cell)
+    pos = to_reduced(frames.reshape(-1, 3), cell)
     # The periodic axes lead: all three, or the first two of a slab.
     folded = cell.n_periodic
     m = cell.matrix
@@ -440,7 +474,8 @@ def accumulate_frame(
     # Only pairs within this r^2 can get a bin; the margin is far wider than
     # any rounding, so the prefilter drops no pair the bin test would keep.
     r2_max = (rc * (1.0 + 1e-6)) ** 2
-    slots, chunks = _candidate_pairs(pos, cell, rc)
+    slots, chunks = _candidate_pairs(pos.reshape(frames.shape), cell, rc)
+    types = np.tile(types, len(frames))
     if slots is not None:
         # Into the search's own order once, so chunks index it directly.
         pos = pos[slots]
@@ -503,8 +538,10 @@ def accumulate_frame(
     hist.counts += counts
     hist.counts += counts.transpose(1, 0, 2)
 
-    hist.frames_used += 1
-    hist.volume_sum += cell.volume
+    hist.frames_used += len(frames)
+    # Frame after frame, so the sum has the bits of one frame at a time.
+    for _ in frames:
+        hist.volume_sum += cell.volume
 
 
 def merge(a: PairHistogram, b: PairHistogram) -> PairHistogram:

@@ -650,9 +650,9 @@ def overflow(directory, frame, value="1.0e308"):
 
 
 class TestFrameBlocks:
-    """Consecutive frames that share a cell are unfolded in blocks: RDF, POP,
-    the summary, the exit code, errors and warnings equal those of a run
-    that takes one frame at a time.  The 40 frames of 16 sites make one
+    """Consecutive frames that share a cell are unfolded and accumulated in
+    blocks: RDF, POP, the summary, the exit code, errors and warnings equal
+    those of a run that takes one frame at a time.  The 40 frames of 16 sites make one
     block by default, and blocks of 5 frames with an 80-site cap."""
 
     @pytest.mark.parametrize("block_sites", [cli._BLOCK_SITES, 80])
@@ -667,6 +667,8 @@ class TestFrameBlocks:
             ("range warning, corrupt coordinate", 1),
             ("overflow", 1),
             ("far from the cell", 1),
+            ("range warning, overflow", 1),
+            ("range warning, far from the cell", 1),
         ],
     )
     def test_same_outcome_as_one_frame_at_a_time(
@@ -686,9 +688,9 @@ class TestFrameBlocks:
             history.write_text("\n".join(history.read_text().splitlines()[:-5]) + "\n")
         if case.endswith("corrupt coordinate"):
             edit_history(dataset_dir, 8, 5, lambda s: "0.0 x 0.0")
-        if case == "overflow":
+        if case.endswith("overflow"):
             overflow(dataset_dir, 8)
-        if case == "far from the cell":
+        if case.endswith("far from the cell"):
             overflow(dataset_dir, 8, "1.0e17")
 
         monkeypatch.setattr(cli, "_BLOCK_SITES", block_sites)
@@ -702,20 +704,24 @@ class TestFrameBlocks:
 
     @pytest.mark.parametrize("block_sites, blocks", [(None, 2), (8, 300), (160, 30)])
     def test_calls_per_frame_and_per_block(self, tmp_path, monkeypatch, block_sites, blocks):
-        """On 300 frames of 16 sites, accumulate_frame runs once per frame and
+        """On 300 frames of 16 sites, accumulate_frame runs once per block and
         centers_of_mass once per massive type per block: blocks of 256 + 44
         frames by default, of 10 frames with a 160-site cap, and of one frame
-        when a frame exceeds the cap."""
+        when a frame exceeds the cap.  A block of one goes to accumulate_frame
+        as its (n, 3) frame."""
         generate_dataset(SyntheticConfig(n_frames=300), tmp_path)
         if block_sites is not None:
             monkeypatch.setattr(cli, "_BLOCK_SITES", block_sites)
         calls = {"accumulate_frame": 0, "centers_of_mass": 0}
+        shapes = set()
 
         def counted(name):
             fn = getattr(cli, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "accumulate_frame":
+                    shapes.add(args[2].shape)
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -723,7 +729,8 @@ class TestFrameBlocks:
         for name in calls:
             monkeypatch.setattr(cli, name, counted(name))
         assert run_analysis(tmp_path).frames_used == 300
-        assert calls == {"accumulate_frame": 300, "centers_of_mass": 2 * blocks}
+        assert calls == {"accumulate_frame": blocks, "centers_of_mass": 2 * blocks}
+        assert shapes == {2: {(256, 2, 3), (44, 2, 3)}, 300: {(2, 3)}, 30: {(10, 2, 3)}}[blocks]
 
     def test_overflowing_centre_of_mass_exit_code(self, tmp_path):
         """A site at 1e308 in frame 2 overflows its molecule's centre of mass:

@@ -424,12 +424,14 @@ class TestSmoothCurve:
 
 # A search returns (slots, chunks): chunks of index pairs into the order
 # ``slots`` of the molecules, or into the molecules themselves when ``slots``
-# is None, as only the cell search reorders them.
+# is None, as only the cell search reorders them.  These take one frame,
+# ``(n, 3)`` or as the kernel passes it, ``(1, n, 3)``.
 def _all_pairs(pos, cell, rc):
-    return None, rdf_engine._pair_strips(len(pos))
+    return None, rdf_engine._pair_strips(len(pos.reshape(-1, 3)), 1)
 
 
 def _cell_search(pos, cell, rc):
+    pos = pos.reshape(-1, 3)
     return rdf_engine._cell_pairs(pos, rdf_engine._cell_grid(pos, cell, rc))
 
 
@@ -540,7 +542,7 @@ class TestCandidatePairs:
 
     def test_liquid_sized_frame_takes_cell_search(self):
         pos, cell = self.liquid_frame(1800, 40.0)
-        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
         assert slots is not None  # the cell search's own order
         assert sum(len(i) for i, _ in pairs) < 0.5 * 1800 * 1799 / 2
 
@@ -548,7 +550,7 @@ class TestCandidatePairs:
         """The spike's frame: two molecules lay no grid at all."""
         pos, cell = self.liquid_frame(2, 30.0)
         monkeypatch.setattr(rdf_engine, "_cell_grid", mock.Mock(side_effect=AssertionError))
-        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
         assert slots is None and pairs.__name__ == "_pair_strips"
 
     @staticmethod
@@ -567,7 +569,7 @@ class TestCandidatePairs:
         assert list(grid.shape) == [9, 8, 23] and len(grid.columns) == 25
         candidates = sum(len(i) for i, _ in _cell_search(pos, cell, search_radius(12.0, 0.2))[1])
         assert 0.45 < candidates / (200 * 199 / 2) < 0.55
-        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.0, 0.2))
+        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.0, 0.2))
         assert slots is None and pairs.__name__ == "_pair_strips"
 
     def test_chains_cell_with_1800_molecules_takes_column_search(self):
@@ -576,7 +578,7 @@ class TestCandidatePairs:
         pos, cell = self.chains_frame(1800, 40.0)
         grid = rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1))
         assert list(grid.shape) == [9, 9, 23]
-        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
         assert slots is not None
         assert sum(len(i) for i, _ in pairs) < 0.45 * 1800 * 1799 / 2
 
@@ -589,31 +591,35 @@ class TestCandidatePairs:
         pos = rng.uniform(0.0, 1.0, (n, 3)) * [1.0, 1.0, 0.2]
         grid = rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1))
         assert list(grid.shape) == [14, 14, 25]
-        slots, _ = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        slots, _ = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
         assert (slots is not None) == column_search
 
     @pytest.mark.parametrize("n", [2, 30, 200, 256, 257, 600, 1800])
     def test_all_pairs_in_row_order(self, n):
-        """Row i holds j = i + 1 .. n - 1; up to 256 molecules, whose pairs
-        fit in one chunk, that chunk is cached and read-only."""
-        chunks = list(rdf_engine._pair_strips(n))
-        i = np.concatenate([c[0] for c in chunks])
-        j = np.concatenate([c[1] for c in chunks])
-        expected_i, expected_j = np.triu_indices(n, 1)
-        np.testing.assert_array_equal(i, expected_i)
-        np.testing.assert_array_equal(j, expected_j)
-        assert max(len(c[0]) for c in chunks) <= rdf_engine._CHUNK_PAIRS
-        assert (len(chunks) == 1) == (n <= 256)
-        if n <= 256:
-            assert chunks[0] is rdf_engine._all_pairs(n)
-            assert not (chunks[0][0].flags.writeable or chunks[0][1].flags.writeable)
+        """Row i holds j = i + 1 .. n - 1 of its own frame, frame after
+        frame; while the pairs of the block fit in one chunk (one frame of
+        256 molecules at the most), that chunk is cached and read-only."""
+        for k in (1, 3):
+            chunks = list(rdf_engine._pair_strips(n, k))
+            i = np.concatenate([c[0] for c in chunks])
+            j = np.concatenate([c[1] for c in chunks])
+            expected_i, expected_j = np.triu_indices(n, 1)
+            offsets = np.repeat(np.arange(k) * n, len(expected_i))
+            np.testing.assert_array_equal(i, np.tile(expected_i, k) + offsets)
+            np.testing.assert_array_equal(j, np.tile(expected_j, k) + offsets)
+            assert max(len(c[0]) for c in chunks) <= rdf_engine._CHUNK_PAIRS
+            fits = k * n * (n - 1) // 2 <= rdf_engine._CHUNK_PAIRS
+            assert (len(chunks) == 1) == fits
+            if fits:
+                assert chunks[0] is rdf_engine._all_pairs(n, k)
+                assert not (chunks[0][0].flags.writeable or chunks[0][1].flags.writeable)
 
     def test_few_molecules_in_a_wide_cell_test_all_pairs(self):
         """Few enough molecules that looking up their stencil costs more
         than testing every pair."""
         pos, cell = self.liquid_frame(200, 100.0)
         assert rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1)) is not None
-        slots, pairs = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
         assert slots is None and pairs.__name__ == "_pair_strips"
 
     @pytest.mark.parametrize("imcon, thickness", [(3, 4.0), (6, 1.0), (6, 0.4), (6, 0.05)])
@@ -669,10 +675,10 @@ class TestCandidatePairs:
             return grids[-1]
 
         monkeypatch.setattr(rdf_engine, "_cell_grid", spy)
-        slots, pairs = rdf_engine._candidate_pairs(pos[:n], cell, rc)
+        slots, pairs = rdf_engine._candidate_pairs(pos[:n][None], cell, rc)
         assert slots is None and pairs.__name__ == "_pair_strips"
         assert grids == []
-        rdf_engine._candidate_pairs(pos, cell, rc)
+        rdf_engine._candidate_pairs(pos[None], cell, rc)
         assert len(grids) == 1 and grids[0] is not None
 
 
@@ -747,7 +753,7 @@ class TestColumnSearch:
         grid = rdf_engine._cell_grid(pos, cell, search_radius(rmax, dr))
         assert rdf_engine._cell_search_pays(3000, grid)
         assert grid.shape.prod() < 2**16
-        slots, _ = rdf_engine._candidate_pairs(pos, cell, search_radius(rmax, dr))
+        slots, _ = rdf_engine._candidate_pairs(pos[None], cell, search_radius(rmax, dr))
         assert slots is not None
         hist = PairHistogram.create(2, rmax, dr)
         tracemalloc.start()
@@ -917,7 +923,7 @@ class TestZWindows:
         million for 14 400 in an 80 A cube; per-molecule z windows give
         about 40% fewer."""
         pos, cell = TestCandidatePairs().liquid_frame(n, edge)
-        slots, chunks = rdf_engine._candidate_pairs(pos, cell, search_radius(12.5, 0.1))
+        slots, chunks = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
         assert slots is not None
         assert sum(len(i) for i, _ in chunks) <= most
 
@@ -988,8 +994,8 @@ class TestKernelPasses:
         are one cached, read-only pair of index arrays, with the pairs and
         the counts of row strips."""
         assert 256 * 255 // 2 <= rdf_engine._CHUNK_PAIRS < 257 * 256 // 2
-        ((i, j),) = rdf_engine._pair_strips(n)
-        ((i_again, j_again),) = rdf_engine._pair_strips(n)
+        ((i, j),) = rdf_engine._pair_strips(n, 1)
+        ((i_again, j_again),) = rdf_engine._pair_strips(n, 1)
         assert i_again is i and j_again is j
         for array in (i, j):
             with pytest.raises(ValueError, match="read-only"):
@@ -1000,14 +1006,14 @@ class TestKernelPasses:
         types = rng.integers(0, 2, n)
         rmax, dr = 9.0, 0.25
         slots, pairs = rdf_engine._candidate_pairs(
-            to_reduced(coms, cell), cell, search_radius(rmax, dr)
+            to_reduced(coms, cell)[None], cell, search_radius(rmax, dr)
         )
         assert slots is None and pairs.__name__ == "_pair_strips"
         cached = counts_with(_all_pairs, types, coms, cell, rmax, dr)
         assert cached.sum() > 0
 
         monkeypatch.setattr(rdf_engine, "_CHUNK_PAIRS", n * (n - 1) // 2 - 1)
-        strips = list(rdf_engine._pair_strips(n))
+        strips = list(rdf_engine._pair_strips(n, 1))
         assert len(strips) >= 2 or n == 2
         np.testing.assert_array_equal(np.concatenate([s[0] for s in strips]), i)
         np.testing.assert_array_equal(np.concatenate([s[1] for s in strips]), j)
@@ -1059,6 +1065,98 @@ class TestKernelPasses:
             else:
                 assert imcon in (3, 6) and tilts[0]
                 np.testing.assert_allclose(m.T @ d, reference, rtol=1e-15, atol=1e-14)
+
+
+class TestBlocks:
+    """A block of k frames that share a cell, ``(k, n, 3)``, counts in one
+    call what its k frames count one call each, with the same bits of
+    ``volume_sum``; ``(n, 3)`` is a block of one."""
+
+    cells = {
+        "cubic": CellTensor.cubic(40.0),
+        "tilted": make_cell(3, (40.0, 41.0, 39.0), (0.3, -0.3, 0.28)),
+        "slab": make_cell(6, (40.0, 42.0, 80.0), (-0.3, 0.0, 0.0)),
+    }
+
+    def block(self, shape, k, n, seed):
+        """k frames of n molecules of 3 types, the second near the first,
+        unwrapped by up to two cells along the periodic axes; a slab's
+        molecules span half its normal."""
+        cell = self.cells[shape]
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-0.5, 0.5, (k, n, 3))
+        s[:, 1] = s[:, 0] + rng.uniform(-0.15, 0.15, (k, 3))
+        s[..., cell.periodic] += rng.integers(-2, 3, (k, n, cell.n_periodic))
+        s[..., ~cell.periodic] *= 0.5
+        return cell, s @ cell.matrix, rng.integers(0, 3, n)
+
+    @pytest.mark.parametrize("shape", ["cubic", "tilted", "slab"])
+    @pytest.mark.parametrize(
+        "n, k, rmax",
+        [(2, 1, 12.5), (2, 2, 12.5), (2, 256, 12.5), (16, 1, 12.5), (16, 2, 12.5),
+         (16, 256, 12.5), (24, 256, 12.5), (300, 1, 6.0), (300, 2, 6.0), (300, 5, 6.0)],
+    )
+    def test_block_equals_its_frames(self, shape, n, k, rmax):
+        """Two and 16 molecules take all pairs, 24 molecules in 256 frames
+        more than one chunk of them, and 300 molecules the column search."""
+        cell, coms, types = self.block(shape, k, n, seed=n * 1000 + k)
+        dr = 0.1
+        one_at_a_time = PairHistogram.create(3, rmax, dr)
+        for frame in coms:
+            accumulate_frame(one_at_a_time, types, frame, cell)
+        block = PairHistogram.create(3, rmax, dr)
+        accumulate_frame(block, types, coms[:0], cell)  # no frames, nothing counted
+        accumulate_frame(block, types, coms, cell)
+        assert one_at_a_time.counts.sum() > 0
+        np.testing.assert_array_equal(block.counts, one_at_a_time.counts)
+        assert block.frames_used == one_at_a_time.frames_used == k
+        assert block.volume_sum.hex() == one_at_a_time.volume_sum.hex()
+
+        pos = to_reduced(coms.reshape(-1, 3), cell).reshape(coms.shape)
+        slots, chunks = rdf_engine._candidate_pairs(pos, cell, search_radius(rmax, dr))
+        assert (slots is not None) == (n == 300)
+        if slots is None:
+            chunked = len(list(chunks)) > 1
+            assert chunked == (k * n * (n - 1) // 2 > rdf_engine._CHUNK_PAIRS) == (n == 24)
+
+    @pytest.mark.parametrize("imcon", [1, 3, 6])
+    def test_stacked_frames_keep_their_bits(self, imcon):
+        """The reduced coordinates of a block, and the kernel's cell product
+        m.T @ d on a longer stack of pairs, have the bits of each frame's
+        own; checked as test_cell_product_matches_d_at_m checks m.T @ d, on
+        a tilted cell."""
+        cell = make_cell(imcon, (31.7, 28.3, 35.1), (0.3, -0.3, 0.25))
+        rng = np.random.default_rng(imcon)
+        for n in (2, 3, 16, 200, 257, 513):
+            for k in (2, 17, 256):
+                coms = rng.uniform(-40.0, 40.0, (k, n, 3))
+                stacked = to_reduced(coms.reshape(-1, 3), cell)
+                frames = np.concatenate([to_reduced(frame, cell) for frame in coms])
+                assert stacked.tobytes() == frames.tobytes(), (n, k)
+        d = rng.uniform(-0.5, 0.5, (3, 3 * rdf_engine._CHUNK_PAIRS))
+        m = cell.matrix
+        whole = m.T @ d
+        for start, size in [(0, 1), (1, 2), (5, 3), (7, 255), (0, 4096), (3, 32768)]:
+            part = m.T @ np.ascontiguousarray(d[:, start : start + size])
+            assert part.tobytes() == np.ascontiguousarray(whole[:, start : start + size]).tobytes()
+
+    @pytest.mark.parametrize("bad, other, where", [
+        (np.nan, 1e17, "not finite"),
+        (1e17, np.inf, "more than 4.1943e\\+07 A"),
+    ])
+    @pytest.mark.parametrize("f", [0, 4])
+    def test_bad_frame_of_a_block_counts_nothing(self, bad, other, where, f):
+        """A centre of mass that is not finite or too far out, in frame f of
+        a block, raises before anything counts; the error names frame f and
+        describes it, not a later bad frame."""
+        cell, coms, types = self.block("cubic", 10, 16, seed=f)
+        coms[f, 5, 1] = bad
+        coms[7, 2, 0] = other
+        hist = PairHistogram.create(3, 12.5, 0.1)
+        with pytest.raises(rdf_engine.CentreOfMassError, match=where) as error:
+            accumulate_frame(hist, types, coms, cell)
+        assert error.value.frame == f
+        assert hist.counts.sum() == hist.frames_used == hist.volume_sum == 0
 
 
 class TestOverflowBin:
