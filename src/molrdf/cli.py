@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import logging
 import os
 import sys
@@ -23,6 +22,7 @@ from .errors import AnalysisError, InputError, NoFramesError
 from .rdf_engine import CentreOfMassError, PairHistogram, accumulate_frame, finalize, n_bins
 from .synthetic import SyntheticConfig, generate_dataset
 from .trajectory_io import (
+    BLOCK_SITES,
     Directives,
     Frame,
     HistoryReader,
@@ -56,9 +56,9 @@ class AnalysisSummary:
         )
 
 
-#: A block of frames that share a cell holds at most this many sites (96 KiB
-#: of positions); a frame of more sites is a block of one.
-_BLOCK_SITES = 4096
+#: A block of frames that share a cell holds at most this many sites; a frame
+#: of more sites is a block of one.  The reader's runs have the same cap.
+_BLOCK_SITES = BLOCK_SITES
 
 
 def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
@@ -120,11 +120,10 @@ def accumulate_history(
     hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
     warned = False
     with HistoryReader(
-        history_path, expected_natoms=topology.total_sites, start=directives.start
+        history_path, expected_natoms=topology.total_sites,
+        start=directives.start, stop=directives.stop,
     ) as reader:
-        # The reader yields from frame ``start`` on; reading stops after frame ``stop``.
-        frames = itertools.islice(reader, directives.stop - directives.start + 1)
-        for block in _cell_blocks(frames, max(1, _BLOCK_SITES // topology.total_sites)):
+        for block in _cell_blocks(reader, max(1, _BLOCK_SITES // topology.total_sites)):
             # Coordinates near the float limit overflow here; accumulate_frame rejects them.
             with np.errstate(over="ignore", invalid="ignore"):
                 coms = _block_coms(block, topology)

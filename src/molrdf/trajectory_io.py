@@ -16,10 +16,10 @@ of the form::
 Keywords are case-insensitive, may be indented freely and may appear in any
 order; missing keywords fall back to defaults.  FIELD keywords are matched on
 their first four characters, case-insensitively, following the DL_POLY
-convention.  HISTORY files are streamed frame by frame and may lack the
-two-line header (the restart case); a file cut off mid-frame terminates the
-stream gracefully, while a corrupt record with more of the file after it is
-an error.
+convention.  HISTORY files are streamed, consecutive frames that share a
+cell converted together, and may lack the two-line header (the restart
+case); a file cut off mid-frame terminates the stream gracefully, while a
+corrupt record with more of the file after it is an error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import filterfalse, islice
+from itertools import accumulate, filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterator
@@ -301,6 +301,8 @@ def parse_field(field_text: str) -> Topology:
 def _coordinates(lines: list[str]) -> np.ndarray | None:
     """The first three numbers of each line as an ``(n, 3)`` array, or None
     when a line does not start with three numbers."""
+    if not lines:
+        return np.empty((0, 3))  # loadtxt warns on no lines at all
     try:
         # comments=None: with the default "#", text from a "#" on would be
         # dropped instead of making its line bad.
@@ -311,6 +313,14 @@ def _coordinates(lines: list[str]) -> np.ndarray | None:
 
 # What HistoryReader._read_frame returns for a frame it only walked.
 _WALKED = object()
+
+# A frame read but not converted: its step, cell and coordinate lines.
+_Record = tuple[int, CellTensor, list[str]]
+
+#: A run of frames that the reader converts at once, and a block of frames
+#: that the CLI accumulates at once, holds at most this many sites (96 KiB of
+#: positions); a frame of more sites is a run of one.
+BLOCK_SITES = 4096
 
 
 class HistoryReader:
@@ -325,21 +335,31 @@ class HistoryReader:
     blank lines may stand anywhere.  Cell rows are taken three lines at a
     time and site records a whole frame at a time, each record 2 to 4 lines
     by keytrj; their coordinates are the first three numbers of each line,
-    converted with one numpy call per frame, and tokens after them are
-    ignored.  A frame cut short ends the trajectory, and so does a cell row,
-    coordinate line or timestep record that is bad at the end of the file.
-    Anywhere else, where frames follow that would be lost unseen, such a
-    record is an error that names its frame, and so is a coordinate that
-    reads as NaN or infinity, and a frame with no periodic cell (imcon 0),
-    which has no volume to give g(r) its density.
-    Frames whose imcon and cell rows repeat the previous frame's, character
-    for character, share its :class:`CellTensor` object.
+    and tokens after them are ignored.  A frame cut short ends the
+    trajectory, and so does a cell row, coordinate line or timestep record
+    that is bad at the end of the file.  Anywhere else, where frames follow
+    that would be lost unseen, such a record is an error that names its
+    frame, and so is a coordinate that reads as NaN or infinity, and a frame
+    with no periodic cell (imcon 0), which has no volume to give g(r) its
+    density.  Frames whose imcon and cell rows repeat the previous frame's,
+    character for character, share its :class:`CellTensor` object.
 
-    Frames are numbered from 1, and the first one yielded is frame ``start``.
-    A frame before it is walked, not converted: its timestep record is
-    checked as for any frame, then its lines are counted off, so a cut
-    inside it still ends the trajectory but a bad cell row or coordinate in
-    it is not seen.  ``frames_read`` counts walked frames too.
+    Frames are numbered from 1; the first one yielded is frame ``start`` and
+    the last one read is frame ``stop``: nothing after it is read, except one
+    line to tell a bad coordinate line in it from a cut.  A frame before
+    ``start`` is walked, not converted: its timestep record is checked as
+    for any frame, then its lines are counted off, so a cut inside it still
+    ends the trajectory but a bad cell row or coordinate in it is not seen.
+    ``frames_read`` counts walked frames too.
+
+    The reader reads ahead: consecutive frames that share a cell object are
+    read as a run, whose coordinate lines are converted and checked with one
+    numpy call each, and each frame's ``positions`` is a view into its run's
+    array.  Runs start at one frame, so the first frame is yielded as soon as
+    it is read, and double up to :data:`BLOCK_SITES` sites.  Frames, errors,
+    ``frames_read`` and ``truncated`` are those of reading one frame at a
+    time: the frames of a run before a bad one are yielded first, and a bad
+    coordinate line is a cut only when nothing follows its frame.
     """
 
     def __init__(
@@ -347,6 +367,7 @@ class HistoryReader:
         source: str | Path | IO[str],
         expected_natoms: int | None = None,
         start: int = 1,
+        stop: int = sys.maxsize,
     ):
         if hasattr(source, "readline"):
             self._fh = source
@@ -358,6 +379,7 @@ class HistoryReader:
         self._lines = filterfalse(str.isspace, self._fh)
         self._expected_natoms = expected_natoms
         self._start = start
+        self._stop = stop
         # The last frame's cell and the (imcon, raw cell rows) it came from.
         self._cell = None
         self._cell_key = None
@@ -394,32 +416,67 @@ class HistoryReader:
         return next(self._lines, None)
 
     def __iter__(self) -> Iterator[Frame]:
-        line = self._consume_header()
-        while line is not None:
-            frame = self._read_frame(line, convert=self.frames_read + 1 >= self._start)
-            if frame is None:
-                self.truncated = True
+        for run, read_past in self._runs():
+            yield from self._convert(run, read_past)
+            if self.truncated:
                 return
-            self.frames_read += 1
-            if frame is not _WALKED:
-                yield frame
-            line = next(self._lines, None)
 
-    def _cut_or_corrupt(self, message: str) -> None:
+    def _runs(self) -> Iterator[tuple[list[_Record], bool]]:
+        """Runs of frames ``start``..``stop`` that share one cell, read but
+        not converted, each with whether the reader has read past its last
+        frame.  Frames before ``start`` are walked.  When reading a frame
+        raises an InputError or ends in a cut, the run before it comes first.
+        """
+        run, size, cut = [], 1, False
+        line = self._consume_header()
+        n = 0
+        try:
+            while line is not None:
+                n += 1
+                record = self._read_frame(line, n, convert=n >= self._start)
+                if record is None:
+                    cut = True
+                    break
+                if record is _WALKED:
+                    self.frames_read += 1
+                else:
+                    if run and record[1] is not run[0][1]:
+                        yield run, True
+                        run = []
+                    run.append(record)
+                    if len(run) == size:
+                        size = min(2 * size, max(1, BLOCK_SITES // max(1, len(record[2]))))
+                        del record  # so that the run's lines go when _convert empties it
+                        yield run, False
+                        run = []
+                if n == self._stop:
+                    break
+                line = next(self._lines, None)
+        except InputError:
+            if run:
+                yield run, True
+            raise
+        if run:
+            yield run, cut
+        self.truncated |= cut
+
+    def _cut_or_corrupt(self, message: str, read_past: bool = False) -> None:
         """None, for a truncation, when the file ends after the bad record;
         otherwise an InputError, since the frames after it would be lost
-        unseen."""
-        if next(self._lines, None) is None:
+        unseen.  ``read_past``: the reader has read past the bad record's
+        frame, so something follows it."""
+        if not read_past and next(self._lines, None) is None:
             return None
         raise InputError(f"HISTORY: {message}") from None
 
-    def _read_frame(self, timestep_line: str, convert: bool) -> Frame | object | None:
-        """Parse one frame, or only walk its lines when not ``convert`` and
-        return ``_WALKED``; None signals truncation (partial frame dropped)."""
+    def _read_frame(self, timestep_line: str, n: int, convert: bool) -> _Record | object | None:
+        """Read frame ``n``: its step, cell and coordinate lines, or, when not
+        ``convert``, only walk its lines and return ``_WALKED``; None signals
+        truncation (partial frame dropped)."""
         tokens = timestep_line.split()
         if tokens[0].lower() != "timestep" or len(tokens) < 5:
             return self._cut_or_corrupt(
-                f"frame {self.frames_read + 1}: expected a timestep record with "
+                f"frame {n}: expected a timestep record with "
                 f"step, site count, keytrj and imcon: {timestep_line.strip()!r}"
             )
         try:
@@ -429,7 +486,7 @@ class HistoryReader:
             imcon = int(tokens[4])
         except ValueError:
             return self._cut_or_corrupt(
-                f"frame {self.frames_read + 1}: timestep record needs integer "
+                f"frame {n}: timestep record needs integer "
                 f"step, site count, keytrj and imcon: {timestep_line.strip()!r}"
             )
 
@@ -470,7 +527,6 @@ class HistoryReader:
             except InputError as err:
                 raise InputError(f"HISTORY: frame at step {step}: {err}") from None
             self._cell_key = (imcon, rows)
-        cell = self._cell
 
         # zip takes whole site records only, so a frame cut inside its last
         # record comes up short like one cut between records.  A count past
@@ -479,25 +535,57 @@ class HistoryReader:
         lines = list(map(itemgetter(1), records))
         if len(lines) < natoms:
             return None
-        # loadtxt warns on no lines at all.
-        positions = _coordinates(lines) if lines else np.empty((0, 3))
-        if positions is None:
-            return self._cut_or_corrupt(
-                f"frame at step {step}: a coordinate line does not start with three numbers"
-            )
-        finite = np.isfinite(positions).all(axis=1)
-        if not finite.all():
-            site = 1 + int(np.argmin(finite))
+        return step, self._cell, lines
+
+    def _convert(self, run: list[_Record], read_past: bool) -> Iterator[Frame]:
+        """The frames of ``run``, all their coordinate lines converted and
+        checked at once; a run that fails goes again one frame at a time, so
+        that the first bad frame names itself after the frames before it.
+        ``run`` is emptied once its frames are built, so that its lines are
+        let go before the frames are used."""
+        positions = _coordinates([line for _, _, lines in run for line in lines])
+        if positions is None or not np.isfinite(positions).all():
+            if len(run) > 1:
+                for k, record in enumerate(run, 1):
+                    yield from self._convert([record], read_past or k < len(run))
+                return
+            step = run[0][0]
+            if positions is None:
+                self._cut_or_corrupt(
+                    f"frame at step {step}: a coordinate line does not start with three numbers",
+                    read_past,
+                )
+                self.truncated = True
+                return
+            site = 1 + int(np.argmin(np.isfinite(positions).all(axis=1)))
             raise InputError(
                 f"HISTORY: frame at step {step} has a non-finite coordinate at site {site}"
             )
+        ends = list(accumulate(len(lines) for _, _, lines in run))
+        frames = [
+            Frame(step, cell, positions[end - len(lines) : end])
+            for (step, cell, lines), end in zip(run, ends)
+        ]
+        run.clear()
+        for frame in frames:
+            self.frames_read += 1
+            yield frame
 
-        return Frame(step, cell, positions)
+
+# The suffixes that np.savetxt writes compressed (numpy's _datasource).
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _write_table(table, values: np.ndarray, destination, prefix: str) -> None:
     """One row per bin: r, then one column per pair, each ``%14.6E``;
-    ``destination`` is a path or a text stream."""
+    ``destination`` is a path or a text stream, and a path that ends in a
+    compressed suffix is written compressed."""
+    if not hasattr(destination, "write") and not str(destination).endswith(_COMPRESSED):
+        # np.savetxt opens a path through numpy's _datasource, which imports
+        # gzip, bz2 and lzma on its first use; a plain file needs none.
+        with open(destination, "w") as stream:
+            _write_table(table, values, stream, prefix)
+        return
     columns = ["r".rjust(13)] + [f"{prefix}({a},{b})".rjust(14) for a, b in table.pair_labels]
     np.savetxt(destination, np.column_stack([table.bin_centers, values.T]),
                fmt="%14.6E", delimiter="", header="".join(columns), comments="#")

@@ -566,8 +566,8 @@ class ConvertEveryFrame(HistoryReader):
     """The frame selection of a reader that converts every frame and drops
     those before ``start`` with islice: the reference for walked frames."""
 
-    def __init__(self, source, expected_natoms=None, start=1):
-        super().__init__(source, expected_natoms)
+    def __init__(self, source, expected_natoms=None, start=1, stop=sys.maxsize):
+        super().__init__(source, expected_natoms, stop=stop)
         self._first = start - 1
 
     def __iter__(self):

@@ -1,13 +1,18 @@
+import bz2
+import gzip
 import io
 import logging
+import lzma
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from molrdf import trajectory_io
 from molrdf.cli import main
 from molrdf.errors import InputError
 from molrdf.rdf_engine import RdfTable
@@ -903,6 +908,254 @@ class TestBlockReader:
         assert not reader.truncated
 
 
+def reading(text, **kwargs):
+    """What a reader of ``text`` yields and ends with: the steps, the
+    positions' bytes, for each frame the first frame that shares its cell
+    object, ``frames_read``, ``truncated`` and the error message, if any."""
+    reader = HistoryReader(io.StringIO(text), **kwargs)
+    frames, error = [], None
+    try:
+        frames.extend(reader)
+    except InputError as exc:
+        error = str(exc)
+    cells = [next(k for k, f in enumerate(frames) if f.cell is frame.cell) for frame in frames]
+    return (
+        [frame.step for frame in frames],
+        [frame.positions.tobytes() for frame in frames],
+        cells,
+        reader.frames_read,
+        reader.truncated,
+        error,
+    )
+
+
+class TestBatchedReading:
+    """Runs of frames that share a cell are converted at once: everything a
+    reader yields and ends with equals what reading one frame per run gives.
+    Each case runs with the default cap, where 40 frames of 7 sites make runs
+    of 1, 2, 4, 8, 16 and 9 frames, and with a 28-site cap (1, 2, then 4)."""
+
+    N_SITES = 7
+    N_FRAMES = 40
+
+    @pytest.fixture(params=[trajectory_io.BLOCK_SITES, 28])
+    def read(self, request, monkeypatch):
+        def read(text, **kwargs):
+            monkeypatch.setattr(trajectory_io, "BLOCK_SITES", request.param)
+            batched = reading(text, **kwargs)
+            monkeypatch.setattr(trajectory_io, "BLOCK_SITES", 1)
+            assert batched == reading(text, **kwargs)
+            return batched
+
+        return read
+
+    def lines(self, keytrj=0, **kwargs):
+        frames = site_frames(self.N_FRAMES, self.N_SITES)
+        return frames, sites_history(frames, keytrj=keytrj, **kwargs).splitlines()
+
+    def timestep(self, frame, keytrj=0):
+        """The index of the timestep record of 1-based ``frame`` in the lines
+        of a headered file."""
+        return 2 + (frame - 1) * (4 + (2 + keytrj) * self.N_SITES)
+
+    def line(self, frame, site, keytrj=0):
+        """The index of the coordinate line of 0-based ``site``."""
+        return self.timestep(frame, keytrj) + 4 + (2 + keytrj) * site + 1
+
+    def wrong_site_count(self, lines, frame):
+        k = self.timestep(frame)
+        lines[k] = lines[k].replace(f"{self.N_SITES:10d}", f"{99:10d}", 1)
+
+    def new_cell(self, lines, frame):
+        """Give ``frame`` a cubic cell of 12 A instead of 10 A."""
+        for row in (1, 2, 3):
+            k = self.line(frame, 0) - 5 + row
+            lines[k] = lines[k].replace("10.0", "12.0")
+
+    @staticmethod
+    def text(lines):
+        return "\n".join(lines) + "\n"
+
+    def test_runs_share_one_array(self, monkeypatch):
+        """The premise of the other cases: frames 2 and 3 are one run, whose
+        positions are views into one array; with a cap of one site they are
+        not."""
+        frames, lines = self.lines()
+        got = list(HistoryReader(io.StringIO(self.text(lines))))
+        bases = [frame.positions.base for frame in got[:4]]
+        assert bases[1] is bases[2] and bases[1].shape == (2 * self.N_SITES, 3)
+        assert bases[0] is not bases[1] and bases[2] is not bases[3]
+        assert_frames(got, frames)
+        monkeypatch.setattr(trajectory_io, "BLOCK_SITES", 1)
+        got = list(HistoryReader(io.StringIO(self.text(lines))))
+        assert got[1].positions.base is not got[2].positions.base
+
+    @pytest.mark.parametrize("n_sites, longest_run", [(1000, 4), (3000, 1)])
+    def test_lines_are_let_go_before_frames_come_out(self, n_sites, longest_run):
+        """Runs of 1, 2 and 4 frames of 1000 sites, and of one frame of 3000:
+        while a frame is out, the reader holds its run's positions (24 bytes
+        a site) but none of the run's coordinate lines (over 100 bytes a
+        site)."""
+        lines = sites_history(site_frames(8, n_sites)).splitlines(keepends=True)
+        assert sys.getsizeof(lines[7]) > 100  # a coordinate line
+        tracemalloc.start()
+        try:
+            reader = HistoryReader(io.StringIO("".join(lines)))
+            held = []
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in reader:
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 8
+        assert max(held) < 2 * 24 * n_sites * longest_run
+
+    def test_first_frame_is_yielded_before_the_second_is_read(self):
+        _, lines = self.lines()
+        k = self.timestep(2)  # frame 2's timestep record
+        lines[k] = lines[k].replace(f"{self.N_SITES:10d}", f"{self.N_SITES + 1:10d}", 1)
+        frames = iter(HistoryReader(io.StringIO(self.text(lines)), expected_natoms=self.N_SITES))
+        assert next(frames).step == 1
+        with pytest.raises(InputError, match="step 2 has 8 sites"):
+            next(frames)
+
+    @pytest.mark.parametrize("keytrj", [0, 1, 2])
+    @pytest.mark.parametrize("start", [1, 6])
+    def test_keytrj_and_blank_lines(self, read, keytrj, start):
+        frames, lines = self.lines(keytrj, header=False)
+        for k in range(len(lines), 0, -5):
+            lines.insert(k, " " * (k % 3))
+        steps, positions, cells, frames_read, truncated, error = read(self.text(lines), start=start)
+        assert steps == list(range(start, self.N_FRAMES + 1))
+        assert positions == [f.tobytes() for f in frames[start - 1 :]]
+        assert cells == [0] * len(steps)
+        assert (frames_read, truncated, error) == (self.N_FRAMES, False, None)
+
+    def test_cell_changes_inside_runs(self, read):
+        """Frame 5 (in the run of frames 4-7) and frames 10-11 (in 8-15)
+        get a 12 A cell; frame 12 goes back to the 10 A one."""
+        _, lines = self.lines()
+        for frame in (5, 10, 11):
+            self.new_cell(lines, frame)
+        _, _, cells, frames_read, _, error = read(self.text(lines))
+        assert cells == [0] * 4 + [4] + [5] * 4 + [9] * 2 + [11] * 29
+        assert (frames_read, error) == (self.N_FRAMES, None)
+
+    @pytest.mark.parametrize("start", [1, 5])
+    def test_cut_inside_a_run(self, read, start):
+        """The file cut at each line of frame 12, in the run of frames 8-15."""
+        _, lines = self.lines(keytrj=1)
+        first = self.timestep(12, keytrj=1)
+        for k in range(first, self.timestep(13, keytrj=1)):
+            steps, _, _, frames_read, truncated, error = read(self.text(lines[:k]), start=start)
+            assert steps == list(range(start, 12)), k
+            assert (frames_read, truncated, error) == (11, k > first, None), k
+
+    @pytest.mark.parametrize("frame", [8, 10, 15])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("0.5 x 0.5", "a coordinate line does not start"), ("0.5 nan 0.5", "non-finite")],
+    )
+    def test_bad_coordinate_inside_a_run(self, read, frame, bad, message):
+        """In the first, a middle and the last frame of the run of frames
+        8-15: the frames before it come out, and the error names its step."""
+        _, lines = self.lines()
+        lines[self.line(frame, 3)] = bad
+        steps, _, _, frames_read, truncated, error = read(self.text(lines))
+        assert steps == list(range(1, frame))
+        assert (frames_read, truncated) == (frame - 1, False)
+        assert error.startswith(f"HISTORY: frame at step {frame}") and message in error
+
+    @pytest.mark.parametrize("follows", ["nothing", "cut", "new cell", "site count"])
+    def test_bad_coordinate_line_is_a_cut_only_when_nothing_follows(self, read, follows):
+        """A bad line in frame 36 (in the run of frames 32-40) is a cut when
+        the file ends there.  It is an error when a part of frame 37 follows,
+        or frame 37 whole with a new cell, or only frame 37's timestep record
+        with a wrong site count; each ends the file."""
+        _, lines = self.lines()
+        lines[self.line(36, 2)] = "0.5 x 0.5"
+        timestep = self.timestep(37)
+        del lines[self.timestep(38) :]
+        if follows == "nothing":
+            del lines[timestep:]
+        elif follows == "cut":
+            del lines[timestep + 3 :]
+        elif follows == "new cell":
+            self.new_cell(lines, 37)
+        else:
+            self.wrong_site_count(lines, 37)
+            del lines[timestep + 1 :]
+        steps, _, _, frames_read, truncated, error = read(
+            self.text(lines), expected_natoms=self.N_SITES
+        )
+        assert (steps[-1], frames_read, truncated) == (35, 35, follows == "nothing")
+        if follows == "nothing":
+            assert error is None
+        else:
+            assert error.startswith("HISTORY: frame at step 36: a coordinate line")
+
+    @pytest.mark.parametrize("later", ["bad line", "non-finite", "site count", "imcon", "cut"])
+    def test_an_earlier_frame_error_wins(self, read, later):
+        """A non-finite coordinate in frame 9 and a fault in frame 12 of the
+        same run: frame 9's error is the one raised."""
+        _, lines = self.lines()
+        lines[self.line(9, 6)] = "inf 0.5 0.5"
+        timestep = self.timestep(12)
+        if later == "bad line":
+            lines[self.line(12, 1)] = "0.5 0.5"
+        elif later == "non-finite":
+            lines[self.line(12, 1)] = "0.5 0.5 nan"
+        elif later == "site count":
+            self.wrong_site_count(lines, 12)
+        elif later == "imcon":
+            lines[timestep] = lines[timestep][:-22] + f"{4:10d}" + lines[timestep][-12:]
+        else:
+            del lines[timestep + 6 :]
+        steps, _, _, frames_read, truncated, error = read(
+            self.text(lines), expected_natoms=self.N_SITES
+        )
+        assert (steps[-1], frames_read, truncated) == (8, 8, False)
+        assert error == "HISTORY: frame at step 9 has a non-finite coordinate at site 7"
+
+    @pytest.mark.parametrize("after", ["bad line", "site count", "cut", "nothing"])
+    def test_stop_inside_a_run(self, read, after):
+        """Stop at frame 10, inside the run of frames 8-15: frame 11 is not
+        read, so a fault in it or a cut there changes nothing."""
+        _, lines = self.lines()
+        timestep = self.timestep(11)
+        if after == "bad line":
+            lines[self.line(11, 0)] = "x"
+        elif after == "site count":
+            self.wrong_site_count(lines, 11)
+        elif after == "cut":
+            del lines[timestep + 2 :]
+        elif after == "nothing":
+            del lines[timestep:]
+        steps, _, _, frames_read, truncated, error = read(
+            self.text(lines), expected_natoms=self.N_SITES, start=3, stop=10
+        )
+        assert steps == list(range(3, 11))
+        assert (frames_read, truncated, error) == (10, False, None)
+
+    def test_nothing_after_stop_is_read(self):
+        _, lines = self.lines()
+        stream = io.StringIO(self.text(lines))
+        assert len(list(HistoryReader(stream, stop=10))) == 10
+        assert stream.readline() == lines[self.timestep(11)] + "\n"
+
+    @pytest.mark.parametrize("last", [True, False])
+    def test_bad_coordinate_line_in_frame_stop(self, read, last):
+        """A bad line in frame ``stop``: a cut when the file ends there, an
+        error when more frames follow, as when reading one frame at a time."""
+        _, lines = self.lines()
+        lines[self.line(10, 4)] = "0.5 0.5"
+        if last:
+            del lines[self.timestep(11) :]
+        steps, _, _, frames_read, truncated, error = read(self.text(lines), stop=10)
+        assert (steps[-1], frames_read, truncated) == (9, 9, last)
+        assert (error is None) == last
+
+
 def test_plain_and_padded_layouts_agree_bit_for_bit():
     """A chains-like frame (triclinic cell, keytrj 2) read as written and
     with one extra token on every coordinate line."""
@@ -950,6 +1203,25 @@ class TestWriters:
         lines = buf.getvalue().splitlines()
         assert lines[0].split()[1:] == ["r", "pop(1,1)", "pop(2,2)", "pop(1,2)"]
         assert lines[-1].split()[0] == "2.000000E-01"
+
+    def test_plain_path_is_not_opened_by_numpy(self, tmp_path, monkeypatch):
+        """np.savetxt opens a path through numpy's _datasource, whose first
+        use imports gzip, bz2 and lzma; a plain path is opened here."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("opened through numpy's _datasource")
+
+        monkeypatch.setattr(np.lib._datasource, "open", refuse)
+        write_rdf(self.make_table(), tmp_path / "RDF")
+        assert (tmp_path / "RDF").read_text().startswith("#")
+
+    @pytest.mark.parametrize("suffix, module", [(".gz", gzip), (".bz2", bz2), (".xz", lzma)])
+    def test_compressed_suffix_is_written_compressed(self, tmp_path, suffix, module):
+        table = self.make_table()
+        write_pop(table, tmp_path / "POP")
+        write_pop(table, tmp_path / f"POP{suffix}")
+        with module.open(tmp_path / f"POP{suffix}") as stream:
+            assert stream.read() == (tmp_path / "POP").read_bytes()
 
     def test_values_round_trip_through_loadtxt(self, tmp_path):
         table = self.make_table()
