@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, filterfalse, islice
+from itertools import accumulate, chain, filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterator
@@ -323,6 +323,26 @@ _Record = tuple[int, CellTensor, list[str]]
 BLOCK_SITES = 4096
 
 
+def _repeated_steps(block: list[str], size: int, head: list[str], rows: list[str]):
+    """The steps of the frames of ``block``, ``size`` lines each, or None
+    unless every one has the keyword, site count, keytrj and imcon tokens of
+    the timestep record ``head`` and the cell ``rows``, character for character."""
+    if not block:
+        return []
+    k = len(block) // size
+    columns = list(zip(*map(str.split, block[::size])))
+    if (
+        len(columns) < 5
+        or any(columns[c].count(head[c]) != k for c in (0, 2, 3, 4))
+        or any(block[c::size].count(rows[c - 1]) != k for c in (1, 2, 3))
+    ):
+        return None
+    try:
+        return list(map(int, columns[1]))
+    except ValueError:
+        return None
+
+
 class HistoryReader:
     """Streaming reader for HISTORY trajectories.
 
@@ -342,7 +362,9 @@ class HistoryReader:
     frame, and so is a coordinate that reads as NaN or infinity, and a frame
     with no periodic cell (imcon 0), which has no volume to give g(r) its
     density.  Frames whose imcon and cell rows repeat the previous frame's,
-    character for character, share its :class:`CellTensor` object.
+    character for character, share its :class:`CellTensor` object.  The
+    first frame to come out whose step is not above the step of the frame
+    that came out before it is warned about.
 
     Frames are numbered from 1; the first one yielded is frame ``start`` and
     the last one read is frame ``stop``: nothing after it is read, except one
@@ -356,7 +378,10 @@ class HistoryReader:
     read as a run, whose coordinate lines are converted and checked with one
     numpy call each, and each frame's ``positions`` is a view into its run's
     array.  Runs start at one frame, so the first frame is yielded as soon as
-    it is read, and double up to :data:`BLOCK_SITES` sites.  Frames, errors,
+    it is read, and double up to :data:`BLOCK_SITES` sites; a new cell ends a
+    run and starts the doubling again.  The rest of a run is read as one block
+    of lines, up to the first frame that does not repeat the layout of the
+    run's first, which is then read on its own.  Frames, errors,
     ``frames_read`` and ``truncated`` are those of reading one frame at a
     time: the frames of a run before a bad one are yielded first, and a bad
     coordinate line is a cut only when nothing follows its frame.
@@ -375,14 +400,18 @@ class HistoryReader:
         else:
             self._fh = open(source, "r")
             self._owns_fh = True
-        # The file's non-blank lines; file objects never yield "".
-        self._lines = filterfalse(str.isspace, self._fh)
+        # The file's non-blank lines; file objects never yield "".  Lines read
+        # ahead and put back, _pending, come first.
+        self._file_lines = self._lines = filterfalse(str.isspace, self._fh)
+        self._pending = iter(())
         self._expected_natoms = expected_natoms
         self._start = start
         self._stop = stop
         # The last frame's cell and the (imcon, raw cell rows) it came from.
         self._cell = None
         self._cell_key = None
+        self._step = -math.inf  # the last frame's that came out
+        self._order_warned = False
         self.frames_read = 0
         self.truncated = False
 
@@ -433,6 +462,7 @@ class HistoryReader:
         try:
             while line is not None:
                 n += 1
+                cell = self._cell
                 record = self._read_frame(line, n, convert=n >= self._start)
                 if record is None:
                     cut = True
@@ -440,10 +470,18 @@ class HistoryReader:
                 if record is _WALKED:
                     self.frames_read += 1
                 else:
-                    if run and record[1] is not run[0][1]:
-                        yield run, True
-                        run = []
+                    if record[1] is not cell:  # only a reused cell reads ahead
+                        if run:
+                            yield run, True
+                            run = []
+                        size = 1
                     run.append(record)
+                    ahead = min(size - len(run), self._stop - n)
+                    if ahead > 0:
+                        repeats = self._read_repeats(line, n, run, ahead)
+                        n += repeats
+                        if repeats < ahead:
+                            size = len(run)  # another layout, a cut or the end ends the run
                     if len(run) == size:
                         size = min(2 * size, max(1, BLOCK_SITES // max(1, len(record[2]))))
                         del record  # so that the run's lines go when _convert empties it
@@ -459,6 +497,38 @@ class HistoryReader:
         if run:
             yield run, cut
         self.truncated |= cut
+
+    def _read_repeats(self, timestep_line: str, n: int, run: list[_Record], m: int) -> int:
+        """Read up to ``m`` frames after frame ``n``, the last of ``run``, as
+        one block of ``4 + natoms * per_site`` lines each, append those that
+        repeat its layout (see _repeated_steps) to ``run`` and return how many.
+        The first that does not, or is cut short, and the lines after it go back."""
+        head = timestep_line.split()
+        _, cell, lines = run[-1]
+        per_site = 2 + min(max(int(head[3]), 0), 2)
+        size = 4 + len(lines) * per_site
+        # Frames of another layout may be as short as this: even then no line
+        # after frame stop is read.
+        shortest = 4 + 2 * (self._expected_natoms or 0)
+        block = list(islice(self._lines, min(m * size, (self._stop - n) * shortest)))
+        k = len(block) // size
+        rows = self._cell_key[1]
+        steps = _repeated_steps(block[: k * size], size, head, rows)
+        if steps is None:  # keep the frames before the first that does not repeat
+            k = next(
+                f for f in range(k)
+                if _repeated_steps(block[f * size : (f + 1) * size], size, head, rows) is None
+            )
+            steps = _repeated_steps(block[: k * size], size, head, rows)
+        if len(block) > k * size:
+            # After them what is left of those put back before: one chain deep.
+            self._pending = iter(block[k * size :] + list(self._pending))
+            self._lines = chain(self._pending, self._file_lines)
+        run += [
+            (step, cell, block[first + 5 : first + size : per_site])
+            for step, first in zip(steps, range(0, k * size, size))
+        ]
+        return k
 
     def _cut_or_corrupt(self, message: str, read_past: bool = False) -> None:
         """None, for a truncation, when the file ends after the bad record;
@@ -569,6 +639,12 @@ class HistoryReader:
         run.clear()
         for frame in frames:
             self.frames_read += 1
+            if frame.step <= self._step and not self._order_warned:
+                self._order_warned = True
+                logger.warning("HISTORY: frame %d has step %d, not above the step %d before it; "
+                               "frames that repeat are counted again",
+                               self.frames_read, frame.step, self._step)
+            self._step = frame.step
             yield frame
 
 

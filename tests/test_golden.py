@@ -158,10 +158,12 @@ ALL_CASES = ["spike", *CASES]
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
-def test_output_matches_golden(case, tmp_path):
+def test_output_matches_golden(case, tmp_path, caplog):
     rdf, pop = _analyse(case, tmp_path)
     assert rdf == (GOLDEN / case / "RDF").read_bytes()
     assert pop == (GOLDEN / case / "POP").read_bytes()
+    # Steps 1, 2, 3, ...: the reader has nothing to warn about.
+    assert [r.message for r in caplog.records if r.name == "molrdf.trajectory_io"] == []
 
 
 @pytest.mark.parametrize("case", ["cells_cubic", "cells_triclinic"])

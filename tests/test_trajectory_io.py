@@ -930,22 +930,26 @@ def reading(text, **kwargs):
 
 
 class TestBatchedReading:
-    """Runs of frames that share a cell are converted at once: everything a
-    reader yields and ends with equals what reading one frame per run gives.
-    Each case runs with the default cap, where 40 frames of 7 sites make runs
-    of 1, 2, 4, 8, 16 and 9 frames, and with a 28-site cap (1, 2, then 4)."""
+    """Runs of frames that share a cell are converted at once, and the frames
+    of a run after its first are read a block of lines at a time while they
+    repeat its layout: everything a reader yields and ends with, and every
+    warning it logs, equals what reading one frame per run gives.  Each case
+    runs with the default cap, where 40 frames of 7 sites make runs of 1, 2,
+    4, 8, 16 and 9 frames, and with a 28-site cap (1, 2, then 4)."""
 
     N_SITES = 7
     N_FRAMES = 40
 
     @pytest.fixture(params=[trajectory_io.BLOCK_SITES, 28])
-    def read(self, request, monkeypatch):
+    def read(self, request, monkeypatch, caplog):
         def read(text, **kwargs):
             monkeypatch.setattr(trajectory_io, "BLOCK_SITES", request.param)
-            batched = reading(text, **kwargs)
+            caplog.clear()
+            batched = reading(text, **kwargs), caplog.messages
             monkeypatch.setattr(trajectory_io, "BLOCK_SITES", 1)
-            assert batched == reading(text, **kwargs)
-            return batched
+            caplog.clear()
+            assert batched == (reading(text, **kwargs), caplog.messages)
+            return batched[0]
 
         return read
 
@@ -1137,11 +1141,144 @@ class TestBatchedReading:
         assert steps == list(range(3, 11))
         assert (frames_read, truncated, error) == (10, False, None)
 
+    def test_frames_after_the_first_of_a_run_are_read_in_bulk(self, monkeypatch):
+        """_read_frame reads the first frame of each of the six runs, and the
+        five frames walked before start 6; DL_POLY 4's trailing time token,
+        which changes every frame, does not break the layout."""
+        _, lines = self.lines()
+        for frame in range(1, self.N_FRAMES + 1):
+            lines[self.timestep(frame)] += f"{0.001 * frame:12.6f}"
+        calls = []
+        read_frame = HistoryReader._read_frame
+        monkeypatch.setattr(
+            HistoryReader,
+            "_read_frame",
+            lambda self, line, n, **kwargs: calls.append(n) or read_frame(self, line, n, **kwargs),
+        )
+        for start, firsts in [(1, [1, 2, 4, 8, 16, 32]), (6, [1, 2, 3, 4, 5, 6, 7, 9, 13, 21, 37])]:
+            calls.clear()
+            reader, got = read_all(self.text(lines), start)
+            assert calls == firsts
+            assert [frame.step for frame in got] == list(range(start, self.N_FRAMES + 1))
+            assert reader.frames_read == self.N_FRAMES
+
+    @pytest.mark.parametrize("frame", [9, 12, 15, 40])
+    @pytest.mark.parametrize(
+        "change", ["site count", "keytrj", "imcon", "step", "TIMESTEP", "time", "spacing"]
+    )
+    def test_a_frame_that_breaks_the_layout(self, read, frame, change):
+        """A frame of a run read in bulk (frames 9-15 follow frame 8, frames
+        33-40 frame 32) that differs from the frame before it: it is read on
+        its own, as one frame at a time reads it.  A site count or step that
+        is wrong is an error that names the frame; another keytrj, from that
+        frame on, and an upper-case keyword or a trailing time token change
+        nothing; another imcon, or cell rows spaced otherwise, build a new
+        cell, and the frame after it another."""
+        frames, lines = self.lines()
+        k = self.timestep(frame)
+        if change == "site count":
+            self.wrong_site_count(lines, frame)
+        elif change == "keytrj":
+            _, with_velocities = self.lines(keytrj=1)
+            lines[k:] = with_velocities[self.timestep(frame, keytrj=1) :]
+        elif change == "imcon":
+            lines[k] = lines[k][:-22] + f"{2:10d}" + lines[k][-12:]
+        elif change == "step":
+            lines[k] = lines[k].replace(f"{frame:10d}", f"{frame:8d}.0", 1)
+        elif change == "TIMESTEP":
+            lines[k] = lines[k].upper()
+        elif change == "time":
+            lines[k] += f"{0.001 * frame:12.6f}"
+        else:
+            lines[k + 1 : k + 4] = [" ".join(row.split()) for row in lines[k + 1 : k + 4]]
+        steps, positions, cells, frames_read, truncated, error = read(
+            self.text(lines), expected_natoms=self.N_SITES
+        )
+        if change == "site count":
+            assert error == f"HISTORY: frame at step {frame} has 99 sites, FIELD topology expects 7"
+        elif change == "step":
+            assert error.startswith(f"HISTORY: frame {frame}: timestep record needs integer step")
+        else:
+            assert error is None
+            assert positions == [f.tobytes() for f in frames]
+            assert (frames_read, truncated) == (self.N_FRAMES, False)
+            if change in ("imcon", "spacing"):
+                assert cells == [0] * (frame - 1) + [frame - 1] + [frame] * (self.N_FRAMES - frame)
+            else:
+                assert cells == [0] * self.N_FRAMES
+            return
+        assert steps == list(range(1, frame))
+        assert (frames_read, truncated) == (frame - 1, False)
+
+    @pytest.mark.parametrize("first", [20, 16, 33])
+    @pytest.mark.parametrize("start", [1, 30])
+    def test_a_step_out_of_order_warns_once(self, read, caplog, first, start):
+        """Frames ``first``..``first`` + 4 go back five steps, as after a
+        restart from an earlier dump, and frame 38 repeats frame 37's step.
+        Every frame is read and counted, and one warning names the first
+        frame to come out whose step is not above that of the frame that came
+        out before it; frames walked before ``start`` are not counted, so
+        their steps are not compared."""
+        frames, lines = self.lines()
+        for frame in range(first, first + 5):
+            k = self.timestep(frame)
+            lines[k] = lines[k].replace(f"{frame:10d}", f"{frame - 5:10d}", 1)
+        k = self.timestep(38)
+        lines[k] = lines[k].replace(f"{38:10d}", f"{37:10d}", 1)
+        steps, positions, _, frames_read, truncated, error = read(self.text(lines), start=start)
+        expected = [s - 5 * (first <= s < first + 5) for s in range(1, self.N_FRAMES + 1)]
+        expected[37] = 37
+        assert steps == expected[start - 1 :]
+        assert positions == [f.tobytes() for f in frames[start - 1 :]]
+        assert (frames_read, truncated, error) == (self.N_FRAMES, False, None)
+        frame, step, before = (first, first - 5, first - 1) if first >= start else (38, 37, 37)
+        assert caplog.messages == [
+            f"HISTORY: frame {frame} has step {step}, not above the step {before} "
+            "before it; frames that repeat are counted again"
+        ]
+
+    def test_a_step_out_of_order_in_a_frame_that_does_not_come_out(self, read, caplog):
+        """Frame 12 goes back to step 1, and frame 10, in the same run of
+        frames 8-15, holds a non-finite coordinate: the error ends the read
+        before frame 12 comes out, so nothing warns, as when reading one frame
+        at a time."""
+        _, lines = self.lines()
+        k = self.timestep(12)
+        lines[k] = lines[k].replace(f"{12:10d}", f"{1:10d}", 1)
+        lines[self.line(10, 3)] = "0.5 nan 0.5"
+        steps, _, _, frames_read, _, error = read(self.text(lines))
+        assert (steps[-1], frames_read) == (9, 9)
+        assert error == "HISTORY: frame at step 10 has a non-finite coordinate at site 4"
+        assert caplog.messages == []
+
+    def test_steps_in_order_do_not_warn(self, read, caplog):
+        """Steps that only rise, however unevenly, as DL_POLY writes them
+        every nstraj steps."""
+        _, lines = self.lines()
+        for frame in range(self.N_FRAMES, 0, -1):
+            k = self.timestep(frame)
+            lines[k] = lines[k].replace(f"{frame:10d}", f"{1000 * frame + frame % 3:10d}", 1)
+        assert read(self.text(lines))[-1] is None
+        assert caplog.messages == []
+
     def test_nothing_after_stop_is_read(self):
         _, lines = self.lines()
         stream = io.StringIO(self.text(lines))
         assert len(list(HistoryReader(stream, stop=10))) == 10
         assert stream.readline() == lines[self.timestep(11)] + "\n"
+
+    @pytest.mark.parametrize("natoms", [None, N_SITES])
+    def test_nothing_after_stop_is_read_when_frames_get_shorter(self, natoms):
+        """Frames 1-8 carry force and velocity lines and the frames after them
+        do not, so frames 9 and on are shorter than frame 8, the first of the
+        run of frames 8-15: the read in bulk after it still stops at frame 10."""
+        _, lines = self.lines()
+        eleventh = lines[self.timestep(11)]
+        _, with_forces = self.lines(keytrj=2)
+        lines[: self.timestep(9)] = with_forces[: self.timestep(9, keytrj=2)]
+        stream = io.StringIO(self.text(lines))
+        assert len(list(HistoryReader(stream, expected_natoms=natoms, stop=10))) == 10
+        assert stream.readline() == eleventh + "\n"
 
     @pytest.mark.parametrize("last", [True, False])
     def test_bad_coordinate_line_in_frame_stop(self, read, last):
