@@ -30,7 +30,6 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, filterfalse, islice
-from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -353,13 +352,13 @@ class HistoryReader:
 
     Every record comes from one stream of the file's non-blank lines, so
     blank lines may stand anywhere.  Cell rows are taken three lines at a
-    time and site records a whole frame at a time, each record 2 to 4 lines
-    by keytrj; their coordinates are the first three numbers of each line,
-    and tokens after them are ignored.  A frame cut short ends the
-    trajectory, and so does a cell row, coordinate line or timestep record
-    that is bad at the end of the file.  Anywhere else, where frames follow
-    that would be lost unseen, such a record is an error that names its
-    frame, and so is a coordinate that reads as NaN or infinity, and a frame
+    time and a frame's coordinate lines, the second of each site record of 2
+    to 4 lines by keytrj, with one strided pass; coordinates are the first
+    three numbers of each line, and tokens after them are ignored.  A frame
+    cut short ends the trajectory, and so does a cell row, coordinate line
+    or timestep record that is bad at the end of the file.  Anywhere else,
+    where frames follow that would be lost unseen, such a record is an error
+    that names its frame, and so is a coordinate that reads as NaN or infinity, and a frame
     with no periodic cell (imcon 0), which has no volume to give g(r) its
     density.  Frames whose imcon and cell rows repeat the previous frame's,
     character for character, share its :class:`CellTensor` object.  The
@@ -399,6 +398,9 @@ class HistoryReader:
             self._owns_fh = False
         else:
             self._fh = open(source, "r")
+            # Decode 64 KiB at a time, not 8 KiB: the line walk is most of
+            # reading a file of many sites, and fewer decodes shorten it.
+            self._fh._CHUNK_SIZE = 1 << 16
             self._owns_fh = True
         # The file's non-blank lines; file objects never yield "".  Lines read
         # ahead and put back, _pending, come first.
@@ -445,58 +447,43 @@ class HistoryReader:
         return next(self._lines, None)
 
     def __iter__(self) -> Iterator[Frame]:
-        for run, read_past in self._runs():
-            yield from self._convert(run, read_past)
+        for run in self._runs():
+            yield from self._convert(run)
             if self.truncated:
                 return
 
-    def _runs(self) -> Iterator[tuple[list[_Record], bool]]:
+    def _runs(self) -> Iterator[list[_Record]]:
         """Runs of frames ``start``..``stop`` that share one cell, read but
-        not converted, each with whether the reader has read past its last
-        frame.  Frames before ``start`` are walked.  When reading a frame
-        raises an InputError or ends in a cut, the run before it comes first.
+        not converted; frames before ``start`` are walked.  Each run comes out
+        before the frame after it is read (lines read ahead and not in the run
+        are put back), so a frame that raises an InputError or ends in a cut
+        comes after the runs before it, and no run has been read past.
         """
-        run, size, cut = [], 1, False
+        size = 1
         line = self._consume_header()
         n = 0
-        try:
-            while line is not None:
-                n += 1
-                cell = self._cell
-                record = self._read_frame(line, n, convert=n >= self._start)
-                if record is None:
-                    cut = True
-                    break
-                if record is _WALKED:
-                    self.frames_read += 1
-                else:
-                    if record[1] is not cell:  # only a reused cell reads ahead
-                        if run:
-                            yield run, True
-                            run = []
-                        size = 1
-                    run.append(record)
-                    ahead = min(size - len(run), self._stop - n)
-                    if ahead > 0:
-                        repeats = self._read_repeats(line, n, run, ahead)
-                        n += repeats
-                        if repeats < ahead:
-                            size = len(run)  # another layout, a cut or the end ends the run
-                    if len(run) == size:
-                        size = min(2 * size, max(1, BLOCK_SITES // max(1, len(record[2]))))
-                        del record  # so that the run's lines go when _convert empties it
-                        yield run, False
-                        run = []
-                if n == self._stop:
-                    break
-                line = next(self._lines, None)
-        except InputError:
-            if run:
-                yield run, True
-            raise
-        if run:
-            yield run, cut
-        self.truncated |= cut
+        while line is not None:
+            n += 1
+            cell = self._cell
+            record = self._read_frame(line, n, convert=n >= self._start)
+            if record is None:
+                self.truncated = True
+                return
+            if record is _WALKED:
+                self.frames_read += 1
+            else:
+                if record[1] is not cell:  # only a reused cell reads ahead
+                    size = 1
+                run = [record]
+                ahead = min(size - 1, self._stop - n)
+                if ahead > 0:  # another layout, a cut or the end ends it early
+                    n += self._read_repeats(line, n, run, ahead)
+                size = min(2 * len(run), max(1, BLOCK_SITES // max(1, len(record[2]))))
+                del record  # so that the run's lines go when _convert empties it
+                yield run
+            if n == self._stop:
+                return
+            line = next(self._lines, None)
 
     def _read_repeats(self, timestep_line: str, n: int, run: list[_Record], m: int) -> int:
         """Read up to ``m`` frames after frame ``n``, the last of ``run``, as
@@ -598,16 +585,19 @@ class HistoryReader:
                 raise InputError(f"HISTORY: frame at step {step}: {err}") from None
             self._cell_key = (imcon, rows)
 
-        # zip takes whole site records only, so a frame cut inside its last
-        # record comes up short like one cut between records.  A count past
+        # Every per_site-th line from the second is a coordinate line.  The
+        # rest of the last record is counted off too, so a frame cut inside
+        # it comes up short like one cut between records; a count past
         # sys.maxsize comes up short too.
-        records = islice(zip(*[self._lines] * per_site), min(natoms, sys.maxsize))
-        lines = list(map(itemgetter(1), records))
-        if len(lines) < natoms:
-            return None
+        lines = []
+        if natoms:  # an islice whose stop is below its start still takes a line
+            end = min((natoms - 1) * per_site + 2, sys.maxsize)
+            lines = list(islice(self._lines, 1, end, per_site))
+            if len(lines) < natoms or len(list(islice(self._lines, per_site - 2))) < per_site - 2:
+                return None
         return step, self._cell, lines
 
-    def _convert(self, run: list[_Record], read_past: bool) -> Iterator[Frame]:
+    def _convert(self, run: list[_Record], read_past: bool = False) -> Iterator[Frame]:
         """The frames of ``run``, all their coordinate lines converted and
         checked at once; a run that fails goes again one frame at a time, so
         that the first bad frame names itself after the frames before it.

@@ -8,6 +8,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -906,6 +907,52 @@ class TestBlockReader:
         with HistoryReader(path) as reader:
             assert_frames(list(reader), frames)
         assert not reader.truncated
+
+
+class TestZeroSiteFrames:
+    """A timestep record may give 0 sites: such a frame is its timestep
+    record and cell rows alone, comes out with ``(0, 3)`` positions and takes
+    no line of the frame after it, whether it is read on its own, in a run
+    of frames that share its cell, or walked before ``start``."""
+
+    COUNTS = [0, 0, 3, 0, 3, 3, 0, 0, 0]
+
+    @staticmethod
+    def history(keytrj, new_cells):
+        """Frame k of 1, 2, ... has COUNTS[k - 1] sites in a cubic cell of
+        10 A, or of 10 + k A with ``new_cells``; its positions and the lines."""
+        frames = [site_frames(1, n, seed=k)[0] for k, n in enumerate(TestZeroSiteFrames.COUNTS)]
+        lines = []
+        for step, positions in enumerate(frames, 1):
+            lines.append(f"timestep{step:10d}{len(positions):10d}{keytrj:10d}{1:10d}{0.001:12.6f}")
+            length = 10.0 + step * new_cells
+            lines += ["".join(f"{v:20.10f}" for v in row) for row in length * np.eye(3)]
+            for i, (x, y, z) in enumerate(positions, 1):
+                lines.append(f"A{i:10d}{1.0:12.6f}{0.0:12.6f}")
+                lines.append(f"{x:20.10f}{y:20.10f}{z:20.10f}")
+                lines += [f"{0.1:20.10f}{0.2:20.10f}{0.3:20.10f}"] * keytrj
+        return frames, lines
+
+    @pytest.mark.parametrize("keytrj", [0, 2])
+    @pytest.mark.parametrize("new_cells", [False, True])
+    def test_cut_anywhere(self, keytrj, new_cells):
+        """The file cut after every line: the frames it holds whole come out,
+        and it is truncated unless the cut falls between two frames."""
+        frames, lines = self.history(keytrj, new_cells)
+        ends = list(accumulate(4 + (2 + keytrj) * len(positions) for positions in frames))
+        assert ends[-1] == len(lines)
+        for k in range(len(lines) + 1):
+            complete = sum(end <= k for end in ends)
+            text = "".join(line + "\n" for line in lines[:k])
+            for start in (1, 3, 5):
+                reader = HistoryReader(io.StringIO(text), start=start)
+                got = list(reader)
+                assert [frame.step for frame in got] == list(range(start, complete + 1)), (k, start)
+                for frame in got:
+                    assert frame.positions.shape == (self.COUNTS[frame.step - 1], 3)
+                    np.testing.assert_array_equal(frame.positions, frames[frame.step - 1])
+                assert reader.frames_read == complete, (k, start)
+                assert reader.truncated == (k not in ends), (k, start)
 
 
 def reading(text, **kwargs):
