@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import AnalysisError, InputError, NoFramesError
 from .rdf_engine import CentreOfMassError, PairHistogram, accumulate_frame, finalize, n_bins
 from .synthetic import SyntheticConfig, generate_dataset
 from .trajectory_io import (
-    BLOCK_SITES,
     Directives,
     Frame,
     HistoryReader,
@@ -56,11 +54,6 @@ class AnalysisSummary:
         )
 
 
-#: A block of frames that share a cell holds at most this many sites; a frame
-#: of more sites is a block of one.  The reader's runs have the same cap.
-_BLOCK_SITES = BLOCK_SITES
-
-
 def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
     """Centres of mass ``(k, n, 3)`` of the molecules of ``topology.massive``,
     type after type, in each of the ``k`` frames, which share one cell.
@@ -80,32 +73,6 @@ def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
     return np.concatenate(coms, axis=1)
 
 
-def _cell_blocks(frames: Iterator[Frame], size: int) -> Iterator[list[Frame]]:
-    """Runs of consecutive ``frames`` that share one cell object, at most
-    ``size`` frames each, every run yielded as soon as it is complete.
-
-    When reading a frame raises an InputError, the run before that frame is
-    yielded first, so that it counts, warns and fails as if each frame had
-    been handled as soon as it was read.
-    """
-    block: list[Frame] = []
-    try:
-        for frame in frames:
-            if block and frame.cell is not block[0].cell:
-                yield block
-                block = []
-            block.append(frame)
-            if len(block) == size:
-                yield block
-                block = []
-    except InputError:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
-
-
 def accumulate_history(
     history_path: Path, topology: Topology, directives: Directives
 ) -> tuple[PairHistogram, int, bool]:
@@ -123,7 +90,7 @@ def accumulate_history(
         history_path, expected_natoms=topology.total_sites,
         start=directives.start, stop=directives.stop,
     ) as reader:
-        for block in _cell_blocks(reader, max(1, _BLOCK_SITES // topology.total_sites)):
+        for block in reader.blocks():
             # Coordinates near the float limit overflow here; accumulate_frame rejects them.
             with np.errstate(over="ignore", invalid="ignore"):
                 coms = _block_coms(block, topology)

@@ -316,8 +316,8 @@ _WALKED = object()
 # A frame read but not converted: its step, cell and coordinate lines.
 _Record = tuple[int, CellTensor, list[str]]
 
-#: A run of frames that the reader converts at once, and a block of frames
-#: that the CLI accumulates at once, holds at most this many sites (96 KiB of
+#: A run of frames that the reader converts at once, and so a block of
+#: :meth:`HistoryReader.blocks`, holds at most this many sites (96 KiB of
 #: positions); a frame of more sites is a run of one.
 BLOCK_SITES = 4096
 
@@ -376,14 +376,19 @@ class HistoryReader:
     The reader reads ahead: consecutive frames that share a cell object are
     read as a run, whose coordinate lines are converted and checked with one
     numpy call each, and each frame's ``positions`` is a view into its run's
-    array.  Runs start at one frame, so the first frame is yielded as soon as
-    it is read, and double up to :data:`BLOCK_SITES` sites; a new cell ends a
-    run and starts the doubling again.  The rest of a run is read as one block
-    of lines, up to the first frame that does not repeat the layout of the
-    run's first, which is then read on its own.  Frames, errors,
-    ``frames_read`` and ``truncated`` are those of reading one frame at a
-    time: the frames of a run before a bad one are yielded first, and a bad
-    coordinate line is a cut only when nothing follows its frame.
+    array; :meth:`blocks` yields the runs.  Runs start at one frame, so the
+    first frame is yielded as soon as it is read.  A run that fills its size
+    is followed by one of :data:`BLOCK_SITES` sites, and a run cut short by a
+    frame of another layout by one of twice its length, up to that cap; a
+    new cell ends a run and starts again at one frame.  The rest of a run is
+    read as one block of lines, up to the first frame that does not repeat
+    the layout of the run's first, which is then read on its own with the
+    lines after it put back: about one frame's lines read again per frame
+    read, plus at most one cap's worth after a run that filled its size.
+    Frames, errors, ``frames_read`` and ``truncated`` are those of reading
+    one frame at a time: the frames of a run before a bad one are yielded
+    first, and a bad coordinate line is a cut only when nothing follows its
+    frame.
     """
 
     def __init__(
@@ -414,6 +419,7 @@ class HistoryReader:
         self._cell_key = None
         self._step = -math.inf  # the last frame's that came out
         self._order_warned = False
+        self._run_left = 0  # frames of the last run after its first
         self.frames_read = 0
         self.truncated = False
 
@@ -452,6 +458,15 @@ class HistoryReader:
             if self.truncated:
                 return
 
+    def blocks(self) -> Iterator[list[Frame]]:
+        """The frames of ``iter(self)``, one list per run: frames that share
+        one cell object and one positions array.  Each list comes out as soon
+        as its last frame is out, before the frame after it is read, so an
+        error or a cut always falls between lists."""
+        frames = iter(self)
+        for frame in frames:
+            yield [frame, *islice(frames, self._run_left)]
+
     def _runs(self) -> Iterator[list[_Record]]:
         """Runs of frames ``start``..``stop`` that share one cell, read but
         not converted; frames before ``start`` are walked.  Each run comes out
@@ -478,7 +493,8 @@ class HistoryReader:
                 ahead = min(size - 1, self._stop - n)
                 if ahead > 0:  # another layout, a cut or the end ends it early
                     n += self._read_repeats(line, n, run, ahead)
-                size = min(2 * len(run), max(1, BLOCK_SITES // max(1, len(record[2]))))
+                cap = max(1, BLOCK_SITES // max(1, len(record[2])))
+                size = cap if len(run) == size else min(2 * len(run), cap)
                 del record  # so that the run's lines go when _convert empties it
                 yield run
             if n == self._stop:
@@ -627,6 +643,7 @@ class HistoryReader:
             for (step, cell, lines), end in zip(run, ends)
         ]
         run.clear()
+        self._run_left = len(frames) - 1
         for frame in frames:
             self.frames_read += 1
             if frame.step <= self._step and not self._order_warned:

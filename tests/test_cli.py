@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import molrdf
-from molrdf import cli
+from molrdf import cli, trajectory_io
 from molrdf.cli import main, run_analysis
 from molrdf.errors import InputError, NoFramesError
 from molrdf.rdf_engine import merge
@@ -138,13 +138,14 @@ class TestAccumulateHistory:
     def test_rmax_beyond_the_cell_warns_once(self, dataset_dir, caplog, monkeypatch):
         """rmax 14 fits the 30 A cell of frames 1-6 and the 31 A cell of
         frames 7-9, not the 26 A cell of frames 12-40 (radius 13 A).  Over
-        blocks of 5 frames the run warns once, from molrdf.cli, at frame 12."""
+        blocks of at most 5 frames the run warns once, from molrdf.cli, at
+        frame 12."""
         control = dataset_dir / "CONTROL"
         control.write_text(control.read_text().replace("rmax 12.5", "rmax 14.0"))
         for frame in range(7, 41):
             if not 10 <= frame <= 11:
                 new_cell(dataset_dir, frame, 31.0 if frame < 10 else 26.0)
-        monkeypatch.setattr(cli, "_BLOCK_SITES", 80)
+        monkeypatch.setattr(trajectory_io, "BLOCK_SITES", 80)
         directives = parse_directives(control.read_text())
         topology = parse_field((dataset_dir / "FIELD").read_text())
         with caplog.at_level(logging.DEBUG, logger="molrdf"):
@@ -651,11 +652,12 @@ def overflow(directory, frame, value="1.0e308"):
 
 class TestFrameBlocks:
     """Consecutive frames that share a cell are unfolded and accumulated in
-    blocks: RDF, POP, the summary, the exit code, errors and warnings equal
-    those of a run that takes one frame at a time.  The 40 frames of 16 sites make one
-    block by default, and blocks of 5 frames with an 80-site cap."""
+    blocks, the reader's runs: RDF, POP, the summary, the exit code, errors
+    and warnings equal those of a run that takes one frame at a time.  The 40
+    frames of 16 sites make blocks of 1 and 39 frames by default, and of 1,
+    then 5 frames with an 80-site cap."""
 
-    @pytest.mark.parametrize("block_sites", [cli._BLOCK_SITES, 80])
+    @pytest.mark.parametrize("block_sites", [trajectory_io.BLOCK_SITES, 80])
     @pytest.mark.parametrize(
         "case, code",
         [
@@ -663,6 +665,7 @@ class TestFrameBlocks:
             ("start and stop", 0),
             ("cut last frame", 0),
             ("range warning", 0),
+            ("range warning, steps out of order", 0),
             ("corrupt coordinate", 1),
             ("range warning, corrupt coordinate", 1),
             ("overflow", 1),
@@ -686,6 +689,12 @@ class TestFrameBlocks:
         if case == "cut last frame":
             history = dataset_dir / "HISTORY"
             history.write_text("\n".join(history.read_text().splitlines()[:-5]) + "\n")
+        if case.endswith("steps out of order"):
+            # Frames 20-24 go back five steps: the step-order warning comes
+            # after the range warning, as one frame at a time.
+            for frame in range(20, 25):
+                step, earlier = f"{frame:10d}", f"{frame - 5:10d}"
+                edit_history(dataset_dir, frame, 0, lambda s: s.replace(step, earlier, 1))
         if case.endswith("corrupt coordinate"):
             edit_history(dataset_dir, 8, 5, lambda s: "0.0 x 0.0")
         if case.endswith("overflow"):
@@ -693,25 +702,26 @@ class TestFrameBlocks:
         if case.endswith("far from the cell"):
             overflow(dataset_dir, 8, "1.0e17")
 
-        monkeypatch.setattr(cli, "_BLOCK_SITES", block_sites)
+        monkeypatch.setattr(trajectory_io, "BLOCK_SITES", block_sites)
         blocked = outcome(dataset_dir, capsys, caplog)
-        monkeypatch.setattr(cli, "_BLOCK_SITES", 1)
+        monkeypatch.setattr(trajectory_io, "BLOCK_SITES", 1)
         assert outcome(dataset_dir, capsys, caplog) == blocked
         assert blocked[0] == code
         if code:
             assert "step 8" in blocked[2] and blocked[4] == [None, None]
         assert any("exceeds" in m for m in blocked[3]) == case.startswith("range warning")
+        assert any("not above" in m for m in blocked[3]) == case.endswith("out of order")
 
-    @pytest.mark.parametrize("block_sites, blocks", [(None, 2), (8, 300), (160, 30)])
+    @pytest.mark.parametrize("block_sites, blocks", [(None, 3), (8, 300), (160, 31)])
     def test_calls_per_frame_and_per_block(self, tmp_path, monkeypatch, block_sites, blocks):
-        """On 300 frames of 16 sites, accumulate_frame runs once per block and
-        centers_of_mass once per massive type per block: blocks of 256 + 44
-        frames by default, of 10 frames with a 160-site cap, and of one frame
-        when a frame exceeds the cap.  A block of one goes to accumulate_frame
-        as its (n, 3) frame."""
+        """On 300 frames of 16 sites, accumulate_frame runs once per block,
+        the reader's run, and centers_of_mass once per massive type per
+        block: blocks of 1 + 256 + 43 frames by default, of 1, then 10 and a
+        last 9 with a 160-site cap, and of one frame when a frame exceeds the
+        cap.  A block of one goes to accumulate_frame as its (n, 3) frame."""
         generate_dataset(SyntheticConfig(n_frames=300), tmp_path)
         if block_sites is not None:
-            monkeypatch.setattr(cli, "_BLOCK_SITES", block_sites)
+            monkeypatch.setattr(trajectory_io, "BLOCK_SITES", block_sites)
         calls = {"accumulate_frame": 0, "centers_of_mass": 0}
         shapes = set()
 
@@ -730,7 +740,11 @@ class TestFrameBlocks:
             monkeypatch.setattr(cli, name, counted(name))
         assert run_analysis(tmp_path).frames_used == 300
         assert calls == {"accumulate_frame": blocks, "centers_of_mass": 2 * blocks}
-        assert shapes == {2: {(256, 2, 3), (44, 2, 3)}, 300: {(2, 3)}, 30: {(10, 2, 3)}}[blocks]
+        assert shapes == {
+            3: {(2, 3), (256, 2, 3), (43, 2, 3)},
+            300: {(2, 3)},
+            31: {(2, 3), (10, 2, 3), (9, 2, 3)},
+        }[blocks]
 
     def test_overflowing_centre_of_mass_exit_code(self, tmp_path):
         """A site at 1e308 in frame 2 overflows its molecule's centre of mass:

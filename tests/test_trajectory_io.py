@@ -955,14 +955,33 @@ class TestZeroSiteFrames:
                 assert reader.truncated == (k not in ends), (k, start)
 
 
-def reading(text, **kwargs):
+def extend_by_blocks(frames, reader, start=1):
+    """Extend ``frames`` by the frames of ``reader.blocks()``, checking that
+    each block's frames share one positions array and that each block comes
+    out before the reader reads the frame after it."""
+    read = []  # the frame numbers _read_frame was called with
+    read_frame = reader._read_frame
+    reader._read_frame = lambda line, n, **kwargs: read.append(n) or read_frame(line, n, **kwargs)
+    for block in reader.blocks():
+        base = block[0].positions.base
+        assert base is not None and all(frame.positions.base is base for frame in block)
+        frames.extend(block)
+        last = start - 1 + len(frames)  # the number of the block's last frame
+        assert max(read) <= last and reader.frames_read == last
+
+
+def reading(text, blocks=False, **kwargs):
     """What a reader of ``text`` yields and ends with: the steps, the
     positions' bytes, for each frame the first frame that shares its cell
-    object, ``frames_read``, ``truncated`` and the error message, if any."""
+    object, ``frames_read``, ``truncated`` and the error message, if any;
+    with ``blocks``, the frames of its blocks, one after another."""
     reader = HistoryReader(io.StringIO(text), **kwargs)
     frames, error = [], None
     try:
-        frames.extend(reader)
+        if blocks:
+            extend_by_blocks(frames, reader, kwargs.get("start", 1))
+        else:
+            frames.extend(reader)
     except InputError as exc:
         error = str(exc)
     cells = [next(k for k, f in enumerate(frames) if f.cell is frame.cell) for frame in frames]
@@ -980,9 +999,10 @@ class TestBatchedReading:
     """Runs of frames that share a cell are converted at once, and the frames
     of a run after its first are read a block of lines at a time while they
     repeat its layout: everything a reader yields and ends with, and every
-    warning it logs, equals what reading one frame per run gives.  Each case
-    runs with the default cap, where 40 frames of 7 sites make runs of 1, 2,
-    4, 8, 16 and 9 frames, and with a 28-site cap (1, 2, then 4)."""
+    warning it logs, equals what reading one frame per run gives, and so do
+    the frames of its blocks, one run each.  Each case runs with the default
+    cap, where 40 frames of 7 sites make runs of 1 and 39 frames, and with a
+    28-site cap (1, then 4: frames 2-5, 6-9, ..., 34-37 and 38-40)."""
 
     N_SITES = 7
     N_FRAMES = 40
@@ -993,6 +1013,8 @@ class TestBatchedReading:
             monkeypatch.setattr(trajectory_io, "BLOCK_SITES", request.param)
             caplog.clear()
             batched = reading(text, **kwargs), caplog.messages
+            caplog.clear()
+            assert (reading(text, blocks=True, **kwargs), caplog.messages) == batched
             monkeypatch.setattr(trajectory_io, "BLOCK_SITES", 1)
             caplog.clear()
             assert batched == (reading(text, **kwargs), caplog.messages)
@@ -1028,14 +1050,15 @@ class TestBatchedReading:
         return "\n".join(lines) + "\n"
 
     def test_runs_share_one_array(self, monkeypatch):
-        """The premise of the other cases: frames 2 and 3 are one run, whose
+        """The premise of the other cases: frames 2 to 40 are one run, whose
         positions are views into one array; with a cap of one site they are
         not."""
         frames, lines = self.lines()
         got = list(HistoryReader(io.StringIO(self.text(lines))))
-        bases = [frame.positions.base for frame in got[:4]]
-        assert bases[1] is bases[2] and bases[1].shape == (2 * self.N_SITES, 3)
-        assert bases[0] is not bases[1] and bases[2] is not bases[3]
+        bases = [frame.positions.base for frame in got]
+        assert all(base is bases[1] for base in bases[2:])
+        assert bases[1].shape == ((self.N_FRAMES - 1) * self.N_SITES, 3)
+        assert bases[0] is not bases[1]
         assert_frames(got, frames)
         monkeypatch.setattr(trajectory_io, "BLOCK_SITES", 1)
         got = list(HistoryReader(io.StringIO(self.text(lines))))
@@ -1083,8 +1106,8 @@ class TestBatchedReading:
         assert (frames_read, truncated, error) == (self.N_FRAMES, False, None)
 
     def test_cell_changes_inside_runs(self, read):
-        """Frame 5 (in the run of frames 4-7) and frames 10-11 (in 8-15)
-        get a 12 A cell; frame 12 goes back to the 10 A one."""
+        """Frame 5 and frames 10-11, inside runs with either cap, get a 12 A
+        cell; frame 12 goes back to the 10 A one."""
         _, lines = self.lines()
         for frame in (5, 10, 11):
             self.new_cell(lines, frame)
@@ -1094,7 +1117,7 @@ class TestBatchedReading:
 
     @pytest.mark.parametrize("start", [1, 5])
     def test_cut_inside_a_run(self, read, start):
-        """The file cut at each line of frame 12, in the run of frames 8-15."""
+        """The file cut at each line of frame 12, inside a run with either cap."""
         _, lines = self.lines(keytrj=1)
         first = self.timestep(12, keytrj=1)
         for k in range(first, self.timestep(13, keytrj=1)):
@@ -1102,14 +1125,15 @@ class TestBatchedReading:
             assert steps == list(range(start, 12)), k
             assert (frames_read, truncated, error) == (11, k > first, None), k
 
-    @pytest.mark.parametrize("frame", [8, 10, 15])
+    @pytest.mark.parametrize("frame", [8, 9, 10, 15])
     @pytest.mark.parametrize(
         "bad, message",
         [("0.5 x 0.5", "a coordinate line does not start"), ("0.5 nan 0.5", "non-finite")],
     )
     def test_bad_coordinate_inside_a_run(self, read, frame, bad, message):
-        """In the first, a middle and the last frame of the run of frames
-        8-15: the frames before it come out, and the error names its step."""
+        """In a middle frame of the run of frames 2-40, and with the 28-site
+        cap in a middle frame (8 and 15), the last (9) and the first (10) of
+        a run: the frames before it come out, and the error names its step."""
         _, lines = self.lines()
         lines[self.line(frame, 3)] = bad
         steps, _, _, frames_read, truncated, error = read(self.text(lines))
@@ -1119,7 +1143,7 @@ class TestBatchedReading:
 
     @pytest.mark.parametrize("follows", ["nothing", "cut", "new cell", "site count"])
     def test_bad_coordinate_line_is_a_cut_only_when_nothing_follows(self, read, follows):
-        """A bad line in frame 36 (in the run of frames 32-40) is a cut when
+        """A bad line in frame 36 (inside a run with either cap) is a cut when
         the file ends there.  It is an error when a part of frame 37 follows,
         or frame 37 whole with a new cell, or only frame 37's timestep record
         with a wrong site count; each ends the file."""
@@ -1147,8 +1171,8 @@ class TestBatchedReading:
 
     @pytest.mark.parametrize("later", ["bad line", "non-finite", "site count", "imcon", "cut"])
     def test_an_earlier_frame_error_wins(self, read, later):
-        """A non-finite coordinate in frame 9 and a fault in frame 12 of the
-        same run: frame 9's error is the one raised."""
+        """A non-finite coordinate in frame 9 and a fault in frame 12, of the
+        same run with the default cap: frame 9's error is the one raised."""
         _, lines = self.lines()
         lines[self.line(9, 6)] = "inf 0.5 0.5"
         timestep = self.timestep(12)
@@ -1170,7 +1194,7 @@ class TestBatchedReading:
 
     @pytest.mark.parametrize("after", ["bad line", "site count", "cut", "nothing"])
     def test_stop_inside_a_run(self, read, after):
-        """Stop at frame 10, inside the run of frames 8-15: frame 11 is not
+        """Stop at frame 10, inside a run with either cap: frame 11 is not
         read, so a fault in it or a cut there changes nothing."""
         _, lines = self.lines()
         timestep = self.timestep(11)
@@ -1189,9 +1213,10 @@ class TestBatchedReading:
         assert (frames_read, truncated, error) == (10, False, None)
 
     def test_frames_after_the_first_of_a_run_are_read_in_bulk(self, monkeypatch):
-        """_read_frame reads the first frame of each of the six runs, and the
-        five frames walked before start 6; DL_POLY 4's trailing time token,
-        which changes every frame, does not break the layout."""
+        """_read_frame reads the first frame of each of the two runs, 1 and
+        2-40, and with start 6 the five frames walked before it and the
+        first of the runs 6 and 7-40; DL_POLY 4's trailing time token, which
+        changes every frame, does not break the layout."""
         _, lines = self.lines()
         for frame in range(1, self.N_FRAMES + 1):
             lines[self.timestep(frame)] += f"{0.001 * frame:12.6f}"
@@ -1202,20 +1227,56 @@ class TestBatchedReading:
             "_read_frame",
             lambda self, line, n, **kwargs: calls.append(n) or read_frame(self, line, n, **kwargs),
         )
-        for start, firsts in [(1, [1, 2, 4, 8, 16, 32]), (6, [1, 2, 3, 4, 5, 6, 7, 9, 13, 21, 37])]:
+        for start, firsts in [(1, [1, 2]), (6, [1, 2, 3, 4, 5, 6, 7])]:
             calls.clear()
             reader, got = read_all(self.text(lines), start)
             assert calls == firsts
             assert [frame.step for frame in got] == list(range(start, self.N_FRAMES + 1))
             assert reader.frames_read == self.N_FRAMES
 
+    def test_a_run_that_fills_its_size_is_followed_by_a_full_run(self):
+        """1000 frames of 16 sites in one cell: a run of one frame, then runs
+        of the 4096-site cap, 256 frames, and the 231 left."""
+        frames = site_frames(1000, 16)
+        reader = HistoryReader(io.StringIO(sites_history(frames)))
+        blocks = list(reader.blocks())
+        assert [len(block) for block in blocks] == [1, 256, 256, 256, 231]
+        assert_frames([frame for block in blocks for frame in block], frames)
+
+    def test_a_run_cut_short_backs_off(self, monkeypatch):
+        """keytrj alternates between 0 and 1 every frame, so every read in
+        bulk comes up short: after the first, each asks for at most one
+        frame."""
+        frames, plain = self.lines()
+        _, with_velocities = self.lines(keytrj=1)
+        lines = plain[:2]
+        for frame in range(1, self.N_FRAMES + 1):
+            keytrj = frame % 2
+            source = with_velocities if keytrj else plain
+            lines += source[self.timestep(frame, keytrj) : self.timestep(frame + 1, keytrj)]
+        asked = []
+        read_repeats = HistoryReader._read_repeats
+
+        def counted(self, line, n, run, m):
+            got = read_repeats(self, line, n, run, m)
+            asked.append((m, got))
+            return got
+
+        monkeypatch.setattr(HistoryReader, "_read_repeats", counted)
+        reader, got = read_all(self.text(lines))
+        assert_frames(got, frames)
+        # Frame 2 follows a run of one that filled its size: a full run.
+        assert asked[0] == (trajectory_io.BLOCK_SITES // self.N_SITES - 1, 0)
+        assert asked[1:] and all(m == 1 and k == 0 for m, k in asked[1:])
+
     @pytest.mark.parametrize("frame", [9, 12, 15, 40])
     @pytest.mark.parametrize(
         "change", ["site count", "keytrj", "imcon", "step", "TIMESTEP", "time", "spacing"]
     )
     def test_a_frame_that_breaks_the_layout(self, read, frame, change):
-        """A frame of a run read in bulk (frames 9-15 follow frame 8, frames
-        33-40 frame 32) that differs from the frame before it: it is read on
+        """A frame of a run read in bulk (frames 3-40 follow frame 2, and with
+        the 28-site cap each frame here follows the first of its run) that
+        differs from the frame before it: it is read on
         its own, as one frame at a time reads it.  A site count or step that
         is wrong is an error that names the frame; another keytrj, from that
         frame on, and an upper-case keyword or a trailing time token change
@@ -1285,8 +1346,8 @@ class TestBatchedReading:
         ]
 
     def test_a_step_out_of_order_in_a_frame_that_does_not_come_out(self, read, caplog):
-        """Frame 12 goes back to step 1, and frame 10, in the same run of
-        frames 8-15, holds a non-finite coordinate: the error ends the read
+        """Frame 12 goes back to step 1, and frame 10, in the same run with
+        either cap, holds a non-finite coordinate: the error ends the read
         before frame 12 comes out, so nothing warns, as when reading one frame
         at a time."""
         _, lines = self.lines()
@@ -1317,8 +1378,8 @@ class TestBatchedReading:
     @pytest.mark.parametrize("natoms", [None, N_SITES])
     def test_nothing_after_stop_is_read_when_frames_get_shorter(self, natoms):
         """Frames 1-8 carry force and velocity lines and the frames after them
-        do not, so frames 9 and on are shorter than frame 8, the first of the
-        run of frames 8-15: the read in bulk after it still stops at frame 10."""
+        do not, so frames 9 and on are shorter than those of the run of
+        frames 2-8: the reads in bulk still stop at frame 10."""
         _, lines = self.lines()
         eleventh = lines[self.timestep(11)]
         _, with_forces = self.lines(keytrj=2)
