@@ -269,15 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_analyze(argv)
     except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
         return 0 if not exc.code else 1
-    except OSError as exc:  # an input or output file that cannot be read or written
+    except (OSError, AnalysisError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NoFramesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NoFramesError) else 1
 
 
 if __name__ == "__main__":

@@ -138,6 +138,8 @@ class PairHistogram:
     def create(cls, n_types: int, rmax: float, dr: float) -> "PairHistogram":
         if n_types < 1:
             raise ValueError("need at least one molecule type")
+        if not 0.0 < dr < np.inf:
+            raise ValueError(f"dr must be positive and finite, got {dr}")
         try:
             counts = np.zeros((n_types, n_types, n_bins(rmax, dr)), dtype=np.int64)
         except (OverflowError, ValueError, MemoryError):

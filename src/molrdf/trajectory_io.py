@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, filterfalse, islice
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -313,8 +313,8 @@ def _coordinates(lines: list[str]) -> np.ndarray | None:
 # What HistoryReader._read_frame returns for a frame it only walked.
 _WALKED = object()
 
-# A frame read but not converted: its step, cell and coordinate lines.
-_Record = tuple[int, CellTensor, list[str]]
+# A run read but not converted: its steps, its one cell and all its coordinate lines.
+_Run = tuple[list[int], CellTensor, list[str]]
 
 #: A run of frames that the reader converts at once, and so a block of
 #: :meth:`HistoryReader.blocks`, holds at most this many sites (96 KiB of
@@ -322,24 +322,28 @@ _Record = tuple[int, CellTensor, list[str]]
 BLOCK_SITES = 4096
 
 
-def _repeated_steps(block: list[str], size: int, head: list[str], rows: list[str]):
-    """The steps of the frames of ``block``, ``size`` lines each, or None
-    unless every one has the keyword, site count, keytrj and imcon tokens of
-    the timestep record ``head`` and the cell ``rows``, character for character."""
-    if not block:
-        return []
+def _repeated_steps(block: list[str], size: int, head: list[str], rows: list[str]) -> list[int]:
+    """The steps of the whole frames of ``block``, ``size`` lines each, up to
+    the first that does not have the keyword, site count, keytrj and imcon
+    tokens of the timestep record ``head`` and the cell ``rows``, character
+    for character."""
     k = len(block) // size
-    columns = list(zip(*map(str.split, block[::size])))
+    columns = list(zip(*map(str.split, block[: k * size : size])))
     if (
-        len(columns) < 5
-        or any(columns[c].count(head[c]) != k for c in (0, 2, 3, 4))
-        or any(block[c::size].count(rows[c - 1]) != k for c in (1, 2, 3))
+        len(columns) >= 5
+        and all(columns[c].count(head[c]) == k for c in (0, 2, 3, 4))
+        and all(block[c : k * size : size].count(rows[c - 1]) == k for c in (1, 2, 3))
     ):
-        return None
-    try:
-        return list(map(int, columns[1]))
-    except ValueError:
-        return None
+        try:
+            return list(map(int, columns[1]))
+        except ValueError:
+            pass
+    if k < 2:
+        return []
+    # Frame by frame, up to the first that does not repeat.
+    frames = (block[f : f + size] for f in range(0, k * size, size))
+    first = next(f for f, one in enumerate(frames) if not _repeated_steps(one, size, head, rows))
+    return _repeated_steps(block[: first * size], size, head, rows)
 
 
 class HistoryReader:
@@ -374,21 +378,21 @@ class HistoryReader:
     ``frames_read`` counts walked frames too.
 
     The reader reads ahead: consecutive frames that share a cell object are
-    read as a run, whose coordinate lines are converted and checked with one
-    numpy call each, and each frame's ``positions`` is a view into its run's
-    array; :meth:`blocks` yields the runs.  Runs start at one frame, so the
-    first frame is yielded as soon as it is read.  A run that fills its size
-    is followed by one of :data:`BLOCK_SITES` sites, and a run cut short by a
-    frame of another layout by one of twice its length, up to that cap; a
+    read as a run, one list of their coordinate lines that one numpy call
+    converts and checks into the ``(k, natoms, 3)`` array of their
+    ``positions``; :meth:`blocks` yields the runs.  Runs start at one frame,
+    so the first frame is yielded as soon as it is read.  A run that fills its
+    size is followed by one of :data:`BLOCK_SITES` sites, and a run cut short
+    by a frame of another layout by one of twice its length, up to that cap; a
     new cell ends a run and starts again at one frame.  The rest of a run is
-    read as one block of lines, up to the first frame that does not repeat
+    read in blocks of lines (more than one only if ``stop`` but no
+    ``expected_natoms`` is given), up to the first frame that does not repeat
     the layout of the run's first, which is then read on its own with the
     lines after it put back: about one frame's lines read again per frame
     read, plus at most one cap's worth after a run that filled its size.
-    Frames, errors, ``frames_read`` and ``truncated`` are those of reading
-    one frame at a time: the frames of a run before a bad one are yielded
-    first, and a bad coordinate line is a cut only when nothing follows its
-    frame.
+    Frames, errors, ``frames_read`` and ``truncated`` are those of reading one
+    frame at a time: the frames of a run before a bad one are yielded first,
+    and a bad coordinate line is a cut only when nothing follows its frame.
     """
 
     def __init__(
@@ -455,8 +459,6 @@ class HistoryReader:
     def __iter__(self) -> Iterator[Frame]:
         for run in self._runs():
             yield from self._convert(run)
-            if self.truncated:
-                return
 
     def blocks(self) -> Iterator[list[Frame]]:
         """The frames of ``iter(self)``, one list per run: frames that share
@@ -467,7 +469,7 @@ class HistoryReader:
         for frame in frames:
             yield [frame, *islice(frames, self._run_left)]
 
-    def _runs(self) -> Iterator[list[_Record]]:
+    def _runs(self) -> Iterator[_Run]:
         """Runs of frames ``start``..``stop`` that share one cell, read but
         not converted; frames before ``start`` are walked.  Each run comes out
         before the frame after it is read (lines read ahead and not in the run
@@ -475,63 +477,64 @@ class HistoryReader:
         comes after the runs before it, and no run has been read past.
         """
         size = 1
-        line = self._consume_header()
         n = 0
-        while line is not None:
+        while n < self._stop:
+            line = next(self._lines, None) if n else self._consume_header()
+            if line is None:
+                return
             n += 1
             cell = self._cell
-            record = self._read_frame(line, n, convert=n >= self._start)
-            if record is None:
+            run = self._read_frame(line, n, convert=n >= self._start)
+            if run is None:
                 self.truncated = True
                 return
-            if record is _WALKED:
+            if run is _WALKED:
                 self.frames_read += 1
-            else:
-                if record[1] is not cell:  # only a reused cell reads ahead
-                    size = 1
-                run = [record]
-                ahead = min(size - 1, self._stop - n)
-                if ahead > 0:  # another layout, a cut or the end ends it early
-                    n += self._read_repeats(line, n, run, ahead)
-                cap = max(1, BLOCK_SITES // max(1, len(record[2])))
-                size = cap if len(run) == size else min(2 * len(run), cap)
-                del record  # so that the run's lines go when _convert empties it
-                yield run
-            if n == self._stop:
-                return
-            line = next(self._lines, None)
+                continue
+            if run[1] is not cell:  # only a reused cell reads ahead
+                size = 1
+            ahead = min(size - 1, self._stop - n)
+            if ahead > 0:  # another layout, a cut or the end ends it early
+                n += self._read_repeats(line, n, run, ahead)
+            k = len(run[0])
+            cap = max(1, BLOCK_SITES // max(1, len(run[2]) // k))
+            size = cap if k == size else min(2 * k, cap)
+            yield run
 
-    def _read_repeats(self, timestep_line: str, n: int, run: list[_Record], m: int) -> int:
-        """Read up to ``m`` frames after frame ``n``, the last of ``run``, as
-        one block of ``4 + natoms * per_site`` lines each, append those that
-        repeat its layout (see _repeated_steps) to ``run`` and return how many.
-        The first that does not, or is cut short, and the lines after it go back."""
+    def _read_repeats(self, timestep_line: str, n: int, run: _Run, m: int) -> int:
+        """Read up to ``m`` frames after frame ``n``, the last of ``run``, in
+        blocks of ``4 + natoms * per_site`` lines each, add those that repeat
+        its layout (see _repeated_steps) to ``run`` and return how many.  The
+        first that does not, or is cut short, and the lines after it go back."""
         head = timestep_line.split()
-        _, cell, lines = run[-1]
+        steps, _, lines = run
         per_site = 2 + min(max(int(head[3]), 0), 2)
-        size = 4 + len(lines) * per_site
+        size = 4 + len(lines) // len(steps) * per_site
         # Frames of another layout may be as short as this: even then no line
-        # after frame stop is read.
+        # after frame stop is read.  While that bound alone cuts a block
+        # short, and the block repeats the layout, another block follows.
         shortest = 4 + 2 * (self._expected_natoms or 0)
-        block = list(islice(self._lines, min(m * size, (self._stop - n) * shortest)))
-        k = len(block) // size
-        rows = self._cell_key[1]
-        steps = _repeated_steps(block[: k * size], size, head, rows)
-        if steps is None:  # keep the frames before the first that does not repeat
-            k = next(
-                f for f in range(k)
-                if _repeated_steps(block[f * size : (f + 1) * size], size, head, rows) is None
-            )
-            steps = _repeated_steps(block[: k * size], size, head, rows)
-        if len(block) > k * size:
+        block, got, known = [], 0, False  # known: block starts a frame of the layout
+        while got < m:
+            want = min((m - got) * size, known * size + (self._stop - n - got - known) * shortest)
+            block += islice(self._lines, want - len(block))
+            new = _repeated_steps(block, size, head, self._cell_key[1])
+            steps += new
+            for first in range(0, len(new) * size, size):
+                lines += block[first + 5 : first + size : per_site]
+            got += len(new)
+            ended = len(block) < want
+            del block[: len(new) * size]
+            # A whole frame left over does not repeat the layout.
+            tokens = block[0].split() if 0 < len(block) < size else ()
+            known = len(tokens) >= 5 and all(tokens[c] == head[c] for c in (0, 2, 3, 4))
+            if ended or (block and not known):
+                break
+        if block:
             # After them what is left of those put back before: one chain deep.
-            self._pending = iter(block[k * size :] + list(self._pending))
+            self._pending = iter(block + list(self._pending))
             self._lines = chain(self._pending, self._file_lines)
-        run += [
-            (step, cell, block[first + 5 : first + size : per_site])
-            for step, first in zip(steps, range(0, k * size, size))
-        ]
-        return k
+        return got
 
     def _cut_or_corrupt(self, message: str, read_past: bool = False) -> None:
         """None, for a truncation, when the file ends after the bad record;
@@ -542,10 +545,10 @@ class HistoryReader:
             return None
         raise InputError(f"HISTORY: {message}") from None
 
-    def _read_frame(self, timestep_line: str, n: int, convert: bool) -> _Record | object | None:
-        """Read frame ``n``: its step, cell and coordinate lines, or, when not
-        ``convert``, only walk its lines and return ``_WALKED``; None signals
-        truncation (partial frame dropped)."""
+    def _read_frame(self, timestep_line: str, n: int, convert: bool) -> _Run | object | None:
+        """Read frame ``n`` as a run of one, its step, cell and coordinate
+        lines, or, when not ``convert``, only walk its lines and return
+        ``_WALKED``; None signals truncation (partial frame dropped)."""
         tokens = timestep_line.split()
         if tokens[0].lower() != "timestep" or len(tokens) < 5:
             return self._cut_or_corrupt(
@@ -611,21 +614,25 @@ class HistoryReader:
             lines = list(islice(self._lines, 1, end, per_site))
             if len(lines) < natoms or len(list(islice(self._lines, per_site - 2))) < per_site - 2:
                 return None
-        return step, self._cell, lines
+        return [step], self._cell, lines
 
-    def _convert(self, run: list[_Record], read_past: bool = False) -> Iterator[Frame]:
+    def _convert(self, run: _Run, read_past: bool = False) -> Iterator[Frame]:
         """The frames of ``run``, all their coordinate lines converted and
         checked at once; a run that fails goes again one frame at a time, so
         that the first bad frame names itself after the frames before it.
-        ``run`` is emptied once its frames are built, so that its lines are
-        let go before the frames are used."""
-        positions = _coordinates([line for _, _, lines in run for line in lines])
+        The run's lines are cleared once its frames are built, so that they
+        are let go before the frames are used."""
+        steps, cell, lines = run
+        k = len(steps)
+        positions = _coordinates(lines)
         if positions is None or not np.isfinite(positions).all():
-            if len(run) > 1:
-                for k, record in enumerate(run, 1):
-                    yield from self._convert([record], read_past or k < len(run))
+            if k > 1:
+                natoms = len(lines) // k
+                for f in range(k):
+                    frame = ([steps[f]], cell, lines[f * natoms : (f + 1) * natoms])
+                    yield from self._convert(frame, read_past or f + 1 < k)
                 return
-            step = run[0][0]
+            step = steps[0]
             if positions is None:
                 self._cut_or_corrupt(
                     f"frame at step {step}: a coordinate line does not start with three numbers",
@@ -637,13 +644,9 @@ class HistoryReader:
             raise InputError(
                 f"HISTORY: frame at step {step} has a non-finite coordinate at site {site}"
             )
-        ends = list(accumulate(len(lines) for _, _, lines in run))
-        frames = [
-            Frame(step, cell, positions[end - len(lines) : end])
-            for (step, cell, lines), end in zip(run, ends)
-        ]
-        run.clear()
-        self._run_left = len(frames) - 1
+        lines.clear()
+        frames = [Frame(step, cell, xyz) for step, xyz in zip(steps, positions.reshape(k, -1, 3))]
+        self._run_left = k - 1
         for frame in frames:
             self.frames_read += 1
             if frame.step <= self._step and not self._order_warned:

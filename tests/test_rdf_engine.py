@@ -158,6 +158,11 @@ class TestAccumulateFrame:
         with pytest.raises(ValueError, match="^need at least one molecule type$"):
             PairHistogram.create(0, rmax=5.0, dr=0.5)
 
+    @pytest.mark.parametrize("dr", [0.0, -0.1, math.inf, math.nan])
+    def test_histogram_needs_a_positive_finite_dr(self, dr):
+        with pytest.raises(ValueError, match=r"^dr must be positive and finite, got"):
+            PairHistogram.create(1, rmax=10.0, dr=dr)
+
     @pytest.mark.parametrize(
         "types, coms",
         [([0], np.zeros((2, 3))), ([0, 0], np.zeros((2, 2))), ([0, 0, 0], np.zeros(3))],

@@ -1243,6 +1243,26 @@ class TestBatchedReading:
         assert [len(block) for block in blocks] == [1, 256, 256, 256, 231]
         assert_frames([frame for block in blocks for frame in block], frames)
 
+    @pytest.mark.parametrize("stop, last", [(1000, 231), (999, 230)])
+    def test_full_runs_up_to_stop_without_a_site_count(self, stop, last):
+        """The same frames read up to a stop, with no site count given: a
+        read in bulk may only count on 4 lines a frame to stay inside frame
+        stop, yet the runs are those above, up to stop, and nothing after
+        frame stop is read."""
+        frames = site_frames(1000, 16)
+        text = sites_history(frames)
+        stream = io.StringIO(text)
+        blocks = list(HistoryReader(stream, stop=stop).blocks())
+        assert [len(block) for block in blocks] == [1, 256, 256, 256, last]
+        assert_frames([frame for block in blocks for frame in block], frames[:stop])
+        assert stream.read() == (text[text.rindex("timestep") :] if stop < 1000 else "")
+
+    @pytest.mark.parametrize("stop", [0, -1, -sys.maxsize])
+    def test_a_stop_below_one_reads_no_frame(self, stop):
+        reader = HistoryReader(io.StringIO(self.text(self.lines()[1])), stop=stop)
+        assert list(reader) == []
+        assert (reader.frames_read, reader.truncated) == (0, False)
+
     def test_a_run_cut_short_backs_off(self, monkeypatch):
         """keytrj alternates between 0 and 1 every frame, so every read in
         bulk comes up short: after the first, each asks for at most one
