@@ -81,11 +81,8 @@ def accumulate_history(
 
     Warns once, after the first counted block whose cell is too small for
     rmax (``cell.min_image_cutoff``), that g(r) is unreliable beyond it."""
-    # The 0-based type of each centre of mass of a frame that _block_coms returns.
-    massive = [t for t, _ in topology.massive]
-    types = np.repeat(massive, [topology.molecules[t].count for t in massive])
     hist = PairHistogram.create(topology.n_types, directives.rmax, directives.dr)
-    warned = False
+    types, warned = None, False
     with HistoryReader(
         history_path, expected_natoms=topology.total_sites,
         start=directives.start, stop=directives.stop,
@@ -94,6 +91,12 @@ def accumulate_history(
             # Coordinates near the float limit overflow here; accumulate_frame rejects them.
             with np.errstate(over="ignore", invalid="ignore"):
                 coms = _block_coms(block, topology)
+            if types is None:
+                # The 0-based type of each centre of mass that _block_coms
+                # returns; built once the reader has checked FIELD's site
+                # count against HISTORY, as FIELD counts may be too large.
+                massive = [t for t, _ in topology.massive]
+                types = np.repeat(massive, [topology.molecules[t].count for t in massive])
             cell, bad = block[0].cell, None
             try:
                 # A block of one goes in as its frame, (n, 3), whose molecules
@@ -135,8 +138,8 @@ def run_analysis(
         if not path.is_file():
             raise InputError(f"input file not found: {path}")
 
-    directives = parse_directives(control_path.read_text())
-    topology = parse_field(field_path.read_text())
+    directives = parse_directives(control_path.read_text(encoding="utf-8", errors="replace"))
+    topology = parse_field(field_path.read_text(encoding="utf-8", errors="replace"))
     if not topology.massive:
         raise InputError("every molecule type is massless; nothing to analyse")
 

@@ -25,6 +25,7 @@ and -0.5 folds to +0.5, and histogram bin edges follow the same rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,15 +72,17 @@ def nint(x, out=None):
 class CellTensor:
     """A 3x3 lattice matrix (rows are lattice vectors) plus its imcon code.
 
-    The inverse is computed once at construction; a singular matrix is
-    rejected.  ``matrix`` and ``inverse`` are read-only, because one cell
-    serves every frame that shares it; values derived from them are computed
-    once per cell, on first use, and kept on the cell.
+    The inverse and the volume are computed once at construction; a singular
+    matrix, or one whose volume overflows, is rejected.  ``matrix`` and
+    ``inverse`` are read-only, because one cell serves every frame that
+    shares it; values derived from them are computed once per cell, on first
+    use, and kept on the cell.
     """
 
     matrix: np.ndarray
     imcon: int
     inverse: np.ndarray = field(init=False)
+    volume: float = field(init=False)  # |det(C)| in cubic Angstrom
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float)
@@ -95,8 +98,14 @@ class CellTensor:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
-        if np.linalg.det(matrix) == 0.0:
+        # A cell of huge rows overflows its volume; the check rejects it.
+        with np.errstate(over="ignore"):
+            det = float(np.linalg.det(matrix))
+        if det == 0.0:
             raise InputError("singular cell tensor for a periodic cell")
+        if not math.isfinite(det):
+            raise InputError("cell volume overflows; the cell rows are too large")
+        object.__setattr__(self, "volume", abs(det))
         inverse = np.linalg.inv(matrix)
         inverse.flags.writeable = False
         object.__setattr__(self, "inverse", inverse)
@@ -129,11 +138,6 @@ class CellTensor:
     def n_periodic(self) -> int:
         """The number of periodic lattice directions, which come first."""
         return sum(_PERIODIC_AXES[self.imcon])
-
-    @cached_property
-    def volume(self) -> float:
-        """Cell volume ``|det(C)|`` in cubic Angstrom, computed once per cell."""
-        return float(abs(np.linalg.det(self.matrix)))
 
     @cached_property
     def heights(self) -> np.ndarray:

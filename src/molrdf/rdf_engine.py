@@ -392,35 +392,23 @@ def _expand_rows(owners, starts, sizes):
         r0 = r1
 
 
-def _candidate_pairs(frames: np.ndarray, cell: CellTensor, rc: float):
+def _candidate_pairs(frames: np.ndarray, types: np.ndarray, cell: CellTensor, rc: float):
     """Every pair closer than ``rc`` within each of the ``(k, n, 3)``
-    frames, among others, as ``(slots, chunks)``: ``chunks`` yields index
-    arrays (i, j) into the order ``slots`` of the frames' stacked molecules,
-    or into the stacked molecules themselves when ``slots`` is None."""
+    frames of molecules of ``types``, among others, as the kernel's entries
+    ``(positions, types, chunks)``: ``chunks`` yields index arrays (i, j)
+    into the entry's positions and types.  All pairs are one entry, the
+    frames stacked; the column search is one entry per frame, in that
+    frame's search order."""
     k, n = frames.shape[:2]
     # Every grid's stencil holds at least its own column and the four of
     # the adjacent cells in x and y, so too few molecules for those never
     # pay for a grid.
-    if k and _search_pays(n, 5):
+    if _search_pays(n, 5):
         grids = [_cell_grid(pos, cell, rc) for pos in frames]
         if all(grid is not None and _cell_search_pays(n, grid) for grid in grids):
-            searches = [_cell_pairs(pos, grid) for pos, grid in zip(frames, grids)]
-            slots = np.concatenate([s + f * n for f, (s, _) in enumerate(searches)])
-            return slots, _stacked(searches)
-    return None, _pair_strips(n, k)
-
-
-def _stacked(searches):
-    """The chunks of each frame's search, its slots offset past those of
-    the frames before it."""
-    start = 0
-    for slots, chunks in searches:
-        for i, j in chunks:
-            if start:
-                i += start
-                j += start
-            yield i, j
-        start += len(slots)
+            searches = [(pos, _cell_pairs(pos, grid)) for pos, grid in zip(frames, grids)]
+            return [(pos[slots], types[slots], chunks) for pos, (slots, chunks) in searches]
+    return [(frames.reshape(-1, 3), np.tile(types, k), _pair_strips(n, k))]
 
 
 def accumulate_frame(
@@ -464,7 +452,7 @@ def accumulate_frame(
     if types.size and (types.min() < 0 or types.max() >= hist.n_types):
         raise ValueError("type index out of range for this histogram")
 
-    pos = to_reduced(frames.reshape(-1, 3), cell)
+    pos = to_reduced(frames.reshape(-1, 3), cell).reshape(frames.shape)
     # The periodic axes lead: all three, or the first two of a slab.
     folded = cell.n_periodic
     m = cell.matrix
@@ -476,65 +464,60 @@ def accumulate_frame(
     # Only pairs within this r^2 can get a bin; the margin is far wider than
     # any rounding, so the prefilter drops no pair the bin test would keep.
     r2_max = (rc * (1.0 + 1e-6)) ** 2
-    slots, chunks = _candidate_pairs(pos.reshape(frames.shape), cell, rc)
-    types = np.tile(types, len(frames))
-    if slots is not None:
-        # Into the search's own order once, so chunks index it directly.
-        pos = pos[slots]
-        types = types[slots]
-    # One row per axis: a chunk's three rows of d are one gather.
-    axes = np.ascontiguousarray(pos.T)
-    # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin, with one
-    # overflow bin past the last per pair of types, for the pairs that the
-    # prefilter keeps but that get no bin.  A pair may come as (i, j) or as
-    # (j, i): the fold, the cell product and r^2 are exactly odd or even in
-    # d, and the counts are symmetrised below.
-    key_j = types * (nbins + 1)
-    key_i = key_j * hist.n_types
     flat = np.zeros(hist.n_types**2 * (nbins + 1), dtype=np.int64)
-    for i_arr, j_arr in chunks:
-        k = len(i_arr)
-        # This thread's scratch: d in the first (3, k) block, then the
-        # squares, r^2 and r; the fold in the second, then the cell product,
-        # then the bins and keys as integers.
-        buf, ints, mask = _SCRATCH.rows(k)
-        d = buf[: 3 * k].reshape(3, k)
-        e = buf[3 * k : 6 * k].reshape(3, k)
-        # Every index is in range; mode="clip" lets take write straight into
-        # ``out``, where the default mode writes through a buffer.
-        axes.take(j_arr, axis=1, out=d, mode="clip")
-        d -= axes.take(i_arr, axis=1, out=e, mode="clip")
-        f = d[:folded]
-        f -= nint(f, out=e[:folded])
-        # The transpose of d.T @ m, with the same sums.
-        np.matmul(m.T, d, out=e)
-        # Same sums in the same order as np.linalg.norm(d, axis=0), so the
-        # same bits, without its slow length-3 reduction per pair.
-        r2, y2, z2 = np.multiply(e, e, out=d)
-        r2 += y2
-        r2 += z2
-        near = np.less_equal(r2, r2_max, out=mask[:k]).nonzero()[0]
-        n_near = len(near)
-        r = r2.take(near, out=y2[:n_near], mode="clip")
-        np.sqrt(r, out=r)
-        r /= dr
-        # Acceptance is by bin, not by raw distance: a pair counts whenever
-        # its bin exists, so the shell around rmax itself fills completely
-        # instead of being cut in half at the boundary.  For r >= 0,
-        # truncating r / dr + 1/2 is nint(r / dr).  A pair past the last
-        # bin goes to the overflow bin.
-        r += 0.5
-        idx = ints[3 * k : 3 * k + n_near]
-        key = ints[4 * k : 4 * k + n_near]
-        tmp = ints[5 * k : 5 * k + n_near]
-        np.copyto(idx, r, casting="unsafe")
-        np.minimum(idx, nbins, out=idx)
-        key_i.take(i_arr.take(near, out=tmp, mode="clip"), out=key, mode="clip")
-        key += idx
-        key_j.take(j_arr.take(near, out=tmp, mode="clip"), out=idx, mode="clip")
-        key += idx
-        binned = np.bincount(key)
-        flat[: binned.size] += binned
+    for entry_pos, entry_types, chunks in _candidate_pairs(pos, types, cell, rc):
+        # One row per axis: a chunk's three rows of d are one gather.
+        axes = np.ascontiguousarray(entry_pos.T)
+        # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin, with one
+        # overflow bin past the last per pair of types, for the pairs that the
+        # prefilter keeps but that get no bin.  A pair may come as (i, j) or
+        # as (j, i): the fold, the cell product and r^2 are exactly odd or
+        # even in d, and the counts are symmetrised below.
+        key_j = entry_types * (nbins + 1)
+        key_i = key_j * hist.n_types
+        for i_arr, j_arr in chunks:
+            k = len(i_arr)
+            # This thread's scratch: d in the first (3, k) block, then the
+            # squares, r^2 and r; the fold in the second, then the cell product,
+            # then the bins and keys as integers.
+            buf, ints, mask = _SCRATCH.rows(k)
+            d = buf[: 3 * k].reshape(3, k)
+            e = buf[3 * k : 6 * k].reshape(3, k)
+            # Every index is in range; mode="clip" lets take write straight into
+            # ``out``, where the default mode writes through a buffer.
+            axes.take(j_arr, axis=1, out=d, mode="clip")
+            d -= axes.take(i_arr, axis=1, out=e, mode="clip")
+            f = d[:folded]
+            f -= nint(f, out=e[:folded])
+            # The transpose of d.T @ m, with the same sums.
+            np.matmul(m.T, d, out=e)
+            # Same sums in the same order as np.linalg.norm(d, axis=0), so the
+            # same bits, without its slow length-3 reduction per pair.
+            r2, y2, z2 = np.multiply(e, e, out=d)
+            r2 += y2
+            r2 += z2
+            near = np.less_equal(r2, r2_max, out=mask[:k]).nonzero()[0]
+            n_near = len(near)
+            r = r2.take(near, out=y2[:n_near], mode="clip")
+            np.sqrt(r, out=r)
+            r /= dr
+            # Acceptance is by bin, not by raw distance: a pair counts whenever
+            # its bin exists, so the shell around rmax itself fills completely
+            # instead of being cut in half at the boundary.  For r >= 0,
+            # truncating r / dr + 1/2 is nint(r / dr).  A pair past the last
+            # bin goes to the overflow bin.
+            r += 0.5
+            idx = ints[3 * k : 3 * k + n_near]
+            key = ints[4 * k : 4 * k + n_near]
+            tmp = ints[5 * k : 5 * k + n_near]
+            np.copyto(idx, r, casting="unsafe")
+            np.minimum(idx, nbins, out=idx)
+            key_i.take(i_arr.take(near, out=tmp, mode="clip"), out=key, mode="clip")
+            key += idx
+            key_j.take(j_arr.take(near, out=tmp, mode="clip"), out=idx, mode="clip")
+            key += idx
+            binned = np.bincount(key)
+            flat[: binned.size] += binned
     # The overflow bins are dropped here.
     counts = flat.reshape(hist.n_types, hist.n_types, nbins + 1)[..., :nbins]
     hist.counts += counts

@@ -271,6 +271,8 @@ def parse_field(field_text: str) -> Topology:
                     int(tokens[4])  # the frozen flag: unused, but must be an integer
             except ValueError:
                 raise InputError(f"FIELD line {lineno}: bad site record {line.strip()!r}") from None
+            if not math.isfinite(mass):
+                raise InputError(f"FIELD line {lineno}: site mass must be finite, got {tokens[1]!r}")
             if mass < 0:
                 raise InputError(f"FIELD line {lineno}: negative site mass")
             if repeat < 1:
@@ -281,7 +283,12 @@ def parse_field(field_text: str) -> Topology:
                     f"FIELD: repeat counts in {name!r} expand to {len(sites) + repeat} "
                     f"sites, ATOMS says {n_sites}"
                 )
-            sites += [(tokens[0], mass)] * repeat
+            try:
+                sites += [(tokens[0], mass)] * repeat
+            except (OverflowError, MemoryError):
+                raise InputError(
+                    f"FIELD line {lineno}: repeat count {repeat} is too many sites to hold"
+                ) from None
 
         # Skip bonds/constraints/... up to the closing FINISH.
         while True:
@@ -406,7 +413,9 @@ class HistoryReader:
             self._fh = source
             self._owns_fh = False
         else:
-            self._fh = open(source, "r")
+            # UTF-8 on every locale; a bad byte becomes U+FFFD, which no
+            # number or keyword takes, so its record is bad, not the file.
+            self._fh = open(source, "r", encoding="utf-8", errors="replace")
             # Decode 64 KiB at a time, not 8 KiB: the line walk is most of
             # reading a file of many sites, and fewer decodes shorten it.
             self._fh._CHUNK_SIZE = 1 << 16

@@ -322,6 +322,32 @@ class TestMain:
         )
         assert not (dataset_dir / "RDF").exists() and not (dataset_dir / "POP").exists()
 
+    def test_cell_whose_volume_overflows_exit_code(self, dataset_dir):
+        """Frame 2's cell rows of 1e200 A are finite, but its volume is not:
+        an error that names the step, with no numpy warning and no output."""
+        for row in (1, 2, 3):
+            edit_history(dataset_dir, 2, row, lambda s: s.replace("30.000000000000", "1.0e200"))
+        result = run_cli("--dir", str(dataset_dir), capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: HISTORY: frame at step 2: cell volume overflows; the cell rows "
+            "are too large\n"
+        )
+        assert not (dataset_dir / "RDF").exists() and not (dataset_dir / "POP").exists()
+
+    @pytest.mark.parametrize("count", [2**60, 10**20])
+    def test_field_count_too_large_to_hold_exit_code(self, dataset_dir, capsys, count):
+        """NUMMOLS far beyond the sites of any HISTORY: the reader's check
+        of the site count stops the run before the types of that many
+        molecules are built."""
+        field = dataset_dir / "FIELD"
+        field.write_text(field.read_text().replace("NUMMOLS 1", f"NUMMOLS {count}", 1))
+        assert main(["--dir", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: HISTORY: frame at step 1 has 16 sites, FIELD topology expects {8 * count + 8}\n"
+        )
+        assert not (dataset_dir / "RDF").exists()
+
     def test_malformed_timestep_exit_code(self, dataset_dir, capsys):
         history = dataset_dir / "HISTORY"
         lines = history.read_text().splitlines()
@@ -371,6 +397,44 @@ class TestMain:
             "with three numbers\n"
         )
         assert not (tmp_path / "RDF").exists() and not (tmp_path / "POP").exists()
+
+    def test_byte_not_utf8_in_a_coordinate_exit_code(self, tmp_path, capsys):
+        """A 0xFF byte in frame 10 of 50 reads as U+FFFD, on any locale: a
+        coordinate line that is no number, an error that names step 10."""
+        generate_dataset(SyntheticConfig(n_frames=50), tmp_path)
+        history = tmp_path / "HISTORY"
+        lines = history.read_bytes().splitlines()
+        tenth_step = [k for k, s in enumerate(lines) if s.startswith(b"timestep")][9]
+        site_2 = tenth_step + 1 + 3 + 3  # timestep, cell, first site
+        lines[site_2] = lines[site_2].replace(b".", b"\xff", 1)
+        history.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["--dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: HISTORY: frame at step 10: a coordinate line does not start "
+            "with three numbers\n"
+        )
+        assert not (tmp_path / "RDF").exists() and not (tmp_path / "POP").exists()
+
+    def test_byte_not_utf8_after_the_last_frame_is_a_cut(self, dataset_dir, capsys, caplog):
+        """A 0xFF line after the last of 40 frames is a record cut at the end
+        of the file: every frame is used, with the truncation warning."""
+        with open(dataset_dir / "HISTORY", "ab") as history:
+            history.write(b"\xff\n")
+        assert main(["--dir", str(dataset_dir)]) == 0
+        assert "frames used:      40\n" in capsys.readouterr().out
+        assert caplog.messages == [
+            "the trajectory was abnormally terminated; results cover the 40 complete frames"
+        ]
+
+    @pytest.mark.parametrize("name", ["FIELD", "CONTROL"])
+    def test_byte_not_utf8_in_a_title_is_read(self, dataset_dir, name):
+        """A 0xFF byte in the title of FIELD or CONTROL changes nothing."""
+        assert main(["--dir", str(dataset_dir)]) == 0
+        rdf = (dataset_dir / "RDF").read_bytes()
+        path = dataset_dir / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        assert main(["--dir", str(dataset_dir)]) == 0
+        assert (dataset_dir / "RDF").read_bytes() == rdf
 
     @staticmethod
     def write_without_cells(history, frames, malformed=None):

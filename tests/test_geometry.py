@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -101,6 +102,15 @@ class TestCellTensor:
         with pytest.raises(InputError, match="singular"):
             CellTensor(m, imcon=3)
 
+    @pytest.mark.parametrize("imcon, m", [(2, np.diag([1e200] * 3)), (3, 1e200 * TRICLINIC)])
+    def test_overflowing_volume_rejected(self, imcon, m):
+        """Finite rows whose volume overflows, with no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^cell volume overflows; the cell rows are too large$"
+            with pytest.raises(InputError, match=message):
+                CellTensor(m, imcon=imcon)
+
     def test_non_square_matrix_rejected(self):
         with pytest.raises(InputError, match=r"^cell matrix must be 3x3, got shape \(2, 3\)$"):
             CellTensor(np.ones((2, 3)), imcon=3)
@@ -129,9 +139,11 @@ class TestCellTensor:
         assert array[0, 0] != 1.0
 
     def test_derived_values_computed_once_per_cell(self):
-        cell = CellTensor(TRICLINIC, imcon=3)
+        """One determinant per cell, made at construction, which both checks
+        the cell and gives its volume."""
         with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det, \
                 mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            cell = CellTensor(TRICLINIC, imcon=3)
             first = (cell.volume, cell.min_image_cutoff, cell.heights)
             calls = (det.call_count, norm.call_count)
             again = (cell.volume, cell.min_image_cutoff, cell.heights)
@@ -172,6 +184,10 @@ class TestVolume:
 
     def test_cubic(self):
         assert CellTensor.cubic(30.0).volume == pytest.approx(27000.0, rel=1e-14)
+
+    def test_has_the_bits_of_the_determinant(self):
+        cell = CellTensor(TRICLINIC, imcon=3)
+        assert cell.volume.hex() == float(abs(np.linalg.det(TRICLINIC))).hex()
 
 
 def folded_bond(s_from, s_to, cell):

@@ -430,13 +430,12 @@ class TestSmoothCurve:
 # A search returns (slots, chunks): chunks of index pairs into the order
 # ``slots`` of the molecules, or into the molecules themselves when ``slots``
 # is None, as only the cell search reorders them.  These take one frame,
-# ``(n, 3)`` or as the kernel passes it, ``(1, n, 3)``.
+# ``(n, 3)``.
 def _all_pairs(pos, cell, rc):
-    return None, rdf_engine._pair_strips(len(pos.reshape(-1, 3)), 1)
+    return None, rdf_engine._pair_strips(len(pos), 1)
 
 
 def _cell_search(pos, cell, rc):
-    pos = pos.reshape(-1, 3)
     return rdf_engine._cell_pairs(pos, rdf_engine._cell_grid(pos, cell, rc))
 
 
@@ -448,11 +447,31 @@ def molecule_chunks(search):
 
 
 def counts_with(search, types, coms, cell, rmax, dr, n_types=2):
-    """Histogram of one frame with the pair search replaced by ``search``."""
+    """Histogram of one frame with the pair search replaced by ``search``,
+    whose ``(slots, chunks)`` becomes the kernel's one entry."""
+
+    def entries(frames, types, cell, rc):
+        (pos,) = frames
+        slots, chunks = search(pos, cell, rc)
+        if slots is None:
+            return [(pos, types, chunks)]
+        return [(pos[slots], types[slots], chunks)]
+
     hist = PairHistogram.create(n_types, rmax, dr)
-    with mock.patch.object(rdf_engine, "_candidate_pairs", search):
+    with mock.patch.object(rdf_engine, "_candidate_pairs", entries):
         accumulate_frame(hist, types, coms, cell)
     return hist.counts
+
+
+def candidate_pairs(frames, cell, rc):
+    """Whether ``_candidate_pairs`` takes the column search for the
+    ``(k, n, 3)`` frames, one entry per frame, rather than all pairs, one
+    entry, and the chunks of all its entries."""
+    k, n = frames.shape[:2]
+    entries = rdf_engine._candidate_pairs(frames, np.zeros(n, dtype=np.int64), cell, rc)
+    searched = [chunks.__name__ != "_pair_strips" for _, _, chunks in entries]
+    assert searched in ([True] * k, [False])
+    return searched[0], (pair for _, _, chunks in entries for pair in chunks)
 
 
 def search_radius(rmax, dr):
@@ -547,16 +566,16 @@ class TestCandidatePairs:
 
     def test_liquid_sized_frame_takes_cell_search(self):
         pos, cell = self.liquid_frame(1800, 40.0)
-        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
-        assert slots is not None  # the cell search's own order
+        searched, pairs = candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
+        assert searched
         assert sum(len(i) for i, _ in pairs) < 0.5 * 1800 * 1799 / 2
 
     def test_two_molecules_test_all_pairs(self, monkeypatch):
         """The spike's frame: two molecules lay no grid at all."""
         pos, cell = self.liquid_frame(2, 30.0)
         monkeypatch.setattr(rdf_engine, "_cell_grid", mock.Mock(side_effect=AssertionError))
-        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
-        assert slots is None and pairs.__name__ == "_pair_strips"
+        searched, pairs = candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
+        assert not searched
 
     @staticmethod
     def chains_frame(n, edge):
@@ -574,8 +593,8 @@ class TestCandidatePairs:
         assert list(grid.shape) == [9, 8, 23] and len(grid.columns) == 25
         candidates = sum(len(i) for i, _ in _cell_search(pos, cell, search_radius(12.0, 0.2))[1])
         assert 0.45 < candidates / (200 * 199 / 2) < 0.55
-        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.0, 0.2))
-        assert slots is None and pairs.__name__ == "_pair_strips"
+        searched, pairs = candidate_pairs(pos[None], cell, search_radius(12.0, 0.2))
+        assert not searched
 
     def test_chains_cell_with_1800_molecules_takes_column_search(self):
         """The same cell shape, 40 across, with 1800 molecules: 44% of the
@@ -583,8 +602,8 @@ class TestCandidatePairs:
         pos, cell = self.chains_frame(1800, 40.0)
         grid = rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1))
         assert list(grid.shape) == [9, 9, 23]
-        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
-        assert slots is not None
+        searched, pairs = candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
+        assert searched
         assert sum(len(i) for i, _ in pairs) < 0.45 * 1800 * 1799 / 2
 
     @pytest.mark.parametrize("n, column_search", [(150, False), (900, True)])
@@ -596,8 +615,8 @@ class TestCandidatePairs:
         pos = rng.uniform(0.0, 1.0, (n, 3)) * [1.0, 1.0, 0.2]
         grid = rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1))
         assert list(grid.shape) == [14, 14, 25]
-        slots, _ = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
-        assert (slots is not None) == column_search
+        searched, _ = candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
+        assert searched == column_search
 
     @pytest.mark.parametrize("n", [2, 30, 200, 256, 257, 600, 1800])
     def test_all_pairs_in_row_order(self, n):
@@ -624,8 +643,8 @@ class TestCandidatePairs:
         than testing every pair."""
         pos, cell = self.liquid_frame(200, 100.0)
         assert rdf_engine._cell_grid(pos, cell, search_radius(12.5, 0.1)) is not None
-        slots, pairs = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
-        assert slots is None and pairs.__name__ == "_pair_strips"
+        searched, pairs = candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
+        assert not searched
 
     @pytest.mark.parametrize("imcon, thickness", [(3, 4.0), (6, 1.0), (6, 0.4), (6, 0.05)])
     def test_candidates_unique_ordered_and_complete(self, imcon, thickness):
@@ -680,10 +699,10 @@ class TestCandidatePairs:
             return grids[-1]
 
         monkeypatch.setattr(rdf_engine, "_cell_grid", spy)
-        slots, pairs = rdf_engine._candidate_pairs(pos[:n][None], cell, rc)
-        assert slots is None and pairs.__name__ == "_pair_strips"
+        searched, pairs = candidate_pairs(pos[:n][None], cell, rc)
+        assert not searched
         assert grids == []
-        rdf_engine._candidate_pairs(pos[None], cell, rc)
+        candidate_pairs(pos[None], cell, rc)
         assert len(grids) == 1 and grids[0] is not None
 
 
@@ -758,8 +777,8 @@ class TestColumnSearch:
         grid = rdf_engine._cell_grid(pos, cell, search_radius(rmax, dr))
         assert rdf_engine._cell_search_pays(3000, grid)
         assert grid.shape.prod() < 2**16
-        slots, _ = rdf_engine._candidate_pairs(pos[None], cell, search_radius(rmax, dr))
-        assert slots is not None
+        searched, _ = candidate_pairs(pos[None], cell, search_radius(rmax, dr))
+        assert searched
         hist = PairHistogram.create(2, rmax, dr)
         tracemalloc.start()
         try:
@@ -928,8 +947,8 @@ class TestZWindows:
         million for 14 400 in an 80 A cube; per-molecule z windows give
         about 40% fewer."""
         pos, cell = TestCandidatePairs().liquid_frame(n, edge)
-        slots, chunks = rdf_engine._candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
-        assert slots is not None
+        searched, chunks = candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
+        assert searched
         assert sum(len(i) for i, _ in chunks) <= most
 
 
@@ -1010,10 +1029,10 @@ class TestKernelPasses:
         coms = rng.uniform(0.0, 20.0, (n, 3))
         types = rng.integers(0, 2, n)
         rmax, dr = 9.0, 0.25
-        slots, pairs = rdf_engine._candidate_pairs(
+        searched, pairs = candidate_pairs(
             to_reduced(coms, cell)[None], cell, search_radius(rmax, dr)
         )
-        assert slots is None and pairs.__name__ == "_pair_strips"
+        assert not searched
         cached = counts_with(_all_pairs, types, coms, cell, rmax, dr)
         assert cached.sum() > 0
 
@@ -1118,9 +1137,9 @@ class TestBlocks:
         assert block.volume_sum.hex() == one_at_a_time.volume_sum.hex()
 
         pos = to_reduced(coms.reshape(-1, 3), cell).reshape(coms.shape)
-        slots, chunks = rdf_engine._candidate_pairs(pos, cell, search_radius(rmax, dr))
-        assert (slots is not None) == (n == 300)
-        if slots is None:
+        searched, chunks = candidate_pairs(pos, cell, search_radius(rmax, dr))
+        assert searched == (n == 300)
+        if not searched:
             chunked = len(list(chunks)) > 1
             assert chunked == (k * n * (n - 1) // 2 > rdf_engine._CHUNK_PAIRS) == (n == 24)
 

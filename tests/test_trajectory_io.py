@@ -260,6 +260,22 @@ class TestParseField:
         with pytest.raises(InputError, match="negative"):
             parse_field(text)
 
+    @pytest.mark.parametrize("mass", ["nan", "inf", "1e400"])
+    def test_non_finite_mass_rejected(self, mass):
+        text = f"t\nmolecules 1\nM\nnummols 1\natoms 1\nX {mass} 0.0\nfinish\n"
+        message = f"^FIELD line 6: site mass must be finite, got '{mass}'$"
+        with pytest.raises(InputError, match=message):
+            parse_field(text)
+
+    @pytest.mark.parametrize("count", [2**60, 10**20])
+    def test_repeat_count_too_large_to_hold(self, count):
+        """ATOMS and a repeat count both too large for a list of sites:
+        refused before anything is allocated, by line."""
+        text = f"t\nmolecules 1\nM\nnummols 1\natoms {count}\nX 1.0 0.0 {count}\nfinish\n"
+        message = f"^FIELD line 6: repeat count {count} is too many sites to hold$"
+        with pytest.raises(InputError, match=message):
+            parse_field(text)
+
     @pytest.mark.parametrize("n_sites", ["0", "-1"])
     def test_site_count_must_be_positive(self, n_sites):
         text = f"t\nmolecules 1\nM\nnummols 1\natoms {n_sites}\nX 1.0 0.0\nfinish\n"
