@@ -398,7 +398,8 @@ def _candidate_pairs(frames: np.ndarray, types: np.ndarray, cell: CellTensor, rc
     ``(positions, types, chunks)``: ``chunks`` yields index arrays (i, j)
     into the entry's positions and types.  All pairs are one entry, the
     frames stacked; the column search is one entry per frame, in that
-    frame's search order."""
+    frame's search order, each built when the kernel reaches it, so that
+    one frame's search is held at a time."""
     k, n = frames.shape[:2]
     # Every grid's stencil holds at least its own column and the four of
     # the adjacent cells in x and y, so too few molecules for those never
@@ -406,9 +407,11 @@ def _candidate_pairs(frames: np.ndarray, types: np.ndarray, cell: CellTensor, rc
     if _search_pays(n, 5):
         grids = [_cell_grid(pos, cell, rc) for pos in frames]
         if all(grid is not None and _cell_search_pays(n, grid) for grid in grids):
-            searches = [(pos, _cell_pairs(pos, grid)) for pos, grid in zip(frames, grids)]
-            return [(pos[slots], types[slots], chunks) for pos, (slots, chunks) in searches]
-    return [(frames.reshape(-1, 3), np.tile(types, k), _pair_strips(n, k))]
+            for pos, grid in zip(frames, grids):
+                slots, chunks = _cell_pairs(pos, grid)
+                yield pos[slots], types[slots], chunks
+            return
+    yield frames.reshape(-1, 3), np.tile(types, k), _pair_strips(n, k)
 
 
 def accumulate_frame(

@@ -317,6 +317,14 @@ def _coordinates(lines: list[str]) -> np.ndarray | None:
         return None
 
 
+def _integers(tokens: list[str], k: int) -> bool:
+    """Whether ``tokens`` are ``k`` integers."""
+    try:
+        return len([int(token) for token in tokens]) == k
+    except ValueError:
+        return False
+
+
 # What HistoryReader._read_frame returns for a frame it only walked.
 _WALKED = object()
 
@@ -447,23 +455,29 @@ class HistoryReader:
         self.close()
 
     def _consume_header(self) -> str | None:
-        """Swallow the header if present; return the first timestep line."""
+        """Swallow the header if present; return the first timestep line.
+
+        A header is a title, which may start with any word, "timestep" too,
+        and a line that starts with three integers (keytrj, imcon, natoms).
+        A first line that is a whole timestep record starts the frames."""
         first = next(self._lines, None)
         if first is None:
             self.truncated = True  # empty trajectory counts as abnormal
             return None
-        if first.lower().split(maxsplit=1)[:1] == ["timestep"]:
+        tokens = first.split()
+        timestep = tokens[0].lower() == "timestep"
+        if timestep and _integers(tokens[1:5], 4):
             return first
-        # Header: title line just read, then the levcfg/imcon/natoms line.
         info = next(self._lines, None)
-        try:
-            for tok in info.split()[:3]:
-                int(tok)
-        except (AttributeError, ValueError, IndexError):
-            raise InputError(
-                "HISTORY: first record is neither a header nor a timestep record"
-            ) from None
-        return next(self._lines, None)
+        if info is not None and _integers(info.split()[:3], 3):
+            return next(self._lines, None)
+        if not timestep:
+            raise InputError("HISTORY: first record is neither a header nor a timestep record")
+        # A bad timestep record, which _read_frame names; the line after it goes back.
+        if info is not None:
+            self._pending = iter([info])
+            self._lines = chain(self._pending, self._file_lines)
+        return first
 
     def __iter__(self) -> Iterator[Frame]:
         for run in self._runs():

@@ -867,3 +867,127 @@ class TestFrameBlocks:
         overflow(dataset_dir, 2, "1.0e6")
         assert main(["--dir", str(dataset_dir)]) == 0
         assert "frames used:      40" in capsys.readouterr().out
+
+
+VELOCITY = "      0.100000000000      0.200000000000      0.300000000000"
+FORCE = "      1.000000000000      2.000000000000      3.000000000000"
+
+
+def edit_frames(directory, edit):
+    """Rewrite every frame of a HISTORY, its timestep record and the lines up
+    to the next, as ``edit(frame, lines)`` returns them; frames count from 1."""
+    history = directory / "HISTORY"
+    lines = history.read_text().splitlines()
+    steps = [k for k, s in enumerate(lines) if s.startswith("timestep")]
+    frames = [lines[a:b] for a, b in zip(steps, steps[1:] + [len(lines)])]
+    edited = [s for frame, part in enumerate(frames, 1) for s in edit(frame, part)]
+    history.write_text("\n".join(lines[: steps[0]] + edited) + "\n")
+
+
+def timestep(record, k, value):
+    """A timestep record with its token ``k`` set to ``value``, as awk writes
+    it: one space between tokens."""
+    fields = record.split()
+    fields[k] = str(value)
+    return " ".join(fields)
+
+
+def after_coordinates(lines, extra):
+    """A frame's lines with ``extra`` after each coordinate line: the lines
+    that start with a space after the three cell rows."""
+    return lines[:4] + [t for s in lines[4:] for t in [s, *extra * s.startswith(" ")]]
+
+
+class TestEditedTrajectories:
+    """A generated trajectory of 50 frames, edited as DL_POLY or its users
+    write files, through ``main``: layouts that leave every output as it is,
+    and faults that are warned about as the run goes on.  Each outcome is
+    compared with a clean run of the same frames."""
+
+    WARNINGS = {
+        "keytrj 2, cut in the last record": [
+            "the trajectory was abnormally terminated; results cover the 49 complete frames"
+        ],
+        "steps rewound": [
+            "HISTORY: frame 20 has step 15, not above the step 19 before it; frames that "
+            "repeat are counted again"
+        ],
+        "rmax beyond the cell": [
+            "rmax 12.5000 exceeds the safe minimum-image radius 12.0000 of the cell; g(r) is "
+            "unreliable beyond that distance"
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "odd layout",
+            "keytrj 2",
+            "keytrj 2, cut in the last record",
+            "layout change",
+            "steps rewound",
+            "stop inside a run",
+            "cell change",
+            "rmax beyond the cell",
+        ],
+    )
+    def test_same_outcome_as_the_clean_file(self, tmp_path, capsys, caplog, case):
+        # A 24 A cube's minimum-image radius of 12 A is below CONTROL's rmax.
+        config = SyntheticConfig(n_frames=50, cell_length=24.0 if case.startswith("rmax") else 30.0)
+        clean, edited = tmp_path / "clean", tmp_path / "edited"
+        for directory in (clean, edited):
+            generate_dataset(config, directory)
+        if case == "stop inside a run":
+            # Frames 2-50 would be one run: stop 20 must end it before frame
+            # 21, whose first coordinate line is no number.
+            for directory in (clean, edited):
+                control = directory / "CONTROL"
+                control.write_text(control.read_text().replace("polyana\n", "polyana\n  stop 20\n"))
+            edit_frames(edited, lambda f, lines: lines if f != 21 else lines[:5] + ["x y z"] + lines[6:])
+        if case == "keytrj 2, cut in the last record":
+            control = clean / "CONTROL"
+            control.write_text(control.read_text().replace("polyana\n", "polyana\n  stop 49\n"))
+
+        if case == "odd layout":
+            # One extra token on every cell row and coordinate line, and a
+            # blank line after each of them.
+            edit_frames(edited, lambda f, lines: [lines[0]] + [
+                t for s in lines[1:] for t in ([s + "  0.0", ""] if s.startswith(" ") else [s])
+            ])
+        if case.startswith("keytrj 2"):
+            # keytrj 2, with a velocity, a force and a blank line after every
+            # coordinate line, as DL_POLY writes them.
+            edit_frames(edited, lambda f, lines: [timestep(lines[0], 3, 2)] + after_coordinates(
+                lines, [VELOCITY, FORCE, ""])[1:])
+        if case.endswith("cut in the last record"):
+            # Without the last force line and the blank line after it.
+            history = edited / "HISTORY"
+            history.write_text("\n".join(history.read_text().splitlines()[:-2]) + "\n")
+        if case == "layout change":
+            # DL_POLY 4's time token on every timestep record, and from frame
+            # 30 on keytrj 1, with a velocity line after each coordinate line.
+            edit_frames(edited, lambda f, lines: [
+                (timestep(lines[0], 3, 1) if f >= 30 else lines[0]) + "  0.05"
+            ] + after_coordinates(lines, [VELOCITY] * (f >= 30))[1:])
+        if case == "steps rewound":
+            # Frames 20-24 go back to steps 15-19, as after a restart from an
+            # earlier dump.
+            edit_frames(edited, lambda f, lines: [
+                timestep(lines[0], 1, f - 5) if 20 <= f <= 24 else lines[0], *lines[1:]
+            ])
+        if case == "cell change":
+            # Frame 25 alone gets a 31 A box.
+            edit_frames(edited, lambda f, lines: lines if f != 25 else [lines[0]] + [
+                s.replace("30.000000000000", "31.000000000000") for s in lines[1:4]
+            ] + lines[4:])
+
+        expected = outcome(clean, capsys, caplog)
+        got = outcome(edited, capsys, caplog)
+        assert got[0] == 0 and got[2] == "" and None not in got[4]
+        assert got[3] == self.WARNINGS.get(case, [])
+        if case == "cell change":
+            # A cell reused past its frame would keep the mean at 27000 A^3.
+            mean = (49 * 30.0**3 + 31.0**3) / 50
+            assert got[1] == expected[1].replace("27000.000000", f"{mean:.6f}")
+        else:
+            assert (got[1], got[4]) == (expected[1], expected[4])

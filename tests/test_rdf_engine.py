@@ -468,7 +468,7 @@ def candidate_pairs(frames, cell, rc):
     ``(k, n, 3)`` frames, one entry per frame, rather than all pairs, one
     entry, and the chunks of all its entries."""
     k, n = frames.shape[:2]
-    entries = rdf_engine._candidate_pairs(frames, np.zeros(n, dtype=np.int64), cell, rc)
+    entries = list(rdf_engine._candidate_pairs(frames, np.zeros(n, dtype=np.int64), cell, rc))
     searched = [chunks.__name__ != "_pair_strips" for _, _, chunks in entries]
     assert searched in ([True] * k, [False])
     return searched[0], (pair for _, _, chunks in entries for pair in chunks)
@@ -1142,6 +1142,21 @@ class TestBlocks:
         if not searched:
             chunked = len(list(chunks)) > 1
             assert chunked == (k * n * (n - 1) // 2 > rdf_engine._CHUNK_PAIRS) == (n == 24)
+
+    @pytest.mark.parametrize("shape", ["cubic", "slab"])
+    def test_column_searches_are_built_one_frame_at_a_time(self, monkeypatch, shape):
+        """A block of 5 frames that take the column search: each frame's
+        search is built when the kernel reaches its entry, so one is held at
+        a time."""
+        cell, coms, types = self.block(shape, 5, 300, seed=5)
+        pos = to_reduced(coms.reshape(-1, 3), cell).reshape(coms.shape)
+        built = []
+        cell_pairs = rdf_engine._cell_pairs
+        monkeypatch.setattr(
+            rdf_engine, "_cell_pairs", lambda pos, grid: built.append(1) or cell_pairs(pos, grid)
+        )
+        entries = rdf_engine._candidate_pairs(pos, types, cell, search_radius(6.0, 0.1))
+        assert [len(built) for _ in entries] == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("imcon", [1, 3, 6])
     def test_stacked_frames_keep_their_bits(self, imcon):

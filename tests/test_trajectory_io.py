@@ -597,6 +597,28 @@ class TestHistoryReader:
         with pytest.raises(InputError, match="neither a header nor a timestep"):
             list(reader)
 
+    @pytest.mark.parametrize("title", ["Timestep study of water", "TIMESTEP 1 2 0", "timestep"])
+    def test_title_that_starts_with_timestep(self, title):
+        """The title is CONTROL's, whatever its first word: a header is told
+        by the integers of its second line."""
+        text = history_text(FRAMES).replace("test trajectory", title, 1)
+        reader, frames = read_all(text)
+        assert (reader.frames_read, reader.truncated) == (3, False)
+        assert_frames(frames, FRAMES)
+
+    @pytest.mark.parametrize("more", [True, False])
+    def test_bad_first_timestep_record_without_a_header(self, more):
+        """A first record with the keyword but not four integers is named as
+        frame 1's, with the line after it still there to tell it from a cut."""
+        lines = history_text(FRAMES, header=False).splitlines()
+        lines[0] = lines[0].replace(f"{1:10d}{0.001:12.6f}", f"{'x':>10}{0.001:12.6f}")
+        reader = HistoryReader(io.StringIO("\n".join(lines[: None if more else 1]) + "\n"))
+        if more:
+            with pytest.raises(InputError, match="^HISTORY: frame 1: timestep record needs integer"):
+                list(reader)
+        else:
+            assert list(reader) == [] and reader.truncated
+
     @pytest.mark.parametrize("start", [1, 2])
     def test_natoms_mismatch_is_fatal(self, start):
         reader = HistoryReader(
