@@ -17,10 +17,11 @@ Supported periodic-image convention codes (``imcon``):
 6      slab: periodic along the first two lattice vectors only
 ====== ====================================================
 
-:func:`nint` rounds halves away from zero (the Fortran NINT convention) for
-every layer: unfolding, the pair kernel's minimum-image fold and the bin count
-all call it, so a reduced displacement component of exactly +0.5 folds to -0.5
-and -0.5 folds to +0.5, and histogram bin edges follow the same rule.
+:func:`nint` rounds halves away from zero (the Fortran NINT convention), so
+a reduced displacement component of exactly +0.5 folds to -0.5 and -0.5 to
++0.5.  Unfolding and the bin count call it, as does the pair kernel's fold
+where rmax reaches near half a cell height; short of that, ``np.rint`` gives
+the kernel the same counts.
 """
 
 from __future__ import annotations

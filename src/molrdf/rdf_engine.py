@@ -35,8 +35,8 @@ from .trajectory_io import Topology
 logger = logging.getLogger(__name__)
 
 # Candidate pairs are handled in chunks of about this many, one row of
-# candidates at the least.  The size bounds the kernel's scratch, about 57 B
-# per pair of the largest chunk (1.9 MB per thread at this size), whatever
+# candidates at the least.  The size bounds the kernel's scratch, about 56 B
+# per pair of the largest chunk (1.8 MB per thread at this size), whatever
 # the number of molecules.
 _CHUNK_PAIRS = 32_768
 
@@ -88,24 +88,21 @@ def _grown(size: int, k: int) -> int:
 class _Scratch(threading.local):
     """One thread's buffers for the pair kernel, kept from chunk to chunk and
     from frame to frame: a warm frame allocates no chunk-sized array beyond
-    each chunk's pair indices and its list of pairs in range.  Each buffer
-    grows to the largest chunk that the thread has met and never shrinks.
-    Per thread, as histograms may be accumulated in threads at once."""
+    each chunk's pair indices.  Each buffer grows to the largest chunk that
+    the thread has met and never shrinks.  Per thread, as histograms may be
+    accumulated in threads at once."""
 
     buf = np.empty(0)
     ints = buf.view(np.int64)
-    mask = np.empty(0, dtype=bool)
     iota = np.arange(0)
 
-    def rows(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Room for six rows of k pairs, as one flat float64 buffer and its
-        int64 view, and a bool row."""
-        if len(self.mask) < k:
-            size = _grown(len(self.mask), k)
-            self.buf = np.empty(6 * size)
+        int64 view."""
+        if len(self.buf) < 6 * k:
+            self.buf = np.empty(6 * _grown(len(self.buf) // 6, k))
             self.ints = self.buf.view(np.int64)
-            self.mask = np.empty(size, dtype=bool)
-        return self.buf, self.ints, self.mask
+        return self.buf, self.ints
 
     def arange(self, k: int) -> np.ndarray:
         """0, 1, ..., k - 1, read-only."""
@@ -428,12 +425,13 @@ def accumulate_frame(
     for k frames, which count as k frames taken one at a time.  Distances
     use the minimum-image convention along the periodic directions of the
     cell.  Candidate pairs come from a linked-cell search where that pays,
-    from all pairs otherwise; every candidate's distance is computed the same
-    way, so the choice never moves a count.
+    from all pairs otherwise; every candidate is binned the same way, one
+    that gets no bin into an overflow bin that is dropped, so the choice
+    never moves a count.
 
     CentreOfMassError is raised, before anything is counted, for a centre of
-    mass that is not finite (a NaN distance passes no bin test) or more than
-    2^20 of the cell's smallest heights from the origin along an axis (the
+    mass that is not finite (a NaN distance has no bin) or more than 2^20 of
+    the cell's smallest heights from the origin along an axis (the
     fold would give it distance 0 to every molecule); its ``frame`` is the
     index in the block of the first frame that holds one.  Nothing is
     logged: a caller compares ``hist.rmax`` with ``cell.min_image_cutoff``
@@ -464,18 +462,21 @@ def accumulate_frame(
     dr = hist.dr
     # A pair gets a bin exactly when r / dr < nbins - 1/2.
     rc = (nbins - 0.5) * dr
-    # Only pairs within this r^2 can get a bin; the margin is far wider than
-    # any rounding, so the prefilter drops no pair the bin test would keep.
-    r2_max = (rc * (1.0 + 1e-6)) ** 2
+    # np.rint (halves to even) and nint (away from zero) differ only on a
+    # folded component within an ulp (2^-31 under _FAR_HEIGHTS) of +-1/2, a
+    # pair about h_k / 2 apart: past rc, so no bin either way.  The column
+    # search needs 7 cells rc / 3 high per periodic height, so it always
+    # takes np.rint; an rmax past half a height keeps the Fortran tie rule.
+    fold = np.rint if rc < 0.4999 * min(cell.heights[:folded].tolist()) else nint
     flat = np.zeros(hist.n_types**2 * (nbins + 1), dtype=np.int64)
     for entry_pos, entry_types, chunks in _candidate_pairs(pos, types, cell, rc):
         # One row per axis: a chunk's three rows of d are one gather.
         axes = np.ascontiguousarray(entry_pos.T)
         # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin, with one
-        # overflow bin past the last per pair of types, for the pairs that the
-        # prefilter keeps but that get no bin.  A pair may come as (i, j) or
-        # as (j, i): the fold, the cell product and r^2 are exactly odd or
-        # even in d, and the counts are symmetrised below.
+        # overflow bin past the last per pair of types, for the candidates
+        # that get no bin.  A pair may come as (i, j) or as (j, i): the fold,
+        # the cell product and r^2 are exactly odd or even in d, and the
+        # counts are symmetrised below.
         key_j = entry_types * (nbins + 1)
         key_i = key_j * hist.n_types
         for i_arr, j_arr in chunks:
@@ -483,7 +484,7 @@ def accumulate_frame(
             # This thread's scratch: d in the first (3, k) block, then the
             # squares, r^2 and r; the fold in the second, then the cell product,
             # then the bins and keys as integers.
-            buf, ints, mask = _SCRATCH.rows(k)
+            buf, ints = _SCRATCH.rows(k)
             d = buf[: 3 * k].reshape(3, k)
             e = buf[3 * k : 6 * k].reshape(3, k)
             # Every index is in range; mode="clip" lets take write straight into
@@ -491,33 +492,29 @@ def accumulate_frame(
             axes.take(j_arr, axis=1, out=d, mode="clip")
             d -= axes.take(i_arr, axis=1, out=e, mode="clip")
             f = d[:folded]
-            f -= nint(f, out=e[:folded])
+            f -= fold(f, out=e[:folded])
             # The transpose of d.T @ m, with the same sums.
             np.matmul(m.T, d, out=e)
             # Same sums in the same order as np.linalg.norm(d, axis=0), so the
             # same bits, without its slow length-3 reduction per pair.
-            r2, y2, z2 = np.multiply(e, e, out=d)
-            r2 += y2
-            r2 += z2
-            near = np.less_equal(r2, r2_max, out=mask[:k]).nonzero()[0]
-            n_near = len(near)
-            r = r2.take(near, out=y2[:n_near], mode="clip")
+            r, y2, z2 = np.multiply(e, e, out=d)
+            r += y2
+            r += z2
             np.sqrt(r, out=r)
             r /= dr
             # Acceptance is by bin, not by raw distance: a pair counts whenever
             # its bin exists, so the shell around rmax itself fills completely
             # instead of being cut in half at the boundary.  For r >= 0,
             # truncating r / dr + 1/2 is nint(r / dr).  A pair past the last
-            # bin goes to the overflow bin.
+            # bin goes to the overflow bin: clamped before the cast, so that
+            # no distance overflows int64.
             r += 0.5
-            idx = ints[3 * k : 3 * k + n_near]
-            key = ints[4 * k : 4 * k + n_near]
-            tmp = ints[5 * k : 5 * k + n_near]
+            np.minimum(r, nbins, out=r)
+            idx, key = ints[3 * k : 5 * k].reshape(2, k)
             np.copyto(idx, r, casting="unsafe")
-            np.minimum(idx, nbins, out=idx)
-            key_i.take(i_arr.take(near, out=tmp, mode="clip"), out=key, mode="clip")
+            key_i.take(i_arr, out=key, mode="clip")
             key += idx
-            key_j.take(j_arr.take(near, out=tmp, mode="clip"), out=idx, mode="clip")
+            key_j.take(j_arr, out=idx, mode="clip")
             key += idx
             binned = np.bincount(key)
             flat[: binned.size] += binned

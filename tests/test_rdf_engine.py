@@ -1050,8 +1050,8 @@ class TestKernelPasses:
     def test_bins_at_the_cutoff_and_half_points(self):
         """Pairs one ulp either side of rc = rmax + dr/2, and of the bin
         half-points near rmax, land in bin nint(r / dr) whenever that bin
-        exists: the r^2 prefilter drops none of them.  A power-of-two cell
-        edge keeps r exactly the distance placed."""
+        exists, and nothing past it counts.  A power-of-two cell edge keeps r
+        exactly the distance placed."""
         rmax, dr = 12.5, 0.1
         cell = CellTensor.cubic(32.0)
         nbins = n_bins(rmax, dr)
@@ -1089,6 +1089,19 @@ class TestKernelPasses:
             else:
                 assert imcon in (3, 6) and tilts[0]
                 np.testing.assert_allclose(m.T @ d, reference, rtol=1e-15, atol=1e-14)
+
+    def test_fold_keeps_the_fortran_tie_rule_past_half_a_height(self):
+        """A reduced difference of exactly (1/2, 1/4, 0) in a tilted cell
+        whose smallest height, 7.76 A, rmax 6 reaches past half of: NINT
+        folds the 1/2 to -1/2, 4.03 A apart (bin 40), where np.rint keeps
+        it, 4.92 A apart (bin 49)."""
+        cell = CellTensor(np.array([[8.0, 0.0, 0.0], [2.0, 8.0, 0.0], [0.0, 0.0, 8.0]]), imcon=3)
+        coms = np.array([[0.0, 0.0, 0.0], [4.5, 2.0, 0.0]])
+        assert np.array_equal(np.diff(to_reduced(coms, cell), axis=0), [[0.5, 0.25, 0.0]])
+        hist = PairHistogram.create(1, 6.0, 0.1)
+        accumulate_frame(hist, np.array([0, 0]), coms, cell)
+        assert np.flatnonzero(hist.counts[0, 0]).tolist() == [40]
+        assert hist.counts[0, 0, 40] == 2
 
 
 class TestBlocks:
@@ -1199,10 +1212,11 @@ class TestBlocks:
 
 
 class TestOverflowBin:
-    """A pair that passes the r^2 prefilter but gets no bin goes to an
-    overflow bin past the last bin of its pair of types, which is dropped
-    when the frame is added to the histogram.  Three types, so that a spill
-    into the first bin of the next pair of types would show."""
+    """A candidate pair that gets no bin goes to an overflow bin past the
+    last bin of its pair of types, which is dropped when the frame is added
+    to the histogram; its r / dr + 1/2 is clamped there before the cast to
+    an integer.  Three types, so that a spill into the first bin of the next
+    pair of types would show."""
 
     rmax, dr = 12.5, 0.1
 
@@ -1230,7 +1244,7 @@ class TestOverflowBin:
         counts = self.counts_at(last, pair_types)
         assert counts[a, b, -1] == counts[b, a, -1] == 2 - (a != b) and counts.sum() == 2
 
-        # The prefilter keeps these, within its margin: no bin, no count.
+        # Just past the last bin, up to 1e-6 rc: no bin, no count.
         r2_max = (rc * (1.0 + 1e-6)) ** 2
         margin = [edge, rc * (1.0 + 5e-7), rc * (1.0 + 1e-6)]
         assert all(r * r <= r2_max for r in margin)
@@ -1238,9 +1252,8 @@ class TestOverflowBin:
             assert self.counts_at(r, pair_types).sum() == 0, r
 
     def test_margin_wider_than_a_bin(self):
-        """Past a million bins the prefilter's margin of 1e-6 rc spans more
-        than one bin: a pair at its end gets bin nbins + 1, and still goes
-        to the overflow bin."""
+        """Past a million bins 1e-6 rc spans more than one bin: a pair that
+        far past rc gets bin nbins + 1, and still goes to the overflow bin."""
         rmax, dr = 1.2, 1e-6
         hist = PairHistogram.create(1, rmax, dr)
         nbins = hist.counts.shape[2]
@@ -1250,6 +1263,17 @@ class TestOverflowBin:
         coms[1, 2] = r
         accumulate_frame(hist, np.array([0, 0]), coms, CellTensor.cubic(32.0))
         assert hist.counts.sum() == 0
+
+    def test_far_pair_is_clamped_before_the_cast(self):
+        """Two molecules 2e7 A apart across a slab, with dr 1e-12: r / dr is
+        2e19, past int64.  Clamped to the overflow bin before the cast, the
+        pair raises no warning (pytest makes a RuntimeWarning an error) and
+        counts nothing."""
+        hist = PairHistogram.create(1, 1e-10, 1e-12)
+        cell = CellTensor(np.diag([10.0, 10.0, 10.0]), imcon=6)
+        coms = np.array([[0.0, 0.0, -1e7], [0.0, 0.0, 1e7]])
+        accumulate_frame(hist, np.array([0, 0]), coms, cell)
+        assert hist.counts.sum() == 0 and hist.frames_used == 1
 
 
 class TestScratch:
@@ -1268,8 +1292,8 @@ class TestScratch:
     def test_warm_frame_allocates_no_chunk_sized_scratch(self):
         """After a first frame, an 1800-molecule frame in a 40 A cube (21
         chunks) peaks at under 1.5 MiB of new memory: one chunk's pair
-        indices and its pairs in range, and the frame's own tables, against
-        5.0 MB when every chunk made its own scratch."""
+        indices and the frame's own tables, against 5.0 MB when every chunk
+        made its own scratch."""
         rng = np.random.default_rng(20)
         cell = CellTensor.cubic(40.0)
         types = rng.integers(0, 2, 1800)
