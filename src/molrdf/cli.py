@@ -8,6 +8,7 @@ dataset instead.  Exit codes: 0 success, 1 bad input, 2 no usable frames.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import logging
 import os
@@ -151,9 +152,10 @@ def run_analysis(
             frames_read,
         )
     if hist.frames_used == 0:
+        # An unset stop is sys.maxsize: the selection runs to the end.
+        stop = "end" if directives.stop == sys.maxsize else directives.stop
         raise NoFramesError(
-            f"no usable frames: {frames_read} read, selection keeps "
-            f"{directives.start}..{directives.stop}"
+            f"no usable frames: {frames_read} read, selection keeps {directives.start}..{stop}"
         )
 
     table = finalize(hist, topology, smooth=directives.smooth)
@@ -251,16 +253,37 @@ def _print_flushed(text: str) -> None:
         raise
 
 
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds instead of letting them adapt.
+
+    By default glibc raises its mmap threshold to the size of the largest
+    mmapped block freed so far, and trims the heap top at twice that:
+    whether the kernel's chunk-sized arrays come from fresh pages on every
+    chunk then depends on which buffer happened to be freed first.  Both
+    are pinned where that rule stops on 64-bit glibc, 32 MiB and twice it.
+    A C library without ``mallopt`` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to ask
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the heap serves blocks below 32 MiB
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: up to 64 MiB of free heap top is kept
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
     the exit code.
 
     main freezes the garbage collector's view of the heap (``gc.freeze``)
     and leaves it frozen: a caller that goes on after main returns and wants
-    those objects collectable again calls ``gc.unfreeze()``.
+    those objects collectable again calls ``gc.unfreeze()``.  Under glibc it
+    also pins the allocator's mmap and trim thresholds for the rest of the
+    process (``_pin_heap_thresholds``); elsewhere that step does nothing.
     """
     # The heap of the imports lives until exit; frozen, no collection walks it.
     gc.freeze()
+    _pin_heap_thresholds()
     if argv is None:
         argv = sys.argv[1:]
     logging.basicConfig(

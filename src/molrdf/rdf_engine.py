@@ -78,19 +78,20 @@ class CentreOfMassError(ValueError):
         self.frame = frame
 
 
-def _grown(size: int, k: int) -> int:
-    """Room for k pairs in a buffer that held ``size``: at least twice
-    ``size`` up to _CHUNK_PAIRS, so that chunks growing a little at a time
-    regrow it once, not each time."""
-    return max(k, min(2 * size, _CHUNK_PAIRS))
+def _room(k: int) -> int:
+    """Room for a chunk of k pairs: a whole chunk, _CHUNK_PAIRS or k if
+    larger, once k passes half of one, and k itself below that.  A thread's
+    scratch is then made once for the large chunks of a frame, whatever their
+    order, while a small system keeps a small one."""
+    return max(k, _CHUNK_PAIRS) if 2 * k > _CHUNK_PAIRS else k
 
 
 class _Scratch(threading.local):
     """One thread's buffers for the pair kernel, kept from chunk to chunk and
     from frame to frame: a warm frame allocates no chunk-sized array beyond
-    each chunk's pair indices.  Each buffer grows to the largest chunk that
-    the thread has met and never shrinks.  Per thread, as histograms may be
-    accumulated in threads at once."""
+    each chunk's pair indices.  A buffer is made anew, at ``_room``, only for
+    a chunk larger than it, and never shrinks.  Per thread, as histograms may
+    be accumulated in threads at once."""
 
     buf = np.empty(0)
     ints = buf.view(np.int64)
@@ -100,14 +101,14 @@ class _Scratch(threading.local):
         """Room for six rows of k pairs, as one flat float64 buffer and its
         int64 view."""
         if len(self.buf) < 6 * k:
-            self.buf = np.empty(6 * _grown(len(self.buf) // 6, k))
+            self.buf = np.empty(6 * _room(k))
             self.ints = self.buf.view(np.int64)
         return self.buf, self.ints
 
     def arange(self, k: int) -> np.ndarray:
         """0, 1, ..., k - 1, read-only."""
         if len(self.iota) < k:
-            self.iota = np.arange(_grown(len(self.iota), k))
+            self.iota = np.arange(_room(k))
             self.iota.flags.writeable = False
         return self.iota[:k]
 

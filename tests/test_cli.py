@@ -1,4 +1,5 @@
 import gc
+import importlib
 import itertools
 import logging
 import os
@@ -204,6 +205,19 @@ class TestMain:
         )
         assert main(["--dir", str(dataset_dir)]) == 2
         assert "no usable frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stop, selection", [("", "1..end"), ("  stop 30\n", "1..30")])
+    def test_header_only_history_names_the_selection(self, dataset_dir, capsys, stop, selection):
+        """A HISTORY of its header alone: the message gives the selection,
+        ``end`` for a CONTROL that sets no stop."""
+        history = dataset_dir / "HISTORY"
+        history.write_text("".join(history.read_text().splitlines(keepends=True)[:2]))
+        control = dataset_dir / "CONTROL"
+        control.write_text(control.read_text().replace("polyana\n", f"polyana\n{stop}", 1))
+        assert main(["--dir", str(dataset_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no usable frames: 0 read, selection keeps {selection}\n"
+        )
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_no_molecule_types_exit_code(self, dataset_dir, capsys, count):
@@ -611,6 +625,44 @@ class TestFrozenHeap:
         assert len(out.splitlines()) == 4
         assert result.stdout == out
         assert outputs == [(tmp_path / name).read_bytes() for name in ("RDF", "POP")]
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls."""
+
+    def __init__(self):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+class TestHeapThresholds:
+    """main pins glibc's mmap and trim thresholds; nothing else touches the
+    allocator."""
+
+    def test_main_pins_both_thresholds(self, dataset_dir, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert main(["--dir", str(dataset_dir)]) == 0
+        # M_MMAP_THRESHOLD at 32 MiB, M_TRIM_THRESHOLD at 64 MiB.
+        assert libc.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    def test_import_and_run_analysis_do_not(self, dataset_dir, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        for name in [m for m in sys.modules if m.split(".")[0] == "molrdf"]:
+            monkeypatch.delitem(sys.modules, name)
+        fresh = importlib.import_module("molrdf.cli")
+        assert fresh is not cli
+        fresh.run_analysis(dataset_dir)
+        assert libc.calls == []
+
+    def test_c_library_without_mallopt(self, dataset_dir, monkeypatch, capsys):
+        """Off glibc the step does nothing, and the run is the same."""
+        assert main(["--dir", str(dataset_dir)]) == 0
+        expected = capsys.readouterr(), [(dataset_dir / n).read_bytes() for n in ("RDF", "POP")]
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert main(["--dir", str(dataset_dir)]) == 0
+        assert (capsys.readouterr(), [(dataset_dir / n).read_bytes() for n in ("RDF", "POP")]) == expected
 
 
 def outcome(directory, capsys, caplog):
