@@ -317,48 +317,57 @@ def _coordinates(lines: list[str]) -> np.ndarray | None:
         return None
 
 
-def _integers(tokens: list[str], k: int) -> bool:
-    """Whether ``tokens`` are ``k`` integers."""
+def _integers(tokens: list[str], k: int) -> list[int] | None:
+    """``tokens`` as integers if they are ``k`` integers (k >= 1), else None."""
     try:
-        return len([int(token) for token in tokens]) == k
+        return [int(token) for token in tokens] if len(tokens) == k else None
     except ValueError:
-        return False
+        return None
 
 
 # What HistoryReader._read_frame returns for a frame it only walked.
 _WALKED = object()
 
-# A run read but not converted: its steps, its one cell and all its coordinate lines.
-_Run = tuple[list[int], CellTensor, list[str]]
+# A run read, converted and checked: its steps, its one cell and its
+# positions, frame after frame, as the (n, 3) pieces they were read in.
+_Run = tuple[list[int], CellTensor, list[np.ndarray]]
 
 #: A run of frames that the reader converts at once, and so a block of
 #: :meth:`HistoryReader.blocks`, holds at most this many sites (96 KiB of
 #: positions); a frame of more sites is a run of one.
 BLOCK_SITES = 4096
 
+# The most lines of text the reader holds at once (about 110 B each, against
+# 24 B a site converted): a frame's coordinate lines are converted this many at
+# a time, and a read in bulk takes the whole frames that fit, or one frame.
+_TEXT_LINES = 2048
 
-def _repeated_steps(block: list[str], size: int, head: list[str], rows: list[str]) -> list[int]:
-    """The steps of the whole frames of ``block``, ``size`` lines each, up to
-    the first that does not have the keyword, site count, keytrj and imcon
-    tokens of the timestep record ``head`` and the cell ``rows``, character
-    for character."""
+
+def _repeated_steps(block: list[str], size: int, per_site: int, head: list[str],
+                    rows: list[str]) -> tuple[list[int], np.ndarray | None]:
+    """The steps and the positions of the whole frames of ``block``, ``size``
+    lines each, up to the first that does not have the keyword, site count,
+    keytrj and imcon tokens of the timestep record ``head`` and the cell
+    ``rows``, character for character, or whose coordinate lines, every
+    ``per_site``-th from the sixth, do not all convert to finite numbers."""
     k = len(block) // size
     columns = list(zip(*map(str.split, block[: k * size : size])))
     if (
         len(columns) >= 5
         and all(columns[c].count(head[c]) == k for c in (0, 2, 3, 4))
         and all(block[c : k * size : size].count(rows[c - 1]) == k for c in (1, 2, 3))
+        and (steps := _integers(columns[1], k))
     ):
-        try:
-            return list(map(int, columns[1]))
-        except ValueError:
-            pass
+        lines = [block[f + 5 : f + size : per_site] for f in range(0, k * size, size)]
+        positions = _coordinates(list(chain.from_iterable(lines)))
+        if positions is not None and np.isfinite(positions).all():
+            return steps, positions
     if k < 2:
-        return []
-    # Frame by frame, up to the first that does not repeat.
+        return [], None
+    # Frame by frame, up to the first that fails.
     frames = (block[f : f + size] for f in range(0, k * size, size))
-    first = next(f for f, one in enumerate(frames) if not _repeated_steps(one, size, head, rows))
-    return _repeated_steps(block[: first * size], size, head, rows)
+    first = next(f for f, one in enumerate(frames) if not _repeated_steps(one, size, per_site, head, rows)[0])
+    return _repeated_steps(block[: first * size], size, per_site, head, rows)
 
 
 class HistoryReader:
@@ -372,7 +381,7 @@ class HistoryReader:
     Every record comes from one stream of the file's non-blank lines, so
     blank lines may stand anywhere.  Cell rows are taken three lines at a
     time and a frame's coordinate lines, the second of each site record of 2
-    to 4 lines by keytrj, with one strided pass; coordinates are the first
+    to 4 lines by keytrj, with strided passes; coordinates are the first
     three numbers of each line, and tokens after them are ignored.  A frame
     cut short ends the trajectory, and so does a cell row, coordinate line
     or timestep record that is bad at the end of the file.  Anywhere else,
@@ -393,21 +402,22 @@ class HistoryReader:
     ``frames_read`` counts walked frames too.
 
     The reader reads ahead: consecutive frames that share a cell object are
-    read as a run, one list of their coordinate lines that one numpy call
-    converts and checks into the ``(k, natoms, 3)`` array of their
-    ``positions``; :meth:`blocks` yields the runs.  Runs start at one frame,
-    so the first frame is yielded as soon as it is read.  A run that fills its
-    size is followed by one of :data:`BLOCK_SITES` sites, and a run cut short
-    by a frame of another layout by one of twice its length, up to that cap; a
-    new cell ends a run and starts again at one frame.  The rest of a run is
-    read in blocks of lines (more than one only if ``stop`` but no
-    ``expected_natoms`` is given), up to the first frame that does not repeat
-    the layout of the run's first, which is then read on its own with the
-    lines after it put back: about one frame's lines read again per frame
-    read, plus at most one cap's worth after a run that filled its size.
-    Frames, errors, ``frames_read`` and ``truncated`` are those of reading one
-    frame at a time: the frames of a run before a bad one are yielded first,
-    and a bad coordinate line is a cut only when nothing follows its frame.
+    read as a run, whose positions are one ``(k, natoms, 3)`` array;
+    :meth:`blocks` yields the runs.  Runs start at one frame, so the first
+    frame is yielded as soon as it is read.  A run that fills its size is
+    followed by one of :data:`BLOCK_SITES` sites, and a run cut short by a
+    frame of another layout by one of twice its length, up to that cap; a new
+    cell ends a run and starts again at one frame.  Text is converted as it is
+    read, and at most ``_TEXT_LINES`` (2048) lines are held at once: a frame
+    read on its own is converted that many coordinate lines at a time, and
+    the rest of a run is read in blocks of the whole frames that fit in that
+    many lines, or of one frame, up to the first frame that does not repeat
+    the layout of the run's first or whose coordinates are not all finite
+    numbers.  That frame is read on its own, with the lines after it put back
+    (at most one block per run), and judged there: the frames of its run
+    before it have come out, as one block, and a bad coordinate line is a cut
+    only when nothing follows its frame.  Frames, errors, ``frames_read`` and
+    ``truncated`` are those of reading one frame at a time.
     """
 
     def __init__(
@@ -481,7 +491,7 @@ class HistoryReader:
 
     def __iter__(self) -> Iterator[Frame]:
         for run in self._runs():
-            yield from self._convert(run)
+            yield from self._frames(run)
 
     def blocks(self) -> Iterator[list[Frame]]:
         """The frames of ``iter(self)``, one list per run: frames that share
@@ -493,8 +503,8 @@ class HistoryReader:
             yield [frame, *islice(frames, self._run_left)]
 
     def _runs(self) -> Iterator[_Run]:
-        """Runs of frames ``start``..``stop`` that share one cell, read but
-        not converted; frames before ``start`` are walked.  Each run comes out
+        """Runs of frames ``start``..``stop`` that share one cell, read and
+        converted; frames before ``start`` are walked.  Each run comes out
         before the frame after it is read (lines read ahead and not in the run
         are put back), so a frame that raises an InputError or ends in a cut
         comes after the runs before it, and no run has been read past.
@@ -520,31 +530,33 @@ class HistoryReader:
             if ahead > 0:  # another layout, a cut or the end ends it early
                 n += self._read_repeats(line, n, run, ahead)
             k = len(run[0])
-            cap = max(1, BLOCK_SITES // max(1, len(run[2]) // k))
+            cap = max(1, BLOCK_SITES // max(1, sum(map(len, run[2])) // k))
             size = cap if k == size else min(2 * k, cap)
             yield run
 
     def _read_repeats(self, timestep_line: str, n: int, run: _Run, m: int) -> int:
-        """Read up to ``m`` frames after frame ``n``, the last of ``run``, in
-        blocks of ``4 + natoms * per_site`` lines each, add those that repeat
-        its layout (see _repeated_steps) to ``run`` and return how many.  The
-        first that does not, or is cut short, and the lines after it go back."""
+        """Read up to ``m`` frames after frame ``n``, the last of ``run``,
+        ``4 + natoms * per_site`` lines each, in blocks of the whole frames
+        that fit in _TEXT_LINES lines (one frame at least), add those that
+        _repeated_steps takes to ``run`` and return how many.  The first that
+        it does not take, or that is cut short, and the lines after it go back."""
         head = timestep_line.split()
-        steps, _, lines = run
+        steps, _, positions = run
         per_site = 2 + min(max(int(head[3]), 0), 2)
-        size = 4 + len(lines) // len(steps) * per_site
+        size = 4 + int(head[2]) * per_site
+        most = max(1, _TEXT_LINES // size) * size
         # Frames of another layout may be as short as this: even then no line
-        # after frame stop is read.  While that bound alone cuts a block
-        # short, and the block repeats the layout, another block follows.
+        # after frame stop is read.  While that bound or the line cap alone
+        # cuts a block short, and the block is taken, another block follows.
         shortest = 4 + 2 * (self._expected_natoms or 0)
         block, got, known = [], 0, False  # known: block starts a frame of the layout
         while got < m:
-            want = min((m - got) * size, known * size + (self._stop - n - got - known) * shortest)
+            want = min((m - got) * size, most, known * size + (self._stop - n - got - known) * shortest)
             block += islice(self._lines, want - len(block))
-            new = _repeated_steps(block, size, head, self._cell_key[1])
-            steps += new
-            for first in range(0, len(new) * size, size):
-                lines += block[first + 5 : first + size : per_site]
+            new, xyz = _repeated_steps(block, size, per_site, head, self._cell_key[1])
+            if new:
+                steps += new
+                positions.append(xyz)
             got += len(new)
             ended = len(block) < want
             del block[: len(new) * size]
@@ -559,19 +571,18 @@ class HistoryReader:
             self._lines = chain(self._pending, self._file_lines)
         return got
 
-    def _cut_or_corrupt(self, message: str, read_past: bool = False) -> None:
+    def _cut_or_corrupt(self, message: str) -> None:
         """None, for a truncation, when the file ends after the bad record;
-        otherwise an InputError, since the frames after it would be lost
-        unseen.  ``read_past``: the reader has read past the bad record's
-        frame, so something follows it."""
-        if not read_past and next(self._lines, None) is None:
-            return None
-        raise InputError(f"HISTORY: {message}") from None
+        otherwise an InputError: the frames after it would be lost unseen."""
+        if next(self._lines, None) is not None:
+            raise InputError(f"HISTORY: {message}") from None
 
     def _read_frame(self, timestep_line: str, n: int, convert: bool) -> _Run | object | None:
-        """Read frame ``n`` as a run of one, its step, cell and coordinate
-        lines, or, when not ``convert``, only walk its lines and return
-        ``_WALKED``; None signals truncation (partial frame dropped)."""
+        """Read frame ``n`` as a run of one, its step, cell and positions, or,
+        when not ``convert``, only walk its lines and return ``_WALKED``;
+        None signals truncation (partial frame dropped).  A bad record in it
+        is judged here, with nothing read past the frame but the one line
+        that tells a cut from an error."""
         tokens = timestep_line.split()
         if tokens[0].lower() != "timestep" or len(tokens) < 5:
             return self._cut_or_corrupt(
@@ -579,10 +590,7 @@ class HistoryReader:
                 f"step, site count, keytrj and imcon: {timestep_line.strip()!r}"
             )
         try:
-            step = int(tokens[1])
-            natoms = int(tokens[2])
-            keytrj = int(tokens[3])
-            imcon = int(tokens[4])
+            step, natoms, keytrj, imcon = map(int, tokens[1:5])
         except ValueError:
             return self._cut_or_corrupt(
                 f"frame {n}: timestep record needs integer "
@@ -627,47 +635,39 @@ class HistoryReader:
                 raise InputError(f"HISTORY: frame at step {step}: {err}") from None
             self._cell_key = (imcon, rows)
 
-        # Every per_site-th line from the second is a coordinate line.  The
-        # rest of the last record is counted off too, so a frame cut inside
-        # it comes up short like one cut between records; a count past
-        # sys.maxsize comes up short too.
-        lines = []
-        if natoms:  # an islice whose stop is below its start still takes a line
-            end = min((natoms - 1) * per_site + 2, sys.maxsize)
-            lines = list(islice(self._lines, 1, end, per_site))
-            if len(lines) < natoms or len(list(islice(self._lines, per_site - 2))) < per_site - 2:
+        # Every per_site-th line from the second is a coordinate line, read
+        # and converted _TEXT_LINES at a time; the rest of the last record is
+        # counted off too, so a frame cut inside it comes up short.  A bad line
+        # or a non-finite coordinate is judged once the frame is whole.
+        pieces = [] if natoms else [np.empty((0, 3))]
+        bad, site, skip = False, 0, 1
+        for first in range(0, natoms, _TEXT_LINES):
+            count = min(natoms - first, _TEXT_LINES)
+            lines = list(islice(self._lines, skip, skip + (count - 1) * per_site + 1, per_site))
+            if len(lines) < count:
                 return None
-        return [step], self._cell, lines
-
-    def _convert(self, run: _Run, read_past: bool = False) -> Iterator[Frame]:
-        """The frames of ``run``, all their coordinate lines converted and
-        checked at once; a run that fails goes again one frame at a time, so
-        that the first bad frame names itself after the frames before it.
-        The run's lines are cleared once its frames are built, so that they
-        are let go before the frames are used."""
-        steps, cell, lines = run
-        k = len(steps)
-        positions = _coordinates(lines)
-        if positions is None or not np.isfinite(positions).all():
-            if k > 1:
-                natoms = len(lines) // k
-                for f in range(k):
-                    frame = ([steps[f]], cell, lines[f * natoms : (f + 1) * natoms])
-                    yield from self._convert(frame, read_past or f + 1 < k)
-                return
-            step = steps[0]
-            if positions is None:
-                self._cut_or_corrupt(
-                    f"frame at step {step}: a coordinate line does not start with three numbers",
-                    read_past,
-                )
-                self.truncated = True
-                return
-            site = 1 + int(np.argmin(np.isfinite(positions).all(axis=1)))
-            raise InputError(
-                f"HISTORY: frame at step {step} has a non-finite coordinate at site {site}"
+            skip = per_site - 1
+            bad = bad or (xyz := _coordinates(lines)) is None
+            if not (bad or site or np.isfinite(xyz).all()):
+                site = first + 1 + int(np.argmin(np.isfinite(xyz).all(axis=1)))
+            pieces.append(xyz)
+        if natoms and len(list(islice(self._lines, per_site - 2))) < per_site - 2:
+            return None
+        if bad:
+            return self._cut_or_corrupt(
+                f"frame at step {step}: a coordinate line does not start with three numbers"
             )
-        lines.clear()
+        if site:
+            raise InputError(f"HISTORY: frame at step {step} has a non-finite coordinate at site {site}")
+        return [step], self._cell, pieces
+
+    def _frames(self, run: _Run) -> Iterator[Frame]:
+        """The frames of ``run``, their positions one array.  The run's pieces
+        are let go once its frames are built, before the frames are used."""
+        steps, cell, pieces = run
+        k = len(steps)
+        positions = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        pieces.clear()
         frames = [Frame(step, cell, xyz) for step, xyz in zip(steps, positions.reshape(k, -1, 3))]
         self._run_left = k - 1
         for frame in frames:

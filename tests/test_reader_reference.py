@@ -196,17 +196,13 @@ def logged():
 
 @contextmanager
 def caps(block_sites, text_lines):
-    """``BLOCK_SITES`` and ``_TEXT_LINES`` set for the reads inside; the
-    second is set, and taken away again, also where the reader has no such
-    cap."""
-    saved = trajectory_io.BLOCK_SITES, vars(trajectory_io).get("_TEXT_LINES")
+    """``BLOCK_SITES`` and ``_TEXT_LINES`` set for the reads inside."""
+    saved = trajectory_io.BLOCK_SITES, trajectory_io._TEXT_LINES
     trajectory_io.BLOCK_SITES, trajectory_io._TEXT_LINES = block_sites, text_lines
     try:
         yield
     finally:
         trajectory_io.BLOCK_SITES, trajectory_io._TEXT_LINES = saved
-        if saved[1] is None:
-            del trajectory_io._TEXT_LINES
 
 
 def outcome(frames, reader, stream, error, messages):
@@ -366,13 +362,12 @@ def histories(draw):
 def test_reader_reads_as_one_frame_at_a_time(case):
     """Frames, counts, error, warnings and the stream's unread rest are the
     reference's, through ``iter`` and ``blocks()``; the blocks are the
-    reference's runs, except the last before an error or a cut, which the
-    reader may split."""
+    reference's runs, the last of them ending, before an error or a cut, at
+    the last frame that comes out."""
     text, kwargs, block_sites, text_lines = case
     expected, lengths = read_reference(text, kwargs, block_sites)
     with caps(block_sites, text_lines):
         assert read(text, kwargs, blocks=False)[0] == expected
         got, blocks = read(text, kwargs, blocks=True)
     assert got == expected
-    clean = expected[5] is None and not expected[4]
-    assert blocks == lengths if clean else blocks[: len(lengths) - 1] == lengths[:-1]
+    assert blocks == lengths

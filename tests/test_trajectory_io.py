@@ -1459,6 +1459,75 @@ class TestBatchedReading:
         assert (error is None) == last
 
 
+class TestTextHeld:
+    """HISTORY text is converted as it is read: a frame's coordinate lines
+    ``_TEXT_LINES`` (2048) at a time, and the frames after the first of a
+    run in blocks of the whole frames that fit in 2048 lines.  So reading
+    holds the positions it has converted and about 2048 lines of text (over
+    100 B each), never all the lines of a large frame or of a run."""
+
+    N_SITES = 20_000  # ten pieces, the last of 1568 sites
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        """Three keytrj-2 frames of N_SITES sites, as lines of a headered file."""
+        return sites_history(site_frames(3, self.N_SITES), keytrj=2).splitlines()
+
+    @staticmethod
+    def held(text):
+        """The most memory that reading ``text``, one frame after another,
+        holds at once beyond what it held before the first frame."""
+        tracemalloc.start()
+        try:
+            reader = HistoryReader(io.StringIO(text))
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in reader:
+                pass
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_a_large_frame(self, large):
+        """A frame of 20 000 sites: its positions, 24 B a site, twice while
+        its pieces are joined, and about 2048 lines; not its 20 000
+        coordinate lines, about 2.2 MB."""
+        frame = large[: 2 + 4 + 4 * self.N_SITES]
+        assert self.held("\n".join(frame) + "\n") < 2 * 24 * self.N_SITES + 160 * 2048
+
+    def test_many_small_frames(self):
+        """1000 frames of 16 sites, read as runs of up to 256 frames: a run's
+        positions, twice while its pieces are joined, its frames, and about
+        2048 lines; not a run's 9 180 lines, about 0.9 MB."""
+        run = trajectory_io.BLOCK_SITES
+        assert self.held(sites_history(site_frames(1000, 16))) < 2 * 24 * run + 160 * 2048
+
+    @pytest.mark.parametrize("site", [2049, 3000, 4096, N_SITES])
+    @pytest.mark.parametrize("bad", ["0.5 x 0.5", "0.5 nan 0.5"])
+    @pytest.mark.parametrize("follows", [True, False])
+    def test_a_bad_line_in_a_later_piece(self, large, site, bad, follows):
+        """A bad line or a NaN in frame 2, in the second piece (sites 2049 to
+        4096) or on the last line of the last piece, with frame 3 after it or
+        not: a bad line is a cut only when nothing follows, and a NaN is an
+        error that names its site in the whole frame."""
+        lines = large[: 2 + (2 + follows) * (4 + 4 * self.N_SITES)]
+        lines[2 + 4 + 4 * self.N_SITES + 4 + 4 * (site - 1) + 1] = bad
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"))
+        frames, error = [], None
+        try:
+            frames.extend(reader)
+        except InputError as exc:
+            error = str(exc)
+        assert [frame.step for frame in frames] == [1]
+        if "nan" in bad:
+            assert error == f"HISTORY: frame at step 2 has a non-finite coordinate at site {site}"
+        elif follows:
+            assert error == "HISTORY: frame at step 2: a coordinate line does not start with three numbers"
+        else:
+            assert (error, reader.truncated) == (None, True)
+        assert reader.frames_read == 1
+
+
 def test_plain_and_padded_layouts_agree_bit_for_bit():
     """A chains-like frame (triclinic cell, keytrj 2) read as written and
     with one extra token on every coordinate line."""
