@@ -17,11 +17,12 @@ Supported periodic-image convention codes (``imcon``):
 6      slab: periodic along the first two lattice vectors only
 ====== ====================================================
 
-:func:`nint` rounds halves away from zero (the Fortran NINT convention), so
-a reduced displacement component of exactly +0.5 folds to -0.5 and -0.5 to
-+0.5.  Unfolding and the bin count call it, as does the pair kernel's fold
-where rmax reaches near half a cell height; short of that, ``np.rint`` gives
-the kernel the same counts.
+:func:`nint` rounds halves away from zero (the Fortran NINT convention),
+as ``trunc(x + copysign(0.5, x))``, so a reduced displacement component of
+exactly +0.5 folds to -0.5 and -0.5 to +0.5.  Unfolding and the bin count
+call it, as does the pair kernel's fold where rmax reaches near half a cell
+height; short of that, the kernel folds with ``np.rint``, which gives the
+same counts.
 """
 
 from __future__ import annotations
@@ -46,25 +47,16 @@ _PERIODIC_AXES = {
     6: (True, True, False),
 }
 
-# The sign bit of a float64 and the bits of 0.5, as int64.
-_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
-_HALF_BITS = np.float64(0.5).view(np.int64)
-
 
 def nint(x, out=None):
-    """Nearest integer with halves rounded away from zero (Fortran NINT).
+    """Nearest integer with halves rounded away from zero (Fortran NINT):
+    trunc(x + copysign(0.5, x)), elementwise.
 
-    Elementwise, as floats, so reduced coordinates can subtract it without
-    casting; written into ``out`` if given, which must not overlap x.  The
-    copysign(0.5, x) of trunc(x + copysign(0.5, x)) is made by setting the
-    bits of 0.5 under x's sign bit: integer ops, which numpy vectorises where
-    it does not vectorise np.copysign.
+    As floats, so reduced coordinates can subtract it without casting;
+    written into ``out`` if given, which must not overlap x.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x) if out is None else out
-    bits = out.view(np.int64)
-    np.bitwise_and(x.view(np.int64), _SIGN_BIT, out=bits)
-    bits |= _HALF_BITS
+    out = np.copysign(0.5, x, out=np.empty_like(x) if out is None else out)
     out += x
     return np.trunc(out, out=out)
 

@@ -19,7 +19,6 @@ cumulative sum of h(n) is the coordination population.
 
 from __future__ import annotations
 
-import functools
 import logging
 import threading
 from dataclasses import dataclass
@@ -155,46 +154,21 @@ class PairHistogram:
 def _pair_strips(n: int, k: int):
     """All i < j index pairs of each of k frames of n molecules, stacked
     frame after frame, row i holding j = i + 1 up to the last molecule of its
-    frame, in chunks of bounded size; as one cached chunk when they fit in
-    one."""
-    pairs = k * (n * (n - 1) // 2)
-    if pairs > _CHUNK_PAIRS:
-        yield from _expand_rows(*_rows(n, k))
-    elif pairs:
-        yield _all_pairs(n, k)
-
-
-def _rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Owners, first partners and sizes of the rows of _pair_strips."""
+    frame, in chunks of bounded size."""
     owners = np.arange(k * n).reshape(k, n)[:, :-1].ravel()
-    return owners, owners + 1, np.tile(np.arange(n - 1, 0, -1), k)
+    yield from _expand_rows(owners, owners + 1, np.tile(np.arange(n - 1, 0, -1), k))
 
 
-@functools.lru_cache(maxsize=8)
-def _all_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of _pair_strips(n, k), which fit in one chunk, as one
-    read-only chunk.  Cached, as the molecule count and the block size rarely
-    change from block to block."""
-    ((i, j),) = _expand_rows(*_rows(n, k))
-    i.flags.writeable = False
-    j.flags.writeable = False
-    return i, j
-
-
-@functools.lru_cache(maxsize=32)
-def _stencil(widths: tuple, reach: float) -> np.ndarray:
+def _stencil(widths, reach: float) -> np.ndarray:
     """Half stencil of columns along z, as rows of xy cell offsets (dx, dy)
     within +-_CELL_REACH: the own column (0, 0) first, then the half plane
     dx > 0 or dx = 0 < dy, less the columns whose nearest corner lies beyond
     ``reach`` for cells ``widths`` wide in x and y (zero widths keep all).
-    Cached, as the cell rarely changes from frame to frame; read-only.
     """
     dx, dy = np.mgrid[0 : _CELL_REACH + 1, -_CELL_REACH : _CELL_REACH + 1].reshape(2, -1)
     gx = np.maximum(dx - 1, 0) * widths[0]
     gy = np.maximum(np.abs(dy) - 1, 0) * widths[1]
-    columns = np.stack([dx, dy], axis=1)[((dx > 0) | (dy >= 0)) & (gx**2 + gy**2 <= reach**2)]
-    columns.flags.writeable = False
-    return columns
+    return np.stack([dx, dy], axis=1)[((dx > 0) | (dy >= 0)) & (gx**2 + gy**2 <= reach**2)]
 
 
 class _CellGrid(NamedTuple):
@@ -245,7 +219,7 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
     m = cell.matrix
     orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
     widths = edges[:2] if orthogonal else np.zeros(2)
-    columns = _stencil(tuple(widths.tolist()), reach)
+    columns = _stencil(widths, reach)
     z_edge = edges[2]
     return _CellGrid(shape, columns, lo, shape / extent, periodic, widths / z_edge, reach / z_edge)
 

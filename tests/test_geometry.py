@@ -48,15 +48,16 @@ class TestNint:
             nint([-1.5, -0.2, 0.0, 0.2, 1.5]), [-2.0, 0.0, 0.0, 0.0, 2.0]
         )
 
-    def test_sign_bit_form_is_copysign_form_bit_for_bit(self):
-        """nint builds copysign(0.5, x) from x's sign bit; with and without
-        ``out`` it gives the bits of trunc(x + copysign(0.5, x)) on halves,
-        the largest double below 1/2, signed zeros and infinities, nan,
-        2^52 +- 0.5, subnormals and random values, on a 0-d input as n_bins
-        passes, and into a slice of a 2-D buffer as the pair kernel passes."""
+    def test_equals_floor_and_ceil_form_bit_for_bit(self):
+        """With and without ``out``, nint gives the bits of floor(x + 1/2),
+        or ceil(x - 1/2) where x's sign bit is set, so that -0.0 keeps its
+        sign: on halves, the largest double below 1/2, signed zeros and
+        infinities, nan, 2^52 +- 0.5, subnormals and random values, on a 0-d
+        input as n_bins passes, and into a slice of a 2-D buffer as the pair
+        kernel passes."""
 
         def reference(x):
-            return np.trunc(x + np.copysign(0.5, x))
+            return np.where(np.signbit(x), np.ceil(x - 0.5), np.floor(x + 0.5))
 
         tiny = np.nextafter(0.0, 1.0)
         special = [0.0, 0.5, 0.49999999999999994, 1.5, 2.5, np.inf, np.nan]

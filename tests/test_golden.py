@@ -17,13 +17,15 @@ them only for an intended change of output::
 
 from __future__ import annotations
 
+import math
 import sys
+from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from molrdf import rdf_engine
+from molrdf import cli, rdf_engine
 from molrdf.cli import run_analysis
 from molrdf.synthetic import SyntheticConfig, generate_dataset
 from molrdf.trajectory_io import HistoryReader
@@ -175,6 +177,73 @@ def test_cells_cases_use_the_cell_search(case, tmp_path, monkeypatch):
     )
     _analyse(case, tmp_path)
     assert len(searched) == CASES[case][-1]
+
+
+# The smallest relative distance that every golden run keeps from a bin edge
+# (each pair's r / dr) and from a %14.6E rounding point (each written g(r) and
+# POP value).  Above these, bits that move by far less, through another order
+# of a sum or other BLAS kernels (1e-16 a step, 1e-13 over a volume sum of
+# 1000 frames), cannot move a count or a written digit.  The goldens measure
+# at least 1.2e-8 (cells_cubic) and 5.4e-11 (cells_triclinic).
+EDGE_MARGIN = 1e-10
+PRINT_MARGIN = 1e-12
+
+
+def edge_margin(coms, cell, nbins, dr):
+    """The smallest relative distance from r / dr to its nearest bin edge,
+    n + 1/2, over the pairs of every frame of ``coms`` that are counted or
+    lie within half a bin past the last edge, by a double loop over pairs:
+    the minimum image of each, folded in reduced coordinates."""
+    inv = np.linalg.inv(cell.matrix)
+    periodic = cell.periodic
+    smallest = math.inf
+    for frame in np.reshape(coms, (-1, *np.shape(coms)[-2:])):
+        s = frame @ inv
+        for i in range(len(s) - 1):
+            d = s[i + 1 :] - s[i]
+            d[:, periodic] -= np.floor(d[:, periodic] + 0.5)
+            x = np.sqrt(((d @ cell.matrix) ** 2).sum(axis=1)) / dr
+            x = x[x < nbins]
+            edge = np.floor(x) + 0.5
+            smallest = min(smallest, float((np.abs(x - edge) / edge).min(initial=math.inf)))
+    return smallest
+
+
+def print_margin(values):
+    """The smallest relative distance from a value to the nearest point at
+    which its %14.6E form would round the other way; zeros print exactly."""
+    smallest = math.inf
+    for v in np.ravel(values).tolist():
+        if v:
+            exact = abs(Decimal(v))
+            digits = exact.scaleb(6 - exact.adjusted())  # 7 digits before the point
+            half = abs(digits - digits.to_integral_value(ROUND_FLOOR) - Decimal("0.5"))
+            smallest = min(smallest, float(half / digits))
+    return smallest
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_counts_and_outputs_keep_their_margins(case, tmp_path, monkeypatch):
+    """Every pair of each golden run lies more than EDGE_MARGIN from a bin
+    edge, and every written value more than PRINT_MARGIN from a rounding
+    point, so that the goldens pin the counts and the printed digits, not
+    the last bits of the arithmetic."""
+    edges, tables = [], []
+
+    def accumulate_frame(hist, types, coms, cell):
+        edges.append(edge_margin(coms, cell, hist.counts.shape[2], hist.dr))
+        return rdf_engine.accumulate_frame(hist, types, coms, cell)
+
+    def finalize(*args, **kwargs):
+        tables.append(rdf_engine.finalize(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "accumulate_frame", accumulate_frame)
+    monkeypatch.setattr(cli, "finalize", finalize)
+    _analyse(case, tmp_path)
+    (table,) = tables
+    assert edges and min(edges) > EDGE_MARGIN
+    assert print_margin([table.g, table.pop]) > PRINT_MARGIN
 
 
 def test_inputs_tear_molecules(tmp_path):

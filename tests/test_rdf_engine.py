@@ -621,8 +621,8 @@ class TestCandidatePairs:
     @pytest.mark.parametrize("n", [2, 30, 200, 256, 257, 600, 1800])
     def test_all_pairs_in_row_order(self, n):
         """Row i holds j = i + 1 .. n - 1 of its own frame, frame after
-        frame; while the pairs of the block fit in one chunk (one frame of
-        256 molecules at the most), that chunk is cached and read-only."""
+        frame; the pairs of the block are one chunk while they fit in one
+        (one frame of 256 molecules at the most)."""
         for k in (1, 3):
             chunks = list(rdf_engine._pair_strips(n, k))
             i = np.concatenate([c[0] for c in chunks])
@@ -634,9 +634,6 @@ class TestCandidatePairs:
             assert max(len(c[0]) for c in chunks) <= rdf_engine._CHUNK_PAIRS
             fits = k * n * (n - 1) // 2 <= rdf_engine._CHUNK_PAIRS
             assert (len(chunks) == 1) == fits
-            if fits:
-                assert chunks[0] is rdf_engine._all_pairs(n, k)
-                assert not (chunks[0][0].flags.writeable or chunks[0][1].flags.writeable)
 
     def test_few_molecules_in_a_wide_cell_test_all_pairs(self):
         """Few enough molecules that looking up their stencil costs more
@@ -1013,17 +1010,12 @@ class TestKernelPasses:
             )
 
     @pytest.mark.parametrize("n", [2, 3, 256])
-    def test_one_chunk_of_all_pairs_is_cached(self, monkeypatch, n):
+    def test_one_chunk_of_all_pairs_equals_strips_over_several(self, monkeypatch, n):
         """While all pairs fit in one chunk (256 molecules is the most), they
-        are one cached, read-only pair of index arrays, with the pairs and
-        the counts of row strips."""
+        are one pair of index arrays, with the pairs and the counts of row
+        strips split over several chunks."""
         assert 256 * 255 // 2 <= rdf_engine._CHUNK_PAIRS < 257 * 256 // 2
         ((i, j),) = rdf_engine._pair_strips(n, 1)
-        ((i_again, j_again),) = rdf_engine._pair_strips(n, 1)
-        assert i_again is i and j_again is j
-        for array in (i, j):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
         rng = np.random.default_rng(n)
         cell = CellTensor.cubic(20.0)
         coms = rng.uniform(0.0, 20.0, (n, 3))
@@ -1033,18 +1025,18 @@ class TestKernelPasses:
             to_reduced(coms, cell)[None], cell, search_radius(rmax, dr)
         )
         assert not searched
-        cached = counts_with(_all_pairs, types, coms, cell, rmax, dr)
-        assert cached.sum() > 0
+        one_chunk = counts_with(_all_pairs, types, coms, cell, rmax, dr)
+        assert one_chunk.sum() > 0
 
         monkeypatch.setattr(rdf_engine, "_CHUNK_PAIRS", n * (n - 1) // 2 - 1)
         strips = list(rdf_engine._pair_strips(n, 1))
         assert len(strips) >= 2 or n == 2
         np.testing.assert_array_equal(np.concatenate([s[0] for s in strips]), i)
         np.testing.assert_array_equal(np.concatenate([s[1] for s in strips]), j)
-        np.testing.assert_array_equal(counts_with(_all_pairs, types, coms, cell, rmax, dr), cached)
+        np.testing.assert_array_equal(counts_with(_all_pairs, types, coms, cell, rmax, dr), one_chunk)
         if n <= 3:
             np.testing.assert_array_equal(
-                cached, reference_counts([coms], types, cell.matrix, 2, rmax, dr)
+                one_chunk, reference_counts([coms], types, cell.matrix, 2, rmax, dr)
             )
 
     def test_bins_at_the_cutoff_and_half_points(self):
