@@ -195,13 +195,12 @@ def edge_margin(coms, cell, nbins, dr):
     lie within half a bin past the last edge, by a double loop over pairs:
     the minimum image of each, folded in reduced coordinates."""
     inv = np.linalg.inv(cell.matrix)
-    periodic = cell.periodic
     smallest = math.inf
     for frame in np.reshape(coms, (-1, *np.shape(coms)[-2:])):
         s = frame @ inv
         for i in range(len(s) - 1):
             d = s[i + 1 :] - s[i]
-            d[:, periodic] -= np.floor(d[:, periodic] + 0.5)
+            d[:, cell.periodic] -= np.floor(d[:, cell.periodic] + 0.5)
             x = np.sqrt(((d @ cell.matrix) ** 2).sum(axis=1)) / dr
             x = x[x < nbins]
             edge = np.floor(x) + 0.5
