@@ -20,7 +20,6 @@ cumulative sum of h(n) is the coordination population.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,9 +33,9 @@ from .trajectory_io import Topology
 logger = logging.getLogger(__name__)
 
 # Candidate pairs are handled in chunks of about this many, one row of
-# candidates at the least.  The size bounds the kernel's scratch, about 56 B
-# per pair of the largest chunk (1.8 MB per thread at this size), whatever
-# the number of molecules.
+# candidates at the least.  The size bounds what a chunk holds, whatever the
+# number of molecules: six float64 rows and two int64 index arrays, 64 B per
+# pair (2.1 MB at this size), freed before the next chunk is made.
 _CHUNK_PAIRS = 32_768
 
 # Linked-cell search: cells are at least rc / _CELL_REACH wide across x and
@@ -76,43 +75,6 @@ class CentreOfMassError(ValueError):
         super().__init__(message)
         self.frame = frame
 
-
-def _room(k: int) -> int:
-    """Room for a chunk of k pairs: a whole chunk, _CHUNK_PAIRS or k if
-    larger, once k passes half of one, and k itself below that.  A thread's
-    scratch is then made once for the large chunks of a frame, whatever their
-    order, while a small system keeps a small one."""
-    return max(k, _CHUNK_PAIRS) if 2 * k > _CHUNK_PAIRS else k
-
-
-class _Scratch(threading.local):
-    """One thread's buffers for the pair kernel, kept from chunk to chunk and
-    from frame to frame: a warm frame allocates no chunk-sized array beyond
-    each chunk's pair indices.  A buffer is made anew, at ``_room``, only for
-    a chunk larger than it, and never shrinks.  Per thread, as histograms may
-    be accumulated in threads at once."""
-
-    buf = np.empty(0)
-    ints = buf.view(np.int64)
-    iota = np.arange(0)
-
-    def rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Room for six rows of k pairs, as one flat float64 buffer and its
-        int64 view."""
-        if len(self.buf) < 6 * k:
-            self.buf = np.empty(6 * _room(k))
-            self.ints = self.buf.view(np.int64)
-        return self.buf, self.ints
-
-    def arange(self, k: int) -> np.ndarray:
-        """0, 1, ..., k - 1, read-only."""
-        if len(self.iota) < k:
-            self.iota = np.arange(_room(k))
-            self.iota.flags.writeable = False
-        return self.iota[:k]
-
-
-_SCRATCH = _Scratch()
 
 SMOOTH_KERNEL = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
 
@@ -359,7 +321,7 @@ def _expand_rows(owners, starts, sizes):
             i = np.repeat(owners[r0:r1], size)
             shift = starts[r0:r1] - (ends[r0:r1] - size - base)
             j = np.repeat(shift, size)
-            j += _SCRATCH.arange(total)
+            j += np.arange(total)
             yield i, j
         r0 = r1
 
@@ -456,10 +418,11 @@ def accumulate_frame(
         key_i = key_j * hist.n_types
         for i_arr, j_arr in chunks:
             k = len(i_arr)
-            # This thread's scratch: d in the first (3, k) block, then the
+            # The chunk's six rows: d in the first (3, k) block, then the
             # squares, r^2 and r; the fold in the second, then the cell product,
             # then the bins and keys as integers.
-            buf, ints = _SCRATCH.rows(k)
+            buf = np.empty(6 * k)
+            ints = buf.view(np.int64)
             d = buf[: 3 * k].reshape(3, k)
             e = buf[3 * k : 6 * k].reshape(3, k)
             # Every index is in range; mode="clip" lets take write straight into
@@ -493,6 +456,10 @@ def accumulate_frame(
             key += idx
             binned = np.bincount(key)
             flat[: binned.size] += binned
+            # Let go of this chunk's arrays before the next is drawn: else its
+            # rows stay alive while the next chunk's are made, and large frames
+            # peak with two chunks' rows held at once.
+            del buf, ints, d, e, f, r, y2, z2, idx, key, i_arr, j_arr
     # The overflow bins are dropped here.
     counts = flat.reshape(hist.n_types, hist.n_types, nbins + 1)[..., :nbins]
     hist.counts += counts

@@ -37,8 +37,6 @@ def unfold(positions: np.ndarray, cell: CellTensor) -> np.ndarray:
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 3 or positions.shape[2] != 3:
         raise ValueError(f"positions must be (count, n_sites, 3), got {positions.shape}")
-    if positions.shape[1] < 2:
-        return positions
     folds = nint(np.diff(to_reduced(positions, cell), axis=1))
     folds *= cell.periodic
     if not folds.any():

@@ -72,7 +72,7 @@ class TestNint:
             assert nint(v).tobytes() == reference(v).tobytes()
             assert nint(np.array(v)).shape == ()
         # Into a row slice of a 2-D buffer, flat and reshaped to 2-D as the
-        # kernel's scratch rows are; the rest of the buffer is left alone.
+        # kernel's chunk rows are; the rest of the buffer is left alone.
         for shape in [(-1,), (2, -1)]:
             buf = np.full((2, x.size + 4), 7.0)
             out = buf[1, 2 : x.size + 2].reshape(shape)

@@ -764,7 +764,7 @@ class TestColumnSearch:
     def test_sparse_frame_keeps_its_tables_small(self):
         """3000 molecules in a 1000 A cube: cells rc/3 high would make a
         grid of 239^3, 14 million cells.  The grid is coarsened so that its
-        table stays near 2^16 entries, and the frame's scratch a few MB."""
+        table stays near 2^16 entries, and the call's peak a few MB."""
         rng = np.random.default_rng(8)
         cell = CellTensor.cubic(1000.0)
         coms = rng.uniform(0.0, 1000.0, (3000, 3))
@@ -1268,85 +1268,81 @@ class TestOverflowBin:
         assert hist.counts.sum() == 0 and hist.frames_used == 1
 
 
-class TestScratch:
-    """The kernel keeps one scratch per thread from chunk to chunk and from
-    frame to frame."""
+class TestKernelMemory:
+    """The kernel keeps nothing between calls and holds one chunk's arrays at
+    a time."""
 
     @staticmethod
-    def peak_of(hist, types, coms, cell):
+    def traced(call):
+        """What ``call()`` leaves allocated and its peak, both in bytes past
+        what was allocated when it started."""
         tracemalloc.start()
         try:
-            accumulate_frame(hist, types, coms, cell)
-            return tracemalloc.get_traced_memory()[1]
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            current, peak = tracemalloc.get_traced_memory()
+            return current - start, peak - start
         finally:
             tracemalloc.stop()
 
-    def test_warm_frame_allocates_no_chunk_sized_scratch(self):
-        """After a first frame, an 1800-molecule frame in a 40 A cube (21
-        chunks) peaks at under 1.5 MiB of new memory: one chunk's pair
-        indices and the frame's own tables, against 5.0 MB when every chunk
-        made its own scratch."""
-        rng = np.random.default_rng(20)
-        cell = CellTensor.cubic(40.0)
-        types = rng.integers(0, 2, 1800)
-        hist = PairHistogram.create(2, 12.5, 0.1)
-        accumulate_frame(hist, types, rng.uniform(0.0, 40.0, (1800, 3)), cell)
-        coms = rng.uniform(0.0, 40.0, (1800, 3))
-        assert self.peak_of(hist, types, coms, cell) <= 1.5 * 2**20
-        assert hist.frames_used == 2
-
-    def test_first_frame_makes_its_scratch_once(self, monkeypatch):
-        """A thread's first 1800-molecule frame, whose chunks grow after the
-        first (32 766 pairs, then 32 767 and 32 768, as liquid's do), makes
-        its float rows and its 0..k-1 row once, at a whole chunk.  Its peak
-        is 3.2 MB here, against 4.7 MB when each grew to the first chunk and
-        again to a larger one (numpy 2.4)."""
-        rng = np.random.default_rng(20)
-        cell = CellTensor.cubic(40.0)
-        types = rng.integers(0, 2, 1800)
-        coms = rng.uniform(0.0, 40.0, (1800, 3))
-        hist = PairHistogram.create(2, 12.5, 0.1)
-        made, sizes = set(), []
-        rows, arange = rdf_engine._Scratch.rows, rdf_engine._Scratch.arange
-
-        def counted_rows(scratch, k):
-            sizes.append(k)
-            out = rows(scratch, k)
-            made.add(("rows", id(scratch.buf)))
-            return out
-
-        def counted_arange(scratch, k):
-            out = arange(scratch, k)
-            made.add(("arange", id(scratch.iota)))
-            return out
-
-        monkeypatch.setattr(rdf_engine._Scratch, "rows", counted_rows)
-        monkeypatch.setattr(rdf_engine._Scratch, "arange", counted_arange)
-        peaks = []
-        thread = threading.Thread(target=lambda: peaks.append(self.peak_of(hist, types, coms, cell)))
+    @staticmethod
+    def in_thread(call):
+        """``call()``'s result, called in a fresh thread."""
+        out = []
+        thread = threading.Thread(target=lambda: out.append(call()))
         thread.start()
         thread.join(timeout=60.0)
         assert not thread.is_alive()
-        assert sizes[0] < max(sizes) == rdf_engine._CHUNK_PAIRS
-        assert len(made) == 2
-        assert peaks[0] <= 3.5e6
+        return out[0]
+
+    @staticmethod
+    def liquid(n):
+        """Types, centres of mass and cell of n molecules of two types at
+        liquid density: 1800 in a 40 A cube."""
+        edge = 40.0 * (n / 1800) ** (1 / 3)
+        rng = np.random.default_rng(20)
+        return rng.integers(0, 2, n), rng.uniform(0.0, edge, (n, 3)), CellTensor.cubic(edge)
+
+    def test_call_retains_nothing(self):
+        """An 1800-molecule frame (21 chunks) in a fresh thread leaves under
+        64 KiB allocated when it returns; rows kept for the thread's next
+        call would hold 1.8 MB."""
+        types, coms, cell = self.liquid(1800)
+        hist = PairHistogram.create(2, 12.5, 0.1)
+        retained, _ = self.in_thread(
+            lambda: self.traced(lambda: accumulate_frame(hist, types, coms, cell))
+        )
+        assert retained < 64 * 2**10
+        assert hist.frames_used == 1 and hist.counts.sum() > 0
+
+    @pytest.mark.parametrize("n", [1800, 7200])
+    def test_peak_is_bounded_by_the_chunk(self, n):
+        """A frame peaks at one chunk's arrays plus the frame's own tables,
+        2.9 MB for 1800 molecules and 4.1 MB for 7200 (numpy 2.4).  A chunk's
+        rows kept alive while the next chunk's are made would take 7200
+        molecules to 5.7 MB."""
+        types, coms, cell = self.liquid(n)
+        hist = PairHistogram.create(2, 12.5, 0.1)
+        _, peak = self.traced(lambda: accumulate_frame(hist, types, coms, cell))
+        assert peak < 4.5 * 2**20
+        assert hist.frames_used == 1 and hist.counts.sum() > 0
 
     def test_two_molecules_allocate_little(self):
-        """A thread's first two-molecule frame grows its scratch to the one
-        pair, not to a whole chunk.  A warm one peaks at 12.6 KiB here,
-        against 13.2 KiB when each frame made its own scratch (numpy 2.4);
-        the bound leaves room for other builds."""
+        """A two-molecule frame allocates for its one pair, not for a whole
+        chunk, in a fresh thread as in one that has run the kernel before:
+        12.7 KiB at the peak either way (numpy 2.4).  The bounds leave room
+        for other builds."""
         cell = CellTensor.cubic(30.0)
         types = np.array([0, 1])
         coms = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]])
         hist = PairHistogram.create(2, 12.5, 0.1)
-        peaks = []
-        thread = threading.Thread(target=lambda: peaks.append(self.peak_of(hist, types, coms, cell)))
-        thread.start()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive() and peaks[0] < 32 * 2**10
+
+        def call():
+            return self.traced(lambda: accumulate_frame(hist, types, coms, cell))
+
+        assert self.in_thread(call)[1] < 32 * 2**10
         accumulate_frame(hist, types, coms, cell)
-        assert self.peak_of(hist, types, coms, cell) <= 16 * 2**10
+        assert call()[1] <= 16 * 2**10
         assert hist.counts[0, 1, 55] == hist.frames_used == 3
 
     def test_threads_accumulate_at_once(self, monkeypatch):
