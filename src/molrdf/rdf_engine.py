@@ -35,8 +35,9 @@ logger = logging.getLogger(__name__)
 # Candidate pairs are handled in chunks of about this many, one row of
 # candidates at the least.  The size bounds what a chunk holds, whatever the
 # number of molecules: six float64 rows and two int64 index arrays, 64 B per
-# pair (2.1 MB at this size), freed before the next chunk is made.
-_CHUNK_PAIRS = 32_768
+# pair (1.05 MB at this size), freed before the next chunk is made.  Chunks
+# twice as large ran no faster, and half as large 10% slower.
+_CHUNK_PAIRS = 16_384
 
 # Linked-cell search: cells are at least rc / _CELL_REACH wide across x and
 # y, so a molecule's partners lie in the columns along z within +-_CELL_REACH
@@ -268,12 +269,13 @@ def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
     z = where[2] + place[2]
     bottom = np.maximum(where[2] - _Z_CELLS, 0)
     top = np.minimum(where[2] + _Z_CELLS, height - 1)
-    # Rows for _CHUNK_PAIRS / 8 (column, molecule) pairs at a time, about
+    # Rows for _CHUNK_PAIRS / 4 (column, molecule) pairs at a time, about
     # 4000: a block's row arrays are then 32 KiB, which the heap reuses from
-    # block to block, and its candidates about one chunk (a liquid's rows
+    # block to block, and its candidates about two chunks (a liquid's rows
     # hold 8 to 9 each).  Row arrays for a whole frame took three times as
-    # long per row, faulting in fresh pages.
-    per_block = max(1, _CHUNK_PAIRS // (8 * len(columns)))
+    # long per row, faulting in fresh pages; blocks of half as many rows
+    # took 10% longer.
+    per_block = max(1, _CHUNK_PAIRS // (4 * len(columns)))
 
     def chunks():
         for p0 in range(0, n, per_block):

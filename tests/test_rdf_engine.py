@@ -26,6 +26,10 @@ from molrdf.rdf_engine import (
 from molrdf.trajectory_io import MoleculeSpec, Topology
 from test_unfolding import _cell_for as make_cell
 
+# The most molecules whose pairs, n (n - 1) / 2 of them, fit in one chunk:
+# 181 at 16 384 pairs.
+MOST_IN_ONE_CHUNK = (1 + math.isqrt(1 + 8 * rdf_engine._CHUNK_PAIRS)) // 2
+
 
 def point_topology(counts, masses=None):
     """Topology of single-site molecule types with the given copy numbers."""
@@ -618,11 +622,13 @@ class TestCandidatePairs:
         searched, _ = candidate_pairs(pos[None], cell, search_radius(12.5, 0.1))
         assert searched == column_search
 
-    @pytest.mark.parametrize("n", [2, 30, 200, 256, 257, 600, 1800])
+    @pytest.mark.parametrize(
+        "n", [2, 30, MOST_IN_ONE_CHUNK, MOST_IN_ONE_CHUNK + 1, 200, 600, 1800]
+    )
     def test_all_pairs_in_row_order(self, n):
         """Row i holds j = i + 1 .. n - 1 of its own frame, frame after
         frame; the pairs of the block are one chunk while they fit in one
-        (one frame of 256 molecules at the most)."""
+        (one frame of MOST_IN_ONE_CHUNK molecules at the most)."""
         for k in (1, 3):
             chunks = list(rdf_engine._pair_strips(n, k))
             i = np.concatenate([c[0] for c in chunks])
@@ -1009,12 +1015,13 @@ class TestKernelPasses:
                 counts_with(search, types, coms, cell, rmax, dr, n_types=3), oracle
             )
 
-    @pytest.mark.parametrize("n", [2, 3, 256])
+    @pytest.mark.parametrize("n", [2, 3, MOST_IN_ONE_CHUNK])
     def test_one_chunk_of_all_pairs_equals_strips_over_several(self, monkeypatch, n):
-        """While all pairs fit in one chunk (256 molecules is the most), they
-        are one pair of index arrays, with the pairs and the counts of row
-        strips split over several chunks."""
-        assert 256 * 255 // 2 <= rdf_engine._CHUNK_PAIRS < 257 * 256 // 2
+        """While all pairs fit in one chunk (MOST_IN_ONE_CHUNK molecules is
+        the most), they are one pair of index arrays, with the pairs and the
+        counts of row strips split over several chunks."""
+        most = MOST_IN_ONE_CHUNK
+        assert most * (most - 1) // 2 <= rdf_engine._CHUNK_PAIRS < (most + 1) * most // 2
         ((i, j),) = rdf_engine._pair_strips(n, 1)
         rng = np.random.default_rng(n)
         cell = CellTensor.cubic(20.0)
@@ -1123,11 +1130,14 @@ class TestBlocks:
     @pytest.mark.parametrize(
         "n, k, rmax",
         [(2, 1, 12.5), (2, 2, 12.5), (2, 256, 12.5), (16, 1, 12.5), (16, 2, 12.5),
-         (16, 256, 12.5), (24, 256, 12.5), (300, 1, 6.0), (300, 2, 6.0), (300, 5, 6.0)],
+         (16, rdf_engine._CHUNK_PAIRS // 120, 12.5), (24, 256, 12.5), (300, 1, 6.0),
+         (300, 2, 6.0), (300, 5, 6.0)],
     )
     def test_block_equals_its_frames(self, shape, n, k, rmax):
-        """Two and 16 molecules take all pairs, 24 molecules in 256 frames
-        more than one chunk of them, and 300 molecules the column search."""
+        """Two and 16 molecules take all pairs, 16 molecules in as many
+        frames as one chunk holds (120 pairs each) one chunk of them, 24
+        molecules in 256 frames more than one, and 300 molecules the column
+        search."""
         cell, coms, types = self.block(shape, k, n, seed=n * 1000 + k)
         dr = 0.1
         one_at_a_time = PairHistogram.create(3, rmax, dr)
@@ -1180,7 +1190,8 @@ class TestBlocks:
         d = rng.uniform(-0.5, 0.5, (3, 3 * rdf_engine._CHUNK_PAIRS))
         m = cell.matrix
         whole = m.T @ d
-        for start, size in [(0, 1), (1, 2), (5, 3), (7, 255), (0, 4096), (3, 32768)]:
+        chunk = rdf_engine._CHUNK_PAIRS
+        for start, size in [(0, 1), (1, 2), (5, 3), (7, 255), (0, 4096), (3, chunk)]:
             part = m.T @ np.ascontiguousarray(d[:, start : start + size])
             assert part.tobytes() == np.ascontiguousarray(whole[:, start : start + size]).tobytes()
 
@@ -1304,9 +1315,9 @@ class TestKernelMemory:
         return rng.integers(0, 2, n), rng.uniform(0.0, edge, (n, 3)), CellTensor.cubic(edge)
 
     def test_call_retains_nothing(self):
-        """An 1800-molecule frame (21 chunks) in a fresh thread leaves under
-        64 KiB allocated when it returns; rows kept for the thread's next
-        call would hold 1.8 MB."""
+        """An 1800-molecule frame (31 chunks) in a fresh thread leaves under
+        64 KiB allocated when it returns; one chunk's rows kept for the
+        thread's next call would hold 0.8 MB."""
         types, coms, cell = self.liquid(1800)
         hist = PairHistogram.create(2, 12.5, 0.1)
         retained, _ = self.in_thread(
@@ -1318,13 +1329,14 @@ class TestKernelMemory:
     @pytest.mark.parametrize("n", [1800, 7200])
     def test_peak_is_bounded_by_the_chunk(self, n):
         """A frame peaks at one chunk's arrays plus the frame's own tables,
-        2.9 MB for 1800 molecules and 4.1 MB for 7200 (numpy 2.4).  A chunk's
-        rows kept alive while the next chunk's are made would take 7200
-        molecules to 5.7 MB."""
+        1.75 MiB for 1800 molecules and 2.89 MiB for 7200 (numpy 2.4).  A
+        chunk's rows kept alive while the next chunk's are made would take
+        them to 2.49 and 3.64 MiB, and chunks of 32 768 pairs to 2.76 and
+        3.90 MiB."""
         types, coms, cell = self.liquid(n)
         hist = PairHistogram.create(2, 12.5, 0.1)
         _, peak = self.traced(lambda: accumulate_frame(hist, types, coms, cell))
-        assert peak < 4.5 * 2**20
+        assert peak < {1800: 2.2, 7200: 3.3}[n] * 2**20
         assert hist.frames_used == 1 and hist.counts.sum() > 0
 
     def test_two_molecules_allocate_little(self):
