@@ -34,10 +34,13 @@ logger = logging.getLogger(__name__)
 
 # Candidate pairs are handled in chunks of about this many, one row of
 # candidates at the least.  The size bounds what a chunk holds, whatever the
-# number of molecules: six float64 rows and two int64 index arrays, 64 B per
-# pair (1.05 MB at this size), freed before the next chunk is made.  Chunks
-# twice as large ran no faster, and half as large 10% slower.
-_CHUNK_PAIRS = 16_384
+# number of molecules: both sides' 32-byte records and d, 88 B per pair, and
+# two int64 index arrays (0.85 MB at this size), freed before the next chunk
+# is made.  Chunks twice as large ran no faster, and half as large 18% slower.
+_CHUNK_PAIRS = 8_192
+# The column search works out candidate rows for this many (column,
+# molecule) pairs at a time, whatever the chunk size: see _cell_pairs.
+_BLOCK_ROWS = 8_192
 
 # Linked-cell search: cells are at least rc / _CELL_REACH wide across x and
 # y, so a molecule's partners lie in the columns along z within +-_CELL_REACH
@@ -179,12 +182,18 @@ def _cell_grid(pos: np.ndarray, cell: CellTensor, rc: float) -> _CellGrid | None
         shape = np.maximum(np.floor(shape * (budget / entries) ** (1 / 3)), thinnest)
     shape = shape.astype(np.int64)
     edges = extent * cell.heights / shape
-    m = cell.matrix
-    orthogonal = not (m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1])
-    widths = edges[:2] if orthogonal else np.zeros(2)
+    widths = edges[:2] if _diagonal(cell.matrix) is not None else np.zeros(2)
     columns = _stencil(widths, reach)
     z_edge = edges[2]
     return _CellGrid(shape, columns, lo, shape / extent, periodic, widths / z_edge, reach / z_edge)
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray | None:
+    """The diagonal of the cell matrix ``m`` if its six other entries are
+    all 0.0, else None."""
+    if m[0, 1] or m[0, 2] or m[1, 0] or m[1, 2] or m[2, 0] or m[2, 1]:
+        return None
+    return m.diagonal()
 
 
 def _search_pays(n: int, columns: int, work: float = 0.0) -> bool:
@@ -269,13 +278,13 @@ def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
     z = where[2] + place[2]
     bottom = np.maximum(where[2] - _Z_CELLS, 0)
     top = np.minimum(where[2] + _Z_CELLS, height - 1)
-    # Rows for _CHUNK_PAIRS / 4 (column, molecule) pairs at a time, about
-    # 4000: a block's row arrays are then 32 KiB, which the heap reuses from
-    # block to block, and its candidates about two chunks (a liquid's rows
-    # hold 8 to 9 each).  Row arrays for a whole frame took three times as
-    # long per row, faulting in fresh pages; blocks of half as many rows
-    # took 10% longer.
-    per_block = max(1, _CHUNK_PAIRS // (4 * len(columns)))
+    # Rows for _BLOCK_ROWS (column, molecule) pairs at a time: a block's row
+    # arrays are then 64 KiB, which the heap reuses from block to block, and
+    # its candidates about eight chunks (a liquid's rows hold 8 to 9 each).
+    # Row arrays for a whole frame took three times as long per row, faulting
+    # in fresh pages; blocks of half as many rows took 5% longer, and of twice
+    # as many 4% longer.
+    per_block = max(1, _BLOCK_ROWS // len(columns))
 
     def chunks():
         for p0 in range(0, n, per_block):
@@ -304,6 +313,8 @@ def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
             first[0] = s + 1
             sizes = table[1:][end]
             sizes -= first
+            # The block's float rows are not needed while its chunks are.
+            del gaps, h2, h, base, end
             yield from _expand_rows(np.tile(s, len(columns)), first.ravel(), sizes.ravel())
 
     return slots, chunks()
@@ -313,18 +324,23 @@ def _expand_rows(owners, starts, sizes):
     """Pairs (owner, start + k) for k < size of every row, in chunks of
     about _CHUNK_PAIRS pairs."""
     ends = np.cumsum(sizes)
+    # Pair p of all the rows' pairs, counted from 0, in row r is (owner,
+    # p + shift[r]).
+    shift = starts - ends
+    shift += sizes
     r0 = 0
     while r0 < len(sizes):
-        base = ends[r0] - sizes[r0]
+        base = int(ends[r0] - sizes[r0])
         r1 = max(r0 + 1, int(np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
         size = sizes[r0:r1]
-        total = int(ends[r1 - 1] - base)
-        if total:
+        end = int(ends[r1 - 1])
+        if end > base:
             i = np.repeat(owners[r0:r1], size)
-            shift = starts[r0:r1] - (ends[r0:r1] - size - base)
-            j = np.repeat(shift, size)
-            j += np.arange(total)
+            j = np.repeat(shift[r0:r1], size)
+            j += np.arange(base, end)
             yield i, j
+            # Else this chunk's index arrays live on while the next are made.
+            del i, j
         r0 = r1
 
 
@@ -396,6 +412,9 @@ def accumulate_frame(
     # The periodic axes lead: all three, or the first two of a slab.
     folded = cell.n_periodic
     m = cell.matrix
+    # An exactly diagonal cell scales each axis by its edge: the products of
+    # m.T @ d, whose off-diagonal terms are exact zeros.
+    diagonal = _diagonal(m)
 
     nbins = hist.counts.shape[2]
     dr = hist.dr
@@ -409,32 +428,49 @@ def accumulate_frame(
     fold = np.rint if rc < 0.4999 * min(cell.heights[:folded].tolist()) else nint
     flat = np.zeros(hist.n_types**2 * (nbins + 1), dtype=np.int64)
     for entry_pos, entry_types, chunks in _candidate_pairs(pos, types, cell, rc):
-        # One row per axis: a chunk's three rows of d are one gather.
-        axes = np.ascontiguousarray(entry_pos.T)
-        # Histogram key of a pair (i, j): key_i[i] + key_j[j] + bin, with one
-        # overflow bin past the last per pair of types, for the candidates
-        # that get no bin.  A pair may come as (i, j) or as (j, i): the fold,
-        # the cell product and r^2 are exactly odd or even in d, and the
-        # counts are symmetrised below.
-        key_j = entry_types * (nbins + 1)
-        key_i = key_j * hist.n_types
+        # Two tables of 32-byte records (x, y, z, key), one per side of a
+        # pair, so that a chunk gathers each side with one take.  The key is
+        # int64 bits in the fourth column: a pair (i, j) goes to histogram
+        # key key_i[i] + key_j[j] + bin, with one overflow bin past the last
+        # per pair of types, for the candidates that get no bin.  A pair may
+        # come as (i, j) or as (j, i): the fold, the cell product and r^2 are
+        # exactly odd or even in d, and the counts are symmetrised below.
+        records = np.empty((2, len(entry_types), 4))
+        records[..., :3] = entry_pos
+        key_i, key_j = records.view(np.int64)[..., 3]
+        np.multiply(entry_types, nbins + 1, out=key_j)
+        np.multiply(key_j, hist.n_types, out=key_i)
+        rec_i, rec_j = records
+        # The records hold all the chunks need: held beside them, the entry's
+        # positions lift a 7200-molecule frame's peak by 0.3 MiB.
+        del entry_pos, entry_types, key_i, key_j
         for i_arr, j_arr in chunks:
             k = len(i_arr)
-            # The chunk's six rows: d in the first (3, k) block, then the
-            # squares, r^2 and r; the fold in the second, then the cell product,
-            # then the bins and keys as integers.
-            buf = np.empty(6 * k)
+            # The chunk's arrays: the i and j records, then d in a (3, k)
+            # block, then the squares, r^2 and r.  Once d is taken, the j
+            # records' place holds a second (3, k) block: the fold, then the
+            # cell product, then the bins and keys as integers.
+            buf = np.empty(11 * k)
             ints = buf.view(np.int64)
-            d = buf[: 3 * k].reshape(3, k)
-            e = buf[3 * k : 6 * k].reshape(3, k)
+            ai = buf[: 4 * k].reshape(k, 4)
+            aj = buf[4 * k : 8 * k].reshape(k, 4)
+            d = buf[8 * k :].reshape(3, k)
+            e = buf[4 * k : 7 * k].reshape(3, k)
             # Every index is in range; mode="clip" lets take write straight into
             # ``out``, where the default mode writes through a buffer.
-            axes.take(j_arr, axis=1, out=d, mode="clip")
-            d -= axes.take(i_arr, axis=1, out=e, mode="clip")
+            rec_i.take(i_arr, axis=0, out=ai, mode="clip")
+            rec_j.take(j_arr, axis=0, out=aj, mode="clip")
+            np.subtract(aj[:, :3].T, ai[:, :3].T, out=d)
+            # The pair's two type keys, summed in the i records' key column.
+            type_keys = ints[3 : 4 * k : 4]
+            type_keys += ints[4 * k + 3 : 8 * k : 4]
             f = d[:folded]
             f -= fold(f, out=e[:folded])
-            # The transpose of d.T @ m, with the same sums.
-            np.matmul(m.T, d, out=e)
+            if diagonal is None:
+                # The transpose of d.T @ m, with the same sums.
+                np.matmul(m.T, d, out=e)
+            else:
+                np.multiply(d, diagonal[:, None], out=e)
             # Same sums in the same order as np.linalg.norm(d, axis=0), so the
             # same bits, without its slow length-3 reduction per pair.
             r, y2, z2 = np.multiply(e, e, out=d)
@@ -450,18 +486,15 @@ def accumulate_frame(
             # no distance overflows int64.
             r += 0.5
             np.minimum(r, nbins, out=r)
-            idx, key = ints[3 * k : 5 * k].reshape(2, k)
-            np.copyto(idx, r, casting="unsafe")
-            key_i.take(i_arr, out=key, mode="clip")
-            key += idx
-            key_j.take(j_arr, out=idx, mode="clip")
-            key += idx
+            key = ints[4 * k : 5 * k]
+            np.copyto(key, r, casting="unsafe")
+            key += type_keys
             binned = np.bincount(key)
             flat[: binned.size] += binned
             # Let go of this chunk's arrays before the next is drawn: else its
             # rows stay alive while the next chunk's are made, and large frames
             # peak with two chunks' rows held at once.
-            del buf, ints, d, e, f, r, y2, z2, idx, key, i_arr, j_arr
+            del buf, ints, ai, aj, d, e, type_keys, f, r, y2, z2, key, i_arr, j_arr
     # The overflow bins are dropped here.
     counts = flat.reshape(hist.n_types, hist.n_types, nbins + 1)[..., :nbins]
     hist.counts += counts

@@ -689,15 +689,22 @@ def _write_table(table, values: np.ndarray, destination, prefix: str) -> None:
     """One row per bin: r, then one column per pair, each ``%14.6E``;
     ``destination`` is a path or a text stream, and a path that ends in a
     compressed suffix is written compressed."""
-    if not hasattr(destination, "write") and not str(destination).endswith(_COMPRESSED):
-        # np.savetxt opens a path through numpy's _datasource, which imports
-        # gzip, bz2 and lzma on its first use; a plain file needs none.
-        with open(destination, "w") as stream:
-            _write_table(table, values, stream, prefix)
-        return
     columns = ["r".rjust(13)] + [f"{prefix}({a},{b})".rjust(14) for a, b in table.pair_labels]
-    np.savetxt(destination, np.column_stack([table.bin_centers, values.T]),
-               fmt="%14.6E", delimiter="", header="".join(columns), comments="#")
+    header = "".join(columns)
+    data = np.column_stack([table.bin_centers, values.T])
+    if not hasattr(destination, "write") and str(destination).endswith(_COMPRESSED):
+        np.savetxt(destination, data, fmt="%14.6E", delimiter="", header=header, comments="#")
+        return
+    # The lines np.savetxt writes, formatted as one string: it formats and
+    # writes row by row, and opens a path through numpy's _datasource, which
+    # imports gzip, bz2 and lzma on its first use.
+    nbins, ncols = data.shape
+    text = "#" + header + "\n" + (("%14.6E" * ncols + "\n") * nbins) % tuple(data.ravel().tolist())
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        with open(destination, "w") as stream:
+            stream.write(text)
 
 
 def write_rdf(table, destination) -> None:

@@ -53,8 +53,13 @@ REFERENCE_READER = ("tests/test_reader_reference.py",)
 
 LEDGER = (
     Mutant("chunk-rows-held-into-the-next", ENGINE,
-           "            del buf, ints, d, e, f, r, y2, z2, idx, key, i_arr, j_arr\n", "",
+           "            del buf, ints, ai, aj, d, e, type_keys, f, r, y2, z2, key, i_arr, j_arr\n", "",
            (f"{ENGINE_TESTS}::TestKernelMemory::test_peak_is_bounded_by_the_chunk",)),
+    Mutant("j-side-key-never-added", ENGINE,
+           "            type_keys += ints[4 * k + 3 : 8 * k : 4]\n", "",
+           (f"{ENGINE_TESTS}::TestAgainstNaiveReference",)),
+    Mutant("diagonal-product-for-a-tilted-cell", ENGINE,
+           "diagonal = _diagonal(m)", "diagonal = m.diagonal()", ANCHORS),
     Mutant("no-transpose-add", ENGINE,
            "    hist.counts += counts.transpose(1, 0, 2)\n", "", ANCHORS),
     Mutant("bin-half-point-0.4", ENGINE, "r += 0.5", "r += 0.4",

@@ -991,7 +991,8 @@ class TestKernelPasses:
     def test_small_chunks_equal_all_pairs(self, monkeypatch, imcon, chunk):
         """Chunks of a few pairs, cutting the candidates of one molecule, and
         every row of all pairs, across chunk boundaries, give the histogram
-        of all pairs taken at once, bit for bit."""
+        of all pairs taken at once, bit for bit.  Row blocks of one molecule
+        lay its rows in every column one after another, so they cross chunks."""
         rng = np.random.default_rng(imcon * 100 + chunk)
         cell = make_cell(imcon, (21.0, 23.0, 22.0), (0.2, -0.15, 0.1))
         n, rmax, dr = 90, 2.7, 0.1
@@ -1004,6 +1005,7 @@ class TestKernelPasses:
         assert oracle.sum() > 0
 
         monkeypatch.setattr(rdf_engine, "_CHUNK_PAIRS", chunk)
+        monkeypatch.setattr(rdf_engine, "_BLOCK_ROWS", 1)
         pos = to_reduced(coms, cell)
         chunks = list(molecule_chunks(_cell_search(pos, cell, search_radius(rmax, dr))))
         # Some molecule's candidates continue from one chunk into the next.
@@ -1315,9 +1317,9 @@ class TestKernelMemory:
         return rng.integers(0, 2, n), rng.uniform(0.0, edge, (n, 3)), CellTensor.cubic(edge)
 
     def test_call_retains_nothing(self):
-        """An 1800-molecule frame (31 chunks) in a fresh thread leaves under
+        """An 1800-molecule frame (46 chunks) in a fresh thread leaves under
         64 KiB allocated when it returns; one chunk's rows kept for the
-        thread's next call would hold 0.8 MB."""
+        thread's next call would hold 0.7 MB."""
         types, coms, cell = self.liquid(1800)
         hist = PairHistogram.create(2, 12.5, 0.1)
         retained, _ = self.in_thread(
@@ -1329,14 +1331,14 @@ class TestKernelMemory:
     @pytest.mark.parametrize("n", [1800, 7200])
     def test_peak_is_bounded_by_the_chunk(self, n):
         """A frame peaks at one chunk's arrays plus the frame's own tables,
-        1.75 MiB for 1800 molecules and 2.89 MiB for 7200 (numpy 2.4).  A
+        1.56 MiB for 1800 molecules and 2.65 MiB for 7200 (numpy 2.4).  A
         chunk's rows kept alive while the next chunk's are made would take
-        them to 2.49 and 3.64 MiB, and chunks of 32 768 pairs to 2.76 and
-        3.90 MiB."""
+        them to 2.25 and 3.34 MiB, and chunks of 16 384 pairs gathered a row
+        at a time to 1.75 and 2.89 MiB."""
         types, coms, cell = self.liquid(n)
         hist = PairHistogram.create(2, 12.5, 0.1)
         _, peak = self.traced(lambda: accumulate_frame(hist, types, coms, cell))
-        assert peak < {1800: 2.2, 7200: 3.3}[n] * 2**20
+        assert peak < {1800: 1.9, 7200: 3.0}[n] * 2**20
         assert hist.frames_used == 1 and hist.counts.sum() > 0
 
     def test_two_molecules_allocate_little(self):

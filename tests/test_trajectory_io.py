@@ -1595,6 +1595,29 @@ class TestWriters:
         with module.open(tmp_path / f"POP{suffix}") as stream:
             assert stream.read() == (tmp_path / "POP").read_bytes()
 
+    def test_same_bytes_as_savetxt(self, tmp_path):
+        """A table written as one string has the bytes of np.savetxt's rows,
+        to a path and to a stream: ten pairs of four types, with negative,
+        tiny, subnormal, huge and non-finite values."""
+        rng = np.random.default_rng(7)
+        labels = [(a, a) for a in range(1, 5)]
+        labels += [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+        nbins = 9
+        g = rng.standard_normal((len(labels), nbins)) * 10.0 ** rng.integers(-300, 300, (10, nbins))
+        g[0, :6] = [-0.0, 5e-324, -1.7976931348623157e308, 9.9999995e-7, np.inf, np.nan]
+        table = RdfTable(tuple(labels), np.arange(nbins) * 0.05, g, -g[::-1], 1000.0)
+        for write, prefix, values in [(write_rdf, "g", table.g), (write_pop, "pop", table.pop)]:
+            expected = io.StringIO()
+            header = "r".rjust(13) + "".join(f"{prefix}({a},{b})".rjust(14) for a, b in labels)
+            np.savetxt(expected, np.column_stack([table.bin_centers, values.T]),
+                       fmt="%14.6E", delimiter="", header=header, comments="#")
+            assert expected.getvalue().count("\n") == nbins + 1
+            stream = io.StringIO()
+            write(table, stream)
+            assert stream.getvalue() == expected.getvalue()
+            write(table, tmp_path / prefix)
+            assert (tmp_path / prefix).read_bytes() == expected.getvalue().encode()
+
     def test_values_round_trip_through_loadtxt(self, tmp_path):
         table = self.make_table()
         out = tmp_path / "RDF"
