@@ -57,7 +57,8 @@ class AnalysisSummary:
 
 def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
     """Centres of mass ``(k, n, 3)`` of the molecules of ``topology.massive``,
-    type after type, in each of the ``k`` frames, which share one cell.
+    type after type, in each of the ``k`` frames, which share one cell and
+    hold the site rows of ``topology.used``.
 
     One ``centers_of_mass`` call per type takes its copies in every frame of
     the block; the arithmetic of each molecule, and so its bits, is that of
@@ -67,10 +68,11 @@ def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
     # A block of one is a view of its frame's positions, not a copy.
     positions = frames[0].positions[None] if k == 1 else np.stack([f.positions for f in frames])
     coms = []
-    for t, sites in topology.massive:
+    for t, rows in topology.used:
         mol = topology.molecules[t]
-        block = positions[:, sites].reshape(k * mol.count, mol.n_sites, 3)
-        coms.append(centers_of_mass(block, mol.masses, frames[0].cell).reshape(k, mol.count, 3))
+        block = positions[:, rows].reshape(k * mol.count, mol.used_sites, 3)
+        masses = mol.masses[: mol.used_sites]
+        coms.append(centers_of_mass(block, masses, frames[0].cell).reshape(k, mol.count, 3))
     return np.concatenate(coms, axis=1)
 
 
@@ -86,7 +88,7 @@ def accumulate_history(
     types, warned = None, False
     with HistoryReader(
         history_path, expected_natoms=topology.total_sites,
-        start=directives.start, stop=directives.stop,
+        start=directives.start, stop=directives.stop, sites=topology.used_flags(),
     ) as reader:
         for block in reader.blocks():
             # Coordinates near the float limit overflow here; accumulate_frame rejects them.

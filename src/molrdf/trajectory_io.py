@@ -29,9 +29,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, filterfalse, islice
+from itertools import chain, compress, cycle, filterfalse, islice, repeat
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -87,6 +87,12 @@ class MoleculeSpec:
     def total_mass(self) -> float:
         return float(sum(self.site_masses))
 
+    @cached_property
+    def used_sites(self) -> int:
+        """1 + the index of the last site with mass (0 if none): the sites that
+        its centre of mass depends on, massless ones among them linking the chain."""
+        return max((i + 1 for i, mass in enumerate(self.site_masses) if mass > 0.0), default=0)
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -115,6 +121,24 @@ class Topology:
                 massive.append((t, slice(start, stop)))
         return tuple(massive)
 
+    @cached_property
+    def used(self) -> tuple[tuple[int, slice], ...]:
+        """``(t, rows)`` for every type of ``massive``: the rows that the
+        ``used_sites`` of its copies fill in a frame read with ``used_flags()``."""
+        used, stop = [], 0
+        for t, _ in self.massive:
+            start, stop = stop, stop + self.molecules[t].count * self.molecules[t].used_sites
+            used.append((t, slice(start, stop)))
+        return tuple(used)
+
+    def used_flags(self) -> Iterator[bool] | None:
+        """One flag per site of a frame, true for the ``used_sites`` of each copy,
+        or None if all are; lazy, so a FIELD count too large to hold builds nothing."""
+        if all(mol.used_sites == mol.n_sites for mol in self.molecules):
+            return None
+        return chain.from_iterable((True,) * mol.used_sites + (False,) * (mol.n_sites - mol.used_sites)
+                                   for mol in self.molecules for _ in range(mol.count))
+
 
 @dataclass(frozen=True, eq=False)
 class Frame:
@@ -122,7 +146,7 @@ class Frame:
 
     step: int
     cell: CellTensor
-    positions: np.ndarray  # (sites, 3), Angstrom, FIELD declaration order
+    positions: np.ndarray  # (sites, 3), Angstrom, FIELD order; the converted sites alone
 
 
 def parse_directives(control_text: str) -> Directives:
@@ -344,12 +368,13 @@ _TEXT_LINES = 2048
 
 
 def _repeated_steps(block: list[str], size: int, per_site: int, head: list[str],
-                    rows: list[str]) -> tuple[list[int], np.ndarray | None]:
+                    rows: list[str], used: list | None) -> tuple[list[int], np.ndarray | None]:
     """The steps and the positions of the whole frames of ``block``, ``size``
     lines each, up to the first that does not have the keyword, site count,
     keytrj and imcon tokens of the timestep record ``head`` and the cell
     ``rows``, character for character, or whose coordinate lines, every
-    ``per_site``-th from the sixth, do not all convert to finite numbers."""
+    ``per_site``-th from the sixth (of the sites flagged in ``used`` alone,
+    unless it is None), do not all convert to finite numbers."""
     k = len(block) // size
     columns = list(zip(*map(str.split, block[: k * size : size])))
     if (
@@ -358,16 +383,16 @@ def _repeated_steps(block: list[str], size: int, per_site: int, head: list[str],
         and all(block[c : k * size : size].count(rows[c - 1]) == k for c in (1, 2, 3))
         and (steps := _integers(columns[1], k))
     ):
-        lines = [block[f + 5 : f + size : per_site] for f in range(0, k * size, size)]
-        positions = _coordinates(list(chain.from_iterable(lines)))
+        lines = chain.from_iterable(block[f + 5 : f + size : per_site] for f in range(0, k * size, size))
+        positions = _coordinates(list(lines if used is None else compress(lines, cycle(used))))
         if positions is not None and np.isfinite(positions).all():
             return steps, positions
     if k < 2:
         return [], None
     # Frame by frame, up to the first that fails.
     frames = (block[f : f + size] for f in range(0, k * size, size))
-    first = next(f for f, one in enumerate(frames) if not _repeated_steps(one, size, per_site, head, rows)[0])
-    return _repeated_steps(block[: first * size], size, per_site, head, rows)
+    first = next(f for f, one in enumerate(frames) if not _repeated_steps(one, size, per_site, head, rows, used)[0])
+    return _repeated_steps(block[: first * size], size, per_site, head, rows, used)
 
 
 class HistoryReader:
@@ -418,6 +443,12 @@ class HistoryReader:
     before it have come out, as one block, and a bad coordinate line is a cut
     only when nothing follows its frame.  Frames, errors, ``frames_read`` and
     ``truncated`` are those of reading one frame at a time.
+
+    ``sites`` flags the sites to convert, one flag per site of a frame, read
+    as far as the frames reach: a frame's positions are then the flagged
+    rows, the other coordinate lines are counted off unseen, like velocity
+    lines, and :data:`BLOCK_SITES` counts converted sites.  A non-finite
+    coordinate's error still names its site's number in the frame.
     """
 
     def __init__(
@@ -426,6 +457,7 @@ class HistoryReader:
         expected_natoms: int | None = None,
         start: int = 1,
         stop: int = sys.maxsize,
+        sites: Iterable[bool] | None = None,
     ):
         if hasattr(source, "readline"):
             self._fh = source
@@ -445,6 +477,10 @@ class HistoryReader:
         self._expected_natoms = expected_natoms
         self._start = start
         self._stop = stop
+        # The flags of the sites to convert, False past their end, and those
+        # read so far; None converts every site.
+        self._sites = None if sites is None else chain(sites, repeat(False))
+        self._used = []
         # The last frame's cell and the (imcon, raw cell rows) it came from.
         self._cell = None
         self._cell_key = None
@@ -530,7 +566,10 @@ class HistoryReader:
             if ahead > 0:  # another layout, a cut or the end ends it early
                 n += self._read_repeats(line, n, run, ahead)
             k = len(run[0])
+            # BLOCK_SITES converted sites; a frame of more than half as many
+            # sites, whose text a read in bulk would hold, is a run of one.
             cap = max(1, BLOCK_SITES // max(1, sum(map(len, run[2])) // k))
+            cap = cap if 2 * int(line.split()[2]) <= BLOCK_SITES else 1
             size = cap if k == size else min(2 * k, cap)
             yield run
 
@@ -543,6 +582,8 @@ class HistoryReader:
         head = timestep_line.split()
         steps, _, positions = run
         per_site = 2 + min(max(int(head[3]), 0), 2)
+        # The run's first frame has read the flags of every one of its sites.
+        used = None if self._sites is None else self._used[: int(head[2])]
         size = 4 + int(head[2]) * per_site
         most = max(1, _TEXT_LINES // size) * size
         # Frames of another layout may be as short as this: even then no line
@@ -553,7 +594,7 @@ class HistoryReader:
         while got < m:
             want = min((m - got) * size, most, known * size + (self._stop - n - got - known) * shortest)
             block += islice(self._lines, want - len(block))
-            new, xyz = _repeated_steps(block, size, per_site, head, self._cell_key[1])
+            new, xyz = _repeated_steps(block, size, per_site, head, self._cell_key[1], used)
             if new:
                 steps += new
                 positions.append(xyz)
@@ -636,20 +677,26 @@ class HistoryReader:
             self._cell_key = (imcon, rows)
 
         # Every per_site-th line from the second is a coordinate line, read
-        # and converted _TEXT_LINES at a time; the rest of the last record is
-        # counted off too, so a frame cut inside it comes up short.  A bad line
-        # or a non-finite coordinate is judged once the frame is whole.
+        # _TEXT_LINES at a time and converted if flagged; the rest of the last
+        # record is counted off too, so a frame cut inside it comes up short.
+        # A bad line or a non-finite coordinate is judged once the frame is whole.
         pieces = [] if natoms else [np.empty((0, 3))]
-        bad, site, skip = False, 0, 1
+        bad, site, skip, used = False, 0, 1, None
         for first in range(0, natoms, _TEXT_LINES):
             count = min(natoms - first, _TEXT_LINES)
             lines = list(islice(self._lines, skip, skip + (count - 1) * per_site + 1, per_site))
             if len(lines) < count:
                 return None
             skip = per_site - 1
+            if self._sites is not None:
+                self._used += islice(self._sites, max(0, first + count - len(self._used)))
+                used = self._used[first : first + count]
+                lines = list(compress(lines, used))
             bad = bad or (xyz := _coordinates(lines)) is None
             if not (bad or site or np.isfinite(xyz).all()):
-                site = first + 1 + int(np.argmin(np.isfinite(xyz).all(axis=1)))
+                row = int(np.argmin(np.isfinite(xyz).all(axis=1)))
+                # The site's number in the frame, not among the converted rows.
+                site = 1 + next(islice(compress(range(first, natoms), repeat(1) if used is None else used), row, None))
             pieces.append(xyz)
         if natoms and len(list(islice(self._lines, per_site - 2))) < per_site - 2:
             return None

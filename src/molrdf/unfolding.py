@@ -16,6 +16,10 @@ a cell long.  Such a bond is folded to the wrong image and the molecule's
 centre of mass comes out wrong, without notice.  The molecule as a whole may
 span more than half the cell, as long as every bond between consecutive
 sites (in FIELD order) stays below half.
+
+The CLI reads and unfolds only the sites up to the last one with mass of
+each copy (``MoleculeSpec.used_sites``), massless ones among them linking the
+chain: sites after it would weigh zero.  Nothing of a massless type is read.
 """
 
 from __future__ import annotations

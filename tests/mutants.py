@@ -50,6 +50,7 @@ ENGINE_TESTS = "tests/test_rdf_engine.py"
 KERNEL_TESTS = f"{ENGINE_TESTS}::TestKernelPasses"
 ANCHORS = ("tests/test_lattice_anchors.py",)
 REFERENCE_READER = ("tests/test_reader_reference.py",)
+READER_TESTS = "tests/test_trajectory_io.py"
 
 LEDGER = (
     Mutant("chunk-rows-held-into-the-next", ENGINE,
@@ -88,6 +89,33 @@ LEDGER = (
            "frame.step <= self._step", "frame.step < self._step", REFERENCE_READER),
     Mutant("no-back-off-after-a-shortfall", READER,
            "size = cap if k == size else min(2 * k, cap)", "size = cap", REFERENCE_READER),
+    Mutant("no-stop-cap-for-shorter-layouts", READER,
+           "shortest = 4 + 2 * (self._expected_natoms or 0)", "shortest = size", REFERENCE_READER),
+    Mutant("bulk-coordinate-slice-one-line-short", READER,
+           "block[f + 5 : f + size : per_site]", "block[f + 5 : f + size - 1 : per_site]", REFERENCE_READER),
+    *(Mutant(f"bulk-{name}-column-unchecked", READER,
+             "columns[c].count(head[c]) == k for c in (0, 2, 3, 4)",
+             f"columns[c].count(head[c]) == k for c in {tuple(c for c in (0, 2, 3, 4) if c != dropped)}",
+             REFERENCE_READER)
+      for name, dropped in (("keyword", 0), ("site-count", 2), ("keytrj", 3), ("imcon", 4))),
+    Mutant("bulk-second-cell-row-unchecked", READER,
+           ".count(rows[c - 1]) == k for c in (1, 2, 3)", ".count(rows[c - 1]) == k for c in (1, 3)",
+           REFERENCE_READER),
+    Mutant("used-prefix-one-site-short", READER,
+           "max((i + 1 for i, mass in", "max((i for i, mass in",
+           (f"{READER_TESTS}::TestParseField::test_used_sites_and_their_rows",
+            "tests/test_golden.py::test_output_matches_golden")),
+    Mutant("selection-skipped-in-bulk", READER,
+           "list(lines if used is None else compress(lines, cycle(used)))", "list(lines)",
+           (f"{READER_TESTS}::TestSiteSelection::test_equals_the_full_read_sliced",)),
+    Mutant("frame-held-whole-for-a-bulk-read", READER,
+           "            cap = cap if 2 * int(line.split()[2]) <= BLOCK_SITES else 1\n", "",
+           (f"{READER_TESTS}::TestSiteSelection::test_equals_the_full_read_sliced",)),
+    Mutant("non-finite-site-counted-among-converted-rows", READER,
+           "site = 1 + next(islice(compress(range(first, natoms), repeat(1) if used is None else used), row, None))",
+           "site = first + 1 + row",
+           (f"{READER_TESTS}::TestSiteSelection::test_a_non_finite_coordinate_names_its_site_in_the_frame",
+            "tests/test_cli.py::TestSitesNotRead::test_fault_in_a_massless_site_between_massive_ones")),
 )
 
 

@@ -19,6 +19,7 @@ from molrdf.errors import InputError, NoFramesError
 from molrdf.rdf_engine import merge
 from molrdf.synthetic import SyntheticConfig, generate_dataset
 from molrdf.trajectory_io import HistoryReader, parse_directives, parse_field
+from test_golden import write_inputs
 
 
 @pytest.fixture()
@@ -683,8 +684,8 @@ class ConvertEveryFrame(HistoryReader):
     """The frame selection of a reader that converts every frame and drops
     those before ``start`` with islice: the reference for walked frames."""
 
-    def __init__(self, source, expected_natoms=None, start=1, stop=sys.maxsize):
-        super().__init__(source, expected_natoms, stop=stop)
+    def __init__(self, source, expected_natoms=None, start=1, stop=sys.maxsize, sites=None):
+        super().__init__(source, expected_natoms, stop=stop, sites=sites)
         self._first = start - 1
 
     def __iter__(self):
@@ -923,6 +924,53 @@ class TestFrameBlocks:
 
 VELOCITY = "      0.100000000000      0.200000000000      0.300000000000"
 FORCE = "      1.000000000000      2.000000000000      3.000000000000"
+
+
+class TestSitesNotRead:
+    """Only the sites that a centre of mass depends on are read, each
+    type's sites up to its last one with mass.  A fault in a site after that
+    or in a massless type is not seen; in a massless site between massive
+    ones it still is, and its message names the site in the frame.  The
+    inputs are the ``groups`` golden's 4 frames: 10 lipids of 10 sites with
+    mass on the first 3 (frame sites 1-100), 12 linkers of 5 with mass on
+    sites 1 and 5 (101-160), 24 waters (161-232) and 16 massless 2-site
+    ghosts (233-264)."""
+
+    @pytest.fixture()
+    def groups_dir(self, tmp_path):
+        write_inputs("groups", tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("frame", [2, 4])
+    @pytest.mark.parametrize("site", [4, 100, 233, 264])
+    @pytest.mark.parametrize("bad", ["nan 0.0 0.0", "0.5 x 0.5"], ids=["nan", "garbage"])
+    def test_fault_in_a_site_not_read(self, groups_dir, capsys, caplog, frame, site, bad):
+        clean = outcome(groups_dir, capsys, caplog)
+        assert clean[0] == 0
+        edit_history(groups_dir, frame, 3 + 2 * site, lambda line: bad)
+        assert outcome(groups_dir, capsys, caplog) == clean
+
+    @pytest.mark.parametrize("site", [102, 159])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("nan 0.0 0.0", " has a non-finite coordinate at site {site}"),
+         ("0.5 x 0.5", ": a coordinate line does not start with three numbers")],
+        ids=["nan", "garbage"],
+    )
+    def test_fault_in_a_massless_site_between_massive_ones(self, groups_dir, capsys, site, bad, message):
+        edit_history(groups_dir, 2, 3 + 2 * site, lambda line: bad)
+        assert main(["--dir", str(groups_dir)]) == 1
+        assert capsys.readouterr().err == f"error: HISTORY: frame at step 2{message.format(site=site)}\n"
+        assert not (groups_dir / "RDF").exists()
+
+    def test_cut_inside_the_last_coordinates_of_a_site_not_read(self, groups_dir, capsys, caplog):
+        """keytrj 0: the file's last line holds the coordinates of the last
+        ghost site.  Cut inside them, the last frame is whole and counts."""
+        clean = outcome(groups_dir, capsys, caplog)
+        history = groups_dir / "HISTORY"
+        history.write_text(history.read_text().rstrip("\n")[:-25])  # z and the end of y
+        assert outcome(groups_dir, capsys, caplog) == clean
+        assert "frames used:      4\n" in clean[1]
 
 
 def edit_frames(directory, edit):

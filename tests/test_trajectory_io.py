@@ -8,10 +8,12 @@ import re
 import sys
 import tracemalloc
 import warnings
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from molrdf import trajectory_io
 from molrdf.cli import main
@@ -25,6 +27,7 @@ from molrdf.trajectory_io import (
     write_pop,
     write_rdf,
 )
+from test_reader_reference import ReferenceReader, caps, history, logged, outcome, runs
 
 WATER_ALCOHOL_FIELD = """\
 Water with a united-atom alcohol
@@ -208,6 +211,36 @@ class TestParseField:
         assert topo.massive == ((0, slice(0, 12)), (2, slice(16, 21)))
         assert topo.molecules[1].site_masses == (0.0, 0.0)
         assert topo.total_sites == 21
+
+    def test_used_sites_and_their_rows(self):
+        """A massive type keeps its sites up to its last one with mass,
+        massless ones between them included; a massless type keeps none.
+        The flags select those sites, and ``used`` gives where their rows
+        sit in a frame read with the flags."""
+        text = (
+            "t\nmolecules 3\n"
+            "W\nnummols 2\natoms 4\nO 16.0 0.0\nM 0.0 0.0\nH 1.0 0.0\nL 0.0 0.0\nfinish\n"
+            "P\nnummols 2\natoms 2\nX 0.0 0.0 2\nfinish\n"
+            "C\nnummols 3\natoms 2\nC 12.0 0.0\nD 0.0 0.0\nfinish\n"
+        )
+        topo = parse_field(text)
+        assert [mol.used_sites for mol in topo.molecules] == [3, 0, 1]
+        assert list(topo.used_flags()) == [1, 1, 1, 0] * 2 + [0, 0] * 2 + [1, 0] * 3
+        assert topo.used == ((0, slice(0, 6)), (2, slice(6, 9)))
+        assert [t for t, _ in topo.used] == [t for t, _ in topo.massive]
+
+    def test_no_flags_when_every_site_is_used(self):
+        topo = parse_field(WATER_ALCOHOL_FIELD)
+        assert [mol.used_sites for mol in topo.molecules] == [6, 3]
+        assert topo.used_flags() is None
+        assert topo.used == topo.massive
+
+    def test_flags_are_drawn_as_they_are_read(self):
+        """A count far beyond any HISTORY builds nothing up front."""
+        text = "t\nmolecules 1\nM\nnummols 100000000000000000000\natoms 2\nA 1.0 0.0\nB 0.0 0.0\nfinish\n"
+        topo = parse_field(text)
+        assert list(islice(topo.used_flags(), 5)) == [True, False, True, False, True]
+        assert topo.used == ((0, slice(0, 10**20)),)
 
     def test_masses_are_built_once_and_read_only(self):
         mol = parse_field(WATER_ALCOHOL_FIELD).molecules[1]
@@ -1457,6 +1490,123 @@ class TestBatchedReading:
         steps, _, _, frames_read, truncated, error = read(self.text(lines), stop=10)
         assert (steps[-1], frames_read, truncated) == (9, 9, last)
         assert (error is None) == last
+
+
+def coordinate_line(lines, step, site):
+    """The index in ``lines``, of a keytrj-0 HISTORY, of the coordinates of
+    the 1-based ``site`` in the frame at ``step``."""
+    return next(k for k, line in enumerate(lines) if line.startswith(f"timestep{step:10d}")) + 3 + 2 * site
+
+
+@st.composite
+def selections(draw):
+    """A valid HISTORY text, whole or cut between lines, the reader's
+    keyword arguments, the site flags and the caps to read it with."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_frames = draw(st.integers(0, 40))
+    lines, info = history(rng, n_frames, rng.choice(["never", "never", "sometimes", "every"], 4), ())
+    if rng.random() < 0.5:
+        lines[:0] = ["test trajectory", "".join(f"{t:10d}" for t in info)]
+    if rng.random() < 0.3:
+        del lines[rng.integers(len(lines) + 1) :]
+    kwargs = {}
+    for key in ("start", "stop", "expected_natoms"):
+        if rng.random() < 0.5:
+            kwargs[key] = info[2] if key == "expected_natoms" else int(rng.integers(-1, n_frames + 3))
+    # Up to 10 flags, against frames of up to 9 sites: a site past the last flag is not converted.
+    flags = (rng.random(rng.integers(11)) < rng.choice([0.0, 0.3, 0.7, 1.0])).tolist()
+    block_sites = draw(st.sampled_from([trajectory_io.BLOCK_SITES, 28, 12]))
+    text_lines = draw(st.sampled_from([2048, 37, 3]))
+    return "".join(line + "\n" for line in lines), kwargs, flags, block_sites, text_lines
+
+
+class TestSiteSelection:
+    """A reader given ``sites`` converts the flagged site rows alone and
+    counts the other lines off."""
+
+    @staticmethod
+    def sliced(text, kwargs, flags, block_sites):
+        """What the reference's full read gives with each frame's rows
+        sliced by ``flags``, and the lengths of the runs of those rows."""
+        stream = io.StringIO(text)
+        reader = ReferenceReader(stream, **kwargs)
+        frames, error = [], None
+        try:
+            frames.extend(reader)
+        except InputError as exc:
+            error = str(exc)
+        keep = np.zeros(10, bool)
+        keep[: len(flags)] = flags
+        # The runs of the converted rows; a frame of more than half the cap's
+        # sites is a run of one, as when all its rows are converted.
+        lengths = runs([(n, layout, cell, step, xyz if 2 * len(xyz) > block_sites else xyz[keep[: len(xyz)]])
+                        for n, layout, cell, step, xyz in frames], kwargs.get("stop", sys.maxsize), block_sites)
+        frames = [(step, xyz[keep[: len(xyz)]], cell) for _, _, cell, step, xyz in frames]
+        return outcome(frames, reader, stream, error, reader.warnings), lengths
+
+    @staticmethod
+    def selected(text, kwargs, flags, blocks):
+        stream = io.StringIO(text)
+        reader = HistoryReader(stream, sites=iter(flags), **kwargs)
+        frames, lengths, error = [], [], None
+        with logged() as messages:
+            try:
+                for block in reader.blocks() if blocks else ([frame] for frame in reader):
+                    lengths.append(len(block))
+                    frames += [(frame.step, frame.positions, frame.cell) for frame in block]
+            except InputError as exc:
+                error = str(exc)
+        return outcome(frames, reader, stream, error, messages), lengths
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(selections())
+    def test_equals_the_full_read_sliced(self, case):
+        """Steps, positions, shared cells, ``frames_read``, ``truncated``,
+        errors, warnings and the unread rest of the stream are the full
+        read's, with its rows sliced, through ``iter`` and ``blocks()``;
+        the blocks are the runs of the converted sites, whose pieces and
+        bulk blocks split the selection under small caps, and a frame of
+        more than half ``BLOCK_SITES`` sites is a run of one."""
+        text, kwargs, flags, block_sites, text_lines = case
+        expected, lengths = self.sliced(text, kwargs, flags, block_sites)
+        with caps(block_sites, text_lines):
+            assert self.selected(text, kwargs, flags, blocks=False)[0] == expected
+            got, blocks = self.selected(text, kwargs, flags, blocks=True)
+        assert got == expected
+        assert blocks == lengths
+
+    @pytest.mark.parametrize("text_lines", [2048, 2])
+    @pytest.mark.parametrize("bad", ["nan 0.0 0.0", "0.5 x 0.5"])
+    def test_a_fault_in_a_site_not_converted_is_not_seen(self, monkeypatch, text_lines, bad):
+        monkeypatch.setattr(trajectory_io, "_TEXT_LINES", text_lines)
+        frames = site_frames(4, 5)
+        lines = sites_history(frames).splitlines()
+        lines[coordinate_line(lines, 2, 3)] = bad
+        flags = [True, True, False, True]
+        got = list(HistoryReader(io.StringIO("\n".join(lines) + "\n"), sites=flags))
+        assert_frames(got, frames[:, [0, 1, 3]])
+
+    @pytest.mark.parametrize("text_lines", [2048, 2])
+    def test_a_non_finite_coordinate_names_its_site_in_the_frame(self, monkeypatch, text_lines):
+        monkeypatch.setattr(trajectory_io, "_TEXT_LINES", text_lines)
+        lines = sites_history(site_frames(4, 5)).splitlines()
+        lines[coordinate_line(lines, 2, 4)] = "0.5 0.5 inf"
+        reader = HistoryReader(io.StringIO("\n".join(lines) + "\n"), sites=[True, False, False, True])
+        with pytest.raises(InputError, match="frame at step 2 has a non-finite coordinate at site 4$"):
+            list(reader)
+
+    def test_a_cut_inside_the_last_line_of_a_site_not_converted(self):
+        """With keytrj 0 the last line of a frame is its last site's
+        coordinates: cut inside them, the frame is whole if that site is not
+        converted."""
+        frames = site_frames(3, 4)
+        text = sites_history(frames).rstrip("\n")[:-25]  # z and the end of y
+        full = HistoryReader(io.StringIO(text))
+        assert len(list(full)) == 2 and full.truncated
+        reader = HistoryReader(io.StringIO(text), sites=[True, True, True, False])
+        assert_frames(list(reader), frames[:, :3])
+        assert not reader.truncated
 
 
 class TestTextHeld:
