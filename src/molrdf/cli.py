@@ -8,7 +8,6 @@ dataset instead.  Exit codes: 0 success, 1 bad input, 2 no usable frames.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import gc
 import logging
 import os
@@ -56,9 +55,9 @@ class AnalysisSummary:
 
 
 def _block_coms(frames: list[Frame], topology: Topology) -> np.ndarray:
-    """Centres of mass ``(k, n, 3)`` of the molecules of ``topology.massive``,
+    """Centres of mass ``(k, n, 3)`` of the molecules of ``topology.used``,
     type after type, in each of the ``k`` frames, which share one cell and
-    hold the site rows of ``topology.used``.
+    were read with ``topology.used_flags()``.
 
     One ``centers_of_mass`` call per type takes its copies in every frame of
     the block; the arithmetic of each molecule, and so its bits, is that of
@@ -98,8 +97,8 @@ def accumulate_history(
                 # The 0-based type of each centre of mass that _block_coms
                 # returns; built once the reader has checked FIELD's site
                 # count against HISTORY, as FIELD counts may be too large.
-                massive = [t for t, _ in topology.massive]
-                types = np.repeat(massive, [topology.molecules[t].count for t in massive])
+                used = [t for t, _ in topology.used]
+                types = np.repeat(used, [topology.molecules[t].count for t in used])
             cell, bad = block[0].cell, None
             try:
                 # A block of one goes in as its frame, (n, 3), whose molecules
@@ -143,7 +142,7 @@ def run_analysis(
 
     directives = parse_directives(control_path.read_text(encoding="utf-8", errors="replace"))
     topology = parse_field(field_path.read_text(encoding="utf-8", errors="replace"))
-    if not topology.massive:
+    if not topology.used:
         raise InputError("every molecule type is massless; nothing to analyse")
 
     hist, frames_read, truncated = accumulate_history(history_path, topology, directives)
@@ -255,37 +254,16 @@ def _print_flushed(text: str) -> None:
         raise
 
 
-def _pin_heap_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds instead of letting them adapt.
-
-    By default glibc raises its mmap threshold to the size of the largest
-    mmapped block freed so far, and trims the heap top at twice that:
-    whether the kernel's chunk-sized arrays come from fresh pages on every
-    chunk then depends on which buffer happened to be freed first.  Both
-    are pinned where that rule stops on 64-bit glibc, 32 MiB and twice it.
-    A C library without ``mallopt`` is left as it is."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to ask
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the heap serves blocks below 32 MiB
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: up to 64 MiB of free heap top is kept
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
     the exit code.
 
     main freezes the garbage collector's view of the heap (``gc.freeze``)
     and leaves it frozen: a caller that goes on after main returns and wants
-    those objects collectable again calls ``gc.unfreeze()``.  Under glibc it
-    also pins the allocator's mmap and trim thresholds for the rest of the
-    process (``_pin_heap_thresholds``); elsewhere that step does nothing.
+    those objects collectable again calls ``gc.unfreeze()``.
     """
     # The heap of the imports lives until exit; frozen, no collection walks it.
     gc.freeze()
-    _pin_heap_thresholds()
     if argv is None:
         argv = sys.argv[1:]
     logging.basicConfig(

@@ -32,11 +32,8 @@ from .trajectory_io import Topology
 
 logger = logging.getLogger(__name__)
 
-# Candidate pairs are handled in chunks of about this many, one row of
-# candidates at the least.  The size bounds what a chunk holds, whatever the
-# number of molecules: both sides' 32-byte records and d, 88 B per pair, and
-# two int64 index arrays (0.85 MB at this size), freed before the next chunk
-# is made.  Chunks twice as large ran no faster, and half as large 18% slower.
+# Candidate pairs are handled in chunks of about this many (one row at the
+# least), which bounds a chunk's memory whatever the number of molecules.
 _CHUNK_PAIRS = 8_192
 # The column search works out candidate rows for this many (column,
 # molecule) pairs at a time, whatever the chunk size: see _cell_pairs.
@@ -278,12 +275,8 @@ def _cell_pairs(pos: np.ndarray, grid: _CellGrid):
     z = where[2] + place[2]
     bottom = np.maximum(where[2] - _Z_CELLS, 0)
     top = np.minimum(where[2] + _Z_CELLS, height - 1)
-    # Rows for _BLOCK_ROWS (column, molecule) pairs at a time: a block's row
-    # arrays are then 64 KiB, which the heap reuses from block to block, and
-    # its candidates about eight chunks (a liquid's rows hold 8 to 9 each).
-    # Row arrays for a whole frame took three times as long per row, faulting
-    # in fresh pages; blocks of half as many rows took 5% longer, and of twice
-    # as many 4% longer.
+    # Rows for _BLOCK_ROWS (column, molecule) pairs at a time, so that the
+    # heap reuses a block's row arrays instead of faulting in a whole frame's.
     per_block = max(1, _BLOCK_ROWS // len(columns))
 
     def chunks():
@@ -576,7 +569,7 @@ def finalize(hist: PairHistogram, topology: Topology, smooth: bool = False) -> R
             "mean cell volume is not positive; g(r) needs a periodic cell"
         )
 
-    kept = [t for t, _ in topology.massive]
+    kept = [t for t, _ in topology.used]
     for t, mol in enumerate(topology.molecules):
         if t not in kept:
             logger.warning(

@@ -24,8 +24,10 @@ corrupt record with more of the file after it is an error.
 
 from __future__ import annotations
 
+import importlib
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,26 +111,16 @@ class Topology:
         return sum(m.count * m.n_sites for m in self.molecules)
 
     @cached_property
-    def massive(self) -> tuple[tuple[int, slice], ...]:
-        """``(t, sites)``, in FIELD order, for every type that has a centre of
-        mass: its 0-based index and the slice of a frame's site rows that its
-        copies fill.  The one place that decides which types are analysed."""
-        massive = []
-        stop = 0
-        for t, mol in enumerate(self.molecules):
-            start, stop = stop, stop + mol.count * mol.n_sites
-            if mol.total_mass > 0.0:
-                massive.append((t, slice(start, stop)))
-        return tuple(massive)
-
-    @cached_property
     def used(self) -> tuple[tuple[int, slice], ...]:
-        """``(t, rows)`` for every type of ``massive``: the rows that the
-        ``used_sites`` of its copies fill in a frame read with ``used_flags()``."""
+        """``(t, rows)``, in FIELD order, for every type that has a centre of
+        mass: its 0-based index and the rows that the ``used_sites`` of its
+        copies fill in a frame read with ``used_flags()``.  The one place that
+        decides which types are analysed."""
         used, stop = [], 0
-        for t, _ in self.massive:
-            start, stop = stop, stop + self.molecules[t].count * self.molecules[t].used_sites
-            used.append((t, slice(start, stop)))
+        for t, mol in enumerate(self.molecules):
+            if mol.used_sites:
+                start, stop = stop, stop + mol.count * mol.used_sites
+                used.append((t, slice(start, stop)))
         return tuple(used)
 
     def used_flags(self) -> Iterator[bool] | None:
@@ -728,8 +720,8 @@ class HistoryReader:
             yield frame
 
 
-# The suffixes that np.savetxt writes compressed (numpy's _datasource).
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# The stdlib module whose open writes each compressed suffix, as in numpy's _datasource.
+_COMPRESSED = {".gz": "gzip", ".bz2": "bz2", ".xz": "lzma", ".lzma": "lzma"}
 
 
 def _write_table(table, values: np.ndarray, destination, prefix: str) -> None:
@@ -739,19 +731,15 @@ def _write_table(table, values: np.ndarray, destination, prefix: str) -> None:
     columns = ["r".rjust(13)] + [f"{prefix}({a},{b})".rjust(14) for a, b in table.pair_labels]
     header = "".join(columns)
     data = np.column_stack([table.bin_centers, values.T])
-    if not hasattr(destination, "write") and str(destination).endswith(_COMPRESSED):
-        np.savetxt(destination, data, fmt="%14.6E", delimiter="", header=header, comments="#")
-        return
-    # The lines np.savetxt writes, formatted as one string: it formats and
-    # writes row by row, and opens a path through numpy's _datasource, which
-    # imports gzip, bz2 and lzma on its first use.
     nbins, ncols = data.shape
     text = "#" + header + "\n" + (("%14.6E" * ncols + "\n") * nbins) % tuple(data.ravel().tolist())
     if hasattr(destination, "write"):
         destination.write(text)
-    else:
-        with open(destination, "w") as stream:
-            stream.write(text)
+        return
+    module = _COMPRESSED.get(os.path.splitext(destination)[1])
+    opener = importlib.import_module(module).open if module else open
+    with opener(destination, "wt") as stream:
+        stream.write(text)
 
 
 def write_rdf(table, destination) -> None:

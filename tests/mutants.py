@@ -105,6 +105,12 @@ LEDGER = (
            "max((i + 1 for i, mass in", "max((i for i, mass in",
            (f"{READER_TESTS}::TestParseField::test_used_sites_and_their_rows",
             "tests/test_golden.py::test_output_matches_golden")),
+    Mutant("used-keeps-a-massless-type", READER, "            if mol.used_sites:\n", "            if True:\n",
+           (f"{READER_TESTS}::TestParseField::test_used_sites_and_their_rows",
+            "tests/test_golden.py::test_output_matches_golden")),
+    Mutant("compressed-suffix-written-plain", READER,
+           "opener = importlib.import_module(module).open if module else open", "opener = open",
+           (f"{READER_TESTS}::TestWriters::test_compressed_suffix_is_written_compressed",)),
     Mutant("selection-skipped-in-bulk", READER,
            "list(lines if used is None else compress(lines, cycle(used)))", "list(lines)",
            (f"{READER_TESTS}::TestSiteSelection::test_equals_the_full_read_sliced",)),

@@ -1,5 +1,4 @@
 import gc
-import importlib
 import itertools
 import logging
 import os
@@ -628,44 +627,6 @@ class TestFrozenHeap:
         assert outputs == [(tmp_path / name).read_bytes() for name in ("RDF", "POP")]
 
 
-class FakeLibc:
-    """A C library whose ``mallopt`` records its calls."""
-
-    def __init__(self):
-        self.calls = []
-        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
-
-
-class TestHeapThresholds:
-    """main pins glibc's mmap and trim thresholds; nothing else touches the
-    allocator."""
-
-    def test_main_pins_both_thresholds(self, dataset_dir, monkeypatch):
-        libc = FakeLibc()
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-        assert main(["--dir", str(dataset_dir)]) == 0
-        # M_MMAP_THRESHOLD at 32 MiB, M_TRIM_THRESHOLD at 64 MiB.
-        assert libc.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
-
-    def test_import_and_run_analysis_do_not(self, dataset_dir, monkeypatch):
-        libc = FakeLibc()
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-        for name in [m for m in sys.modules if m.split(".")[0] == "molrdf"]:
-            monkeypatch.delitem(sys.modules, name)
-        fresh = importlib.import_module("molrdf.cli")
-        assert fresh is not cli
-        fresh.run_analysis(dataset_dir)
-        assert libc.calls == []
-
-    def test_c_library_without_mallopt(self, dataset_dir, monkeypatch, capsys):
-        """Off glibc the step does nothing, and the run is the same."""
-        assert main(["--dir", str(dataset_dir)]) == 0
-        expected = capsys.readouterr(), [(dataset_dir / n).read_bytes() for n in ("RDF", "POP")]
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-        assert main(["--dir", str(dataset_dir)]) == 0
-        assert (capsys.readouterr(), [(dataset_dir / n).read_bytes() for n in ("RDF", "POP")]) == expected
-
-
 def outcome(directory, capsys, caplog):
     """Exit code, stdout, stderr, log messages, and the RDF and POP bytes (or
     None) of one ``main`` run on ``directory``; the outputs are removed."""
@@ -971,6 +932,37 @@ class TestSitesNotRead:
         history.write_text(history.read_text().rstrip("\n")[:-25])  # z and the end of y
         assert outcome(groups_dir, capsys, caplog) == clean
         assert "frames used:      4\n" in clean[1]
+
+
+class TestLibraryExample:
+    """README's "Library use" loop over ``topology.used``, run as written,
+    gives the centres of mass of the run, bit for bit.  In the ``groups``
+    golden's inputs some types are read up to their last site with mass and
+    the last type is massless; in the ``gap`` golden's a massless type lies
+    between two massive ones."""
+
+    @pytest.mark.parametrize("case", ["groups", "gap"])
+    def test_same_centres_of_mass_as_the_run(self, tmp_path, monkeypatch, case):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (example,) = [code for code in re.findall(r"```python\n(.*?)```", readme, re.S)
+                      if "topology.used_flags()" in code]
+        write_inputs(case, tmp_path)
+        run, documented = [], []
+
+        def spy(record, function):
+            def recorded(*args):
+                record.append(function(*args))
+                return record[-1]
+            return recorded
+
+        monkeypatch.setattr(cli, "_block_coms", spy(run, cli._block_coms))
+        run_analysis(tmp_path)
+        monkeypatch.setattr(molrdf, "centers_of_mass", spy(documented, molrdf.centers_of_mass))
+        monkeypatch.chdir(tmp_path)
+        exec(example, {})
+        run = np.concatenate(run)  # (frames, molecules, 3)
+        assert len(run) == 4
+        assert np.concatenate(documented).reshape(run.shape).tobytes() == run.tobytes()
 
 
 def edit_frames(directory, edit):

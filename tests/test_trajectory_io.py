@@ -198,9 +198,9 @@ class TestParseField:
             with pytest.raises(InputError, match=f"FIELD line 6: bad site record '{record}'"):
                 parse_field(text)
 
-    def test_massive_types_and_their_site_rows(self):
-        """A massless type in the middle is left out, and the types after it
-        keep their FIELD index and their place in the frame."""
+    def test_used_types_and_their_rows(self):
+        """A massless type in the middle is left out and reads no rows, and
+        the type after it keeps its FIELD index and follows on in the rows."""
         text = (
             "t\nmolecules 3\n"
             "W\nnummols 4\natoms 3\nO 16.0 0.0\nH 1.0 0.0 2\nfinish\n"
@@ -208,9 +208,10 @@ class TestParseField:
             "C\nnummols 5\natoms 1\nC 12.0 0.0\nfinish\n"
         )
         topo = parse_field(text)
-        assert topo.massive == ((0, slice(0, 12)), (2, slice(16, 21)))
+        assert topo.used == ((0, slice(0, 12)), (2, slice(12, 17)))
         assert topo.molecules[1].site_masses == (0.0, 0.0)
         assert topo.total_sites == 21
+        assert list(topo.used_flags()) == [1] * 12 + [0] * 4 + [1] * 5
 
     def test_used_sites_and_their_rows(self):
         """A massive type keeps its sites up to its last one with mass,
@@ -227,13 +228,12 @@ class TestParseField:
         assert [mol.used_sites for mol in topo.molecules] == [3, 0, 1]
         assert list(topo.used_flags()) == [1, 1, 1, 0] * 2 + [0, 0] * 2 + [1, 0] * 3
         assert topo.used == ((0, slice(0, 6)), (2, slice(6, 9)))
-        assert [t for t, _ in topo.used] == [t for t, _ in topo.massive]
 
     def test_no_flags_when_every_site_is_used(self):
         topo = parse_field(WATER_ALCOHOL_FIELD)
         assert [mol.used_sites for mol in topo.molecules] == [6, 3]
         assert topo.used_flags() is None
-        assert topo.used == topo.massive
+        assert topo.used == ((0, slice(0, 300)), (1, slice(300, 900)))
 
     def test_flags_are_drawn_as_they_are_read(self):
         """A count far beyond any HISTORY builds nothing up front."""
